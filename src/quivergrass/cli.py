@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -228,6 +229,10 @@ def _cmd_count(args) -> int:
     known = None
     if workers > 1:
         interp, extras = interpolation_plan(q, w, v, primes)
+        planned = interp + extras
+        # One worker per planned prime at most, and no more than the cores.
+        workers = min(workers, len(planned), os.cpu_count() or 1)
+    if workers > 1:
         tasks = [
             (
                 quiver_to_json(q),
@@ -237,7 +242,7 @@ def _cmd_count(args) -> int:
                 trunc,
                 cap,
             )
-            for p in interp + extras
+            for p in planned
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             known = dict(pool.map(_prime_count_task, tasks))

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatchError,
+    InternalCheckError,
     NotComparableError,
     NotExtremalError,
     SearchExhaustedError,
     TruncationTooSmallError,
     ValidationError,
 )
-from .fields import is_prime
-from .grassmann import count_submodules, enumerate_submodules
+from .grassmann import _check_primes, count_submodules, enumerate_submodules
 from .hull import InjectiveModel, injective_hull
 from .linalg import (
     Mat,
@@ -276,7 +276,10 @@ def demazure_module(
                 f"stage {k} dims {nxt.dims()} differ from the target {expected}"
             )
         for v in model.rep.quiver.vertices:
-            assert subspace_contains(nxt.basis(v), stages[-1].basis(v))
+            if not subspace_contains(nxt.basis(v), stages[-1].basis(v)):
+                raise InternalCheckError(
+                    f"stage {k} does not contain stage {k - 1} at vertex {v!r}"
+                )
         stages.append(nxt)
         targets.append(expected)
     return DemazureChain(
@@ -315,18 +318,6 @@ def _stage_counts(model: InjectiveModel, stage: Subrep, v: dict, primes, cap) ->
     return tuple(
         count_submodules(reduce_mod(piece, p), v, cap) for p in primes
     )
-
-
-def _check_primes(primes) -> list:
-    out = [int(p) for p in primes]
-    if not out:
-        raise ValidationError("at least one prime is required")
-    if len(set(out)) != len(out):
-        raise ValidationError("primes must be distinct")
-    for p in out:
-        if not is_prime(p):
-            raise ValidationError(f"{p} is not prime")
-    return sorted(out)
 
 
 def stabilization_sigma(

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .demazure import _check_primes, demazure_module
+from .demazure import demazure_module
 from .errors import (
     BadPrimeError,
     InternalCheckError,
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fields import QQ
 from .grassmann import (
+    _check_primes,
     _lagrange,
     _next_prime,
     count_polynomial,

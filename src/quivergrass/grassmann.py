@@ -1,10 +1,21 @@
 """Exhaustive submodule enumeration over prime fields and count interpolation.
 
-Submodule grassmannians are enumerated per vertex through Gaussian cells,
-with arrow-closure bounds propagated between vertices so that each arrow is
-enforced exactly once.  Point counts at several primes feed a Lagrange
-interpolation whose value at 1 is the Euler characteristic; every
-interpolation is certified at an extra prime.
+One recursion, `_leaves`, enumerates submodule grassmannians slot by slot
+through Gaussian cells: a slot is a vertex, or a (vertex, layer) pair for a
+graded enumeration.  Arrow-closure bounds propagate between slots so that
+each arrow is enforced exactly once.  Plain and graded enumeration and plain
+counting all run on it; counting keeps no list.
+
+Invariant: every basis the recursion stores, and every basis it hands to
+`preimage`, `subspace_intersect` or `subspace_contains`, is a canonical
+column-echelon basis (`linalg.col_space` form), because `_cells_between`
+canonicalizes each cell it yields and the bounds come from canonicalizing
+constructors.  `linalg.membership_residual` and `_complement_in` read pivots
+off such bases and give wrong answers on any other spanning set.
+
+Point counts at several primes feed a Lagrange interpolation whose value at
+1 is the Euler characteristic; every interpolation is certified at an extra
+prime.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from itertools import combinations, product
 from .errors import (
     BadPrimeError,
     CapExceededError,
+    InternalCheckError,
     InterpolationInconsistentError,
     ValidationError,
 )
@@ -24,15 +36,22 @@ from .hull import Grading, InjectiveModel, injective_hull
 from .linalg import (
     Mat,
     col_space,
-    contains_vector,
     mat_over,
+    pivot_rows,
     preimage,
     subspace_contains,
     subspace_intersect,
-    subspace_sum,
 )
 from .quiver import Quiver, cartan_matrix
-from .repmod import Rep, is_nilpotent, make_subrep, quotient, reduce_mod
+from .repmod import (
+    Rep,
+    Subrep,
+    check_closure,
+    is_nilpotent,
+    make_subrep,
+    quotient,
+    reduce_mod,
+)
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
 
@@ -48,7 +67,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     for i in range(k):
         num *= p ** (n - i) - 1
         den *= p ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalCheckError(f"gaussian binomial [{n} {k}]_{p} is not integral")
     return num // den
 
 
@@ -84,21 +104,23 @@ def subspace_cells(field: PrimeField, n: int, k: int):
 
 
 def _complement_in(lower: Mat, upper: Mat) -> Mat:
-    """Columns of `upper` completing a basis of span(lower) to span(upper)."""
-    field = lower.field
-    cur = lower
-    cols = []
-    for j in range(upper.cols):
-        c = upper.col(j)
-        if not contains_vector(cur, c):
-            cols.append(c)
-            cur = col_space(cur.hstack(Mat.column(field, c)))
-    n = lower.rows
-    return Mat(field, n, len(cols), [[c[i] for c in cols] for i in range(n)])
+    """Columns of `upper` completing a basis of span(lower) to span(upper).
+
+    Both bases are canonical and span(lower) lies in span(upper), so the
+    pivot rows of `lower` are pivot rows of `upper`; the other columns of
+    `upper` have pivot rows distinct from all of lower's, hence complete it.
+    """
+    taken = set(pivot_rows(lower))
+    return upper.take_cols([j for j, r in enumerate(pivot_rows(upper)) if r not in taken])
 
 
 def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
-    """Yield the k-dimensional subspaces W with lower <= W <= upper."""
+    """Yield the k-dimensional subspaces W with lower <= W <= upper.
+
+    `lower` and `upper` must be canonical bases, and each W comes out as
+    its canonical basis.  The cap is charged for the whole cell before the
+    first yield.
+    """
     if not subspace_contains(upper, lower):
         return
     l, m = lower.cols, upper.cols
@@ -114,10 +136,47 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
     counter[0] += count
     comp = _complement_in(lower, upper)
     for s in subspace_cells(field, m - l, k - l):
-        yield lower.hstack(comp @ s)
+        yield col_space(lower.hstack(comp @ s))
 
 
 # -- submodule enumeration ----------------------------------------------------
+
+def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int):
+    """Yield {slot: basis} for every arrow-closed choice of slot subspaces.
+
+    Slots are visited in the order of `upper`, which maps each slot to its
+    starting upper bound.  `incoming[s]` and `outgoing[s]` list (map, slot)
+    pairs for the arrows ending and starting at s; a chosen neighbour bounds
+    s from below by its image and from above by the preimage of its choice,
+    so each arrow is enforced once, at whichever end comes later.
+    """
+    order = list(upper)
+    chosen: dict = {}
+    counter = [0]
+
+    def rec(idx: int):
+        if idx == len(order):
+            yield dict(chosen)
+            return
+        s = order[idx]
+        hi = upper[s]
+        lo = Mat.zeros(hi.field, hi.rows, 0)
+        for m, src in incoming[s]:
+            if src in chosen:
+                lo = lo.hstack(m @ chosen[src])
+        lo = col_space(lo)
+        if lo.cols > target[s]:
+            return  # no cell fits; skip the costlier upper bound
+        for m, dst in outgoing[s]:
+            if dst in chosen:
+                hi = subspace_intersect(hi, preimage(m, chosen[dst]))
+        for w in _cells_between(lo, hi, target[s], counter, cap):
+            chosen[s] = w
+            yield from rec(idx + 1)
+        chosen.pop(s, None)
+
+    return rec(0)
+
 
 def _check_dim_vector(v_rep: Rep, v: dict) -> dict:
     q = v_rep.quiver
@@ -132,47 +191,36 @@ def _check_dim_vector(v_rep: Rep, v: dict) -> dict:
     return out
 
 
-def enumerate_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> list:
-    """All arrow-closed subspaces of dims v, canonically ordered and validated."""
+def _submodules(v_rep: Rep, v: dict, cap: int | None):
+    """Yield each submodule of dims v as a closure-checked Subrep."""
     field = v_rep.field
     if not isinstance(field, PrimeField):
         raise ValidationError("submodule enumeration requires a prime field")
     target = _check_dim_vector(v_rep, v)
     cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
     q = v_rep.quiver
-    order = list(q.vertices)
-    incoming = {u: [a for a in q.arrows if a.dst == u] for u in order}
-    outgoing = {u: [a for a in q.arrows if a.src == u] for u in order}
-    chosen: dict = {}
-    out: list = []
-    counter = [0]
+    upper = {u: Mat.identity(field, v_rep.dim(u)) for u in q.vertices}
+    incoming: dict = {u: [] for u in q.vertices}
+    outgoing: dict = {u: [] for u in q.vertices}
+    for a in q.arrows:
+        incoming[a.dst].append((v_rep.map(a.name), a.src))
+        outgoing[a.src].append((v_rep.map(a.name), a.dst))
+    for leaf in _leaves(upper, incoming, outgoing, target, cap):
+        s = Subrep(v_rep, leaf)
+        check_closure(s)
+        yield s
 
-    def rec(idx: int) -> None:
-        if idx == len(order):
-            out.append(make_subrep(v_rep, dict(chosen)))
-            return
-        u = order[idx]
-        n = v_rep.dim(u)
-        lower = Mat.zeros(field, n, 0)
-        for a in incoming[u]:
-            if a.src in chosen:
-                lower = subspace_sum(lower, v_rep.map(a.name) @ chosen[a.src])
-        upper = Mat.identity(field, n)
-        for a in outgoing[u]:
-            if a.dst in chosen:
-                upper = subspace_intersect(upper, preimage(v_rep.map(a.name), chosen[a.dst]))
-        for w in _cells_between(lower, upper, target[u], counter, cap):
-            chosen[u] = w
-            rec(idx + 1)
-        chosen.pop(u, None)
 
-    rec(0)
+def enumerate_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> list:
+    """All arrow-closed subspaces of dims v, canonically ordered and validated."""
+    out = list(_submodules(v_rep, v, cap))
     out.sort(key=lambda s: s.key())
     return out
 
 
 def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
-    return len(enumerate_submodules(v_rep, v, cap))
+    """Number of arrow-closed subspaces of dims v, counted without a list."""
+    return sum(1 for _ in _submodules(v_rep, v, cap))
 
 
 def enumerate_pairs(v_rep: Rep, u: dict, u_prime: dict, cap: int | None = None) -> list:
@@ -285,8 +333,22 @@ def expected_dimension(q: Quiver, w: dict, v: dict) -> int:
     wt = [int(w.get(x, 0)) for x in verts]
     dot = sum(a * b for a, b in zip(vt, wt))
     quad = sum(c[i][j] * vt[i] * vt[j] for i in range(len(verts)) for j in range(len(verts)))
-    assert quad % 2 == 0
+    if quad % 2:
+        raise InternalCheckError("v^T C v is odd; the Cartan matrix is not symmetric")
     return dot - quad // 2
+
+
+def _check_primes(primes) -> list:
+    """The primes as a sorted list of ints; at least one, distinct, all prime."""
+    out = [int(p) for p in primes]
+    if not out:
+        raise ValidationError("at least one prime is required")
+    if len(set(out)) != len(out):
+        raise ValidationError("primes must be distinct")
+    for p in out:
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
+    return sorted(out)
 
 
 def interpolation_plan(q: Quiver, w: dict, v: dict, primes) -> tuple[list, list]:
@@ -298,13 +360,7 @@ def interpolation_plan(q: Quiver, w: dict, v: dict, primes) -> tuple[list, list]
     caller that wants to precompute per-prime counts (e.g. in parallel) can
     learn here which primes will be visited.
     """
-    plist = [int(p) for p in primes]
-    if len(set(plist)) != len(plist):
-        raise ValidationError("primes must be distinct")
-    for p in plist:
-        if not is_prime(p):
-            raise ValidationError(f"{p} is not prime")
-    plist.sort()
+    plist = _check_primes(primes)
     bound = max(expected_dimension(q, w, v), 0)
     if len(plist) < bound + 1:
         raise ValidationError(
@@ -402,18 +458,23 @@ def graded_submodules(
         if sum(b.cols for _, b in entries) != rep_p.dim(vert):
             raise BadPrimeError(f"grading layers do not fill vertex {vert!r} mod {p}")
         layers[vert] = entries
-    slots = [(vert, k) for vert in rep_p.quiver.vertices for k in range(len(layers[vert]))]
-    slot_set = set(slots)
+    upper = {
+        (vert, k): basis_p
+        for vert in rep_p.quiver.vertices
+        for k, (_, basis_p) in enumerate(layers[vert])
+    }
     for key, val in (d or {}).items():
-        if key not in slot_set:
+        if key not in upper:
             raise ValidationError(f"unknown grading slot {key!r} in character")
         if not isinstance(val, int) or val < 0:
             raise ValidationError(f"character value at {key!r} must be a non-negative integer")
-    # Arrows shift the eigenvalue by z^-(m(a)+1); map each source layer to
-    # its target layer index, or None when the shifted value is absent
-    # (in which case the arrow must kill the layer).
-    shift: dict = {}
+    # Arrows shift the eigenvalue by z^-(m(a)+1); each source layer feeds the
+    # target layer holding the shifted value, and the arrow must kill the
+    # layer when that value is absent.
+    incoming: dict = {slot: [] for slot in upper}
+    outgoing: dict = {slot: [] for slot in upper}
     for a in rep_p.quiver.arrows:
+        m = rep_p.map(a.name)
         factor = Fraction(grading.z) ** (-(grading.weights[a.name] + 1))
         for k, (lam, basis_p) in enumerate(layers[a.src]):
             lam_out = Fraction(lam) * factor
@@ -422,56 +483,28 @@ def graded_submodules(
                 if Fraction(lam2) == lam_out:
                     k_out = k2
                     break
-            shift[(a.name, k)] = k_out
-            image = rep_p.map(a.name) @ basis_p
+            image = m @ basis_p
             if k_out is None:
                 if not image.is_zero():
                     raise BadPrimeError(
                         f"arrow {a.name!r} does not respect the grading mod {p}"
                     )
-            elif not subspace_contains(layers[a.dst][k_out][1], col_space(image)):
+                continue
+            if not subspace_contains(layers[a.dst][k_out][1], col_space(image)):
                 raise BadPrimeError(
                     f"arrow {a.name!r} does not respect the grading mod {p}"
                 )
-    incoming: dict = {slot: [] for slot in slots}
-    for a in rep_p.quiver.arrows:
-        for k in range(len(layers[a.src])):
-            k_out = shift[(a.name, k)]
-            if k_out is not None:
-                incoming[(a.dst, k_out)].append((a.name, a.src, k))
-    chosen: dict = {}
-    out: list = []
-    counter = [0]
-
-    def rec(idx: int) -> None:
-        if idx == len(slots):
-            bases = {}
-            for vert in rep_p.quiver.vertices:
-                b = Mat.zeros(fp, rep_p.dim(vert), 0)
-                for k in range(len(layers[vert])):
-                    b = b.hstack(chosen[(vert, k)])
-                bases[vert] = b
-            out.append(make_subrep(rep_p, bases))
-            return
-        vert, k = slots[idx]
-        lower = Mat.zeros(fp, rep_p.dim(vert), 0)
-        for aname, sv, sk in incoming[(vert, k)]:
-            if (sv, sk) in chosen:
-                lower = subspace_sum(lower, rep_p.map(aname) @ chosen[(sv, sk)])
-        upper = layers[vert][k][1]
-        for a in rep_p.quiver.arrows:
-            if a.src != vert:
-                continue
-            k_out = shift[(a.name, k)]
-            if k_out is not None and (a.dst, k_out) in chosen:
-                upper = subspace_intersect(
-                    upper, preimage(rep_p.map(a.name), chosen[(a.dst, k_out)])
-                )
-        for wmat in _cells_between(lower, upper, int((d or {}).get((vert, k), 0)), counter, cap):
-            chosen[(vert, k)] = wmat
-            rec(idx + 1)
-        chosen.pop((vert, k), None)
-
-    rec(0)
+            incoming[(a.dst, k_out)].append((m, (a.src, k)))
+            outgoing[(a.src, k)].append((m, (a.dst, k_out)))
+    target = {slot: int((d or {}).get(slot, 0)) for slot in upper}
+    out = []
+    for leaf in _leaves(upper, incoming, outgoing, target, cap):
+        bases = {}
+        for vert in rep_p.quiver.vertices:
+            b = Mat.zeros(fp, rep_p.dim(vert), 0)
+            for k in range(len(layers[vert])):
+                b = b.hstack(leaf[(vert, k)])
+            bases[vert] = b
+        out.append(make_subrep(rep_p, bases))
     out.sort(key=lambda s: s.key())
     return out

@@ -277,17 +277,6 @@ def _nonneg(text: str) -> int:
     return n
 
 
-def dimvec_to_dict(q: Quiver, v) -> dict[str, int]:
-    return {name: int(x) for name, x in zip(q.vertices, v)}
-
-
-def dimvec_from_dict(q: Quiver, d) -> tuple[int, ...]:
-    vec = [0] * len(q.vertices)
-    for name, x in d.items():
-        vec[q.vindex(str(name))] = int(x)
-    return tuple(vec)
-
-
 # --- JSON ------------------------------------------------------------------
 
 def quiver_to_obj(q: Quiver) -> dict:

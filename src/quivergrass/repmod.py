@@ -10,7 +10,6 @@ subrepresentation equality is plain data equality.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import (
     NotSubmoduleError,
@@ -26,6 +25,7 @@ from .linalg import (
     coords_in,
     kernel,
     mat_over,
+    pivot_rows,
     preimage,
     rank,
     subspace_contains,
@@ -340,11 +340,6 @@ def hom_space(v_rep: Rep, w_rep: Rep) -> list[dict]:
     return out
 
 
-def apply_hom(phi: dict, s: Subrep, w_rep: Rep) -> Subrep:
-    bases = {v: col_space(phi[v] @ s.bases[v]) for v in w_rep.quiver.vertices}
-    return Subrep(w_rep, bases)
-
-
 def is_isomorphic(v_rep: Rep, w_rep: Rep, sweep_cap: int = 1_000_000) -> bool:
     """Decide isomorphism by sweeping the hom space for an invertible element.
 
@@ -412,7 +407,7 @@ def quotient(v_rep: Rep, s: Subrep) -> tuple[Rep, dict]:
     for v in q.vertices:
         b = s.bases[v]
         n = v_rep.dim(v)
-        pivots = _pivot_rows(b)
+        pivots = pivot_rows(b)
         free = [i for i in range(n) if i not in pivots]
         qdims[v] = len(free)
         # subtract the unique s-component then read the free coordinates
@@ -432,16 +427,6 @@ def quotient(v_rep: Rep, s: Subrep) -> tuple[Rep, dict]:
         maps[a.name] = projs[a.dst] @ v_rep.map(a.name) @ lifts[a.src]
     out = Rep(field, q, qdims, maps)
     return out, projs
-
-
-def _pivot_rows(b: Mat) -> list[int]:
-    out = []
-    for j in range(b.cols):
-        for i in range(b.rows):
-            if b.a[i][j] != b.field.zero:
-                out.append(i)
-                break
-    return out
 
 
 def restrict(v_rep: Rep, s: Subrep) -> Rep:
@@ -543,10 +528,6 @@ def rep_from_obj(obj: dict) -> Rep:
         for name, rows in obj["maps"].items()
     }
     return make_rep(field, q, dims, maps, preprojective=False)
-
-
-def rep_to_json(v_rep: Rep) -> str:
-    return json.dumps(rep_to_obj(v_rep), indent=2, sort_keys=True) + "\n"
 
 
 def subrep_to_obj(s: Subrep) -> dict:

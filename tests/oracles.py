@@ -5,6 +5,9 @@ rank computations, classical closed-form formulas. The library must agree
 with these on every case small enough to run them.
 """
 
+import functools
+from itertools import product
+
 from quivergrass.fields import QQ
 from quivergrass.linalg import Mat, rank
 from quivergrass.palg import raw_paths
@@ -59,3 +62,68 @@ def naive_quotient_dims(q, n):
 
 def naive_total_dim(q, n):
     return sum(naive_quotient_dims(q, n).values())
+
+
+# -- F_p submodules as sets of vectors -----------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def fp_subspaces(n, k, p):
+    """Every k-dim subspace of F_p^n once, as (spanning vectors, vector set).
+
+    Subspaces grow one dimension at a time by adjoining a vector outside the
+    span and are told apart as sets of vectors, so no normal form is used.
+    """
+    vectors = list(product(range(p), repeat=n))
+    level = {frozenset([(0,) * n]): ()}
+    for _ in range(k):
+        grown = {}
+        for span, gens in level.items():
+            seen = set(span)
+            for x in vectors:
+                if x in seen:
+                    continue
+                bigger = frozenset(
+                    tuple((a + c * b) % p for a, b in zip(u, x))
+                    for u in span
+                    for c in range(p)
+                )
+                seen |= bigger
+                grown.setdefault(bigger, gens + (x,))
+        level = grown
+    return tuple((gens, span) for span, gens in level.items())
+
+
+def brute_submodule_count(rep, d):
+    """Arrow-closed subspaces of dimension vector d of a representation over F_p.
+
+    Reads the matrices as integer rows and tests closure vector by vector
+    against explicit vector sets; no quivergrass.linalg routine is involved.
+    """
+    p = rep.field.p
+    order = list(rep.quiver.vertices)
+    arrows = [(a.src, a.dst, [list(r) for r in rep.map(a.name).a]) for a in rep.quiver.arrows]
+    chosen = {}
+
+    def closed(v):
+        for src, dst, rows in arrows:
+            if v in (src, dst) and src in chosen and dst in chosen:
+                target = chosen[dst][1]
+                for x in chosen[src][0]:
+                    image = tuple(sum(r * y for r, y in zip(row, x)) % p for row in rows)
+                    if image not in target:
+                        return False
+        return True
+
+    def rec(i):
+        if i == len(order):
+            return 1
+        v = order[i]
+        total = 0
+        for sub in fp_subspaces(rep.dim(v), d.get(v, 0), p):
+            chosen[v] = sub
+            if closed(v):
+                total += rec(i + 1)
+        chosen.pop(v, None)
+        return total
+
+    return rec(0)

@@ -1,12 +1,14 @@
 """End-to-end checks of the command line: shapes, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from quivergrass import cli
 from quivergrass.cli import main
 from quivergrass.repmod import rep_from_obj
 
@@ -117,13 +119,27 @@ def test_count_fields(capsys, a2_path):
     assert obj["consistency_primes"] == [5]
 
 
-def test_count_workers_byte_identical(capsys, a2_path):
+def test_count_workers_byte_identical(capsys, monkeypatch, a2_path):
+    pools = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     base = ["count", a2_path, "--w", "1,1", "--v", "1,1", "--primes", "2,3,5"]
     rc, serial, _ = run_cli(capsys, base)
     assert rc == 0
-    rc, parallel, _ = run_cli(capsys, base + ["--workers", "2"])
-    assert rc == 0
-    assert serial == parallel
+    for workers in (2, 3):
+        del pools[:]
+        rc, parallel, _ = run_cli(capsys, base + ["--workers", str(workers)])
+        assert rc == 0
+        assert serial == parallel
+        # Three planned primes (2, 3 to interpolate, 5 to certify) and the
+        # cores bound the pool; a pool of one is not started.
+        bound = min(workers, 3, os.cpu_count() or 1)
+        assert pools == ([bound] if bound > 1 else [])
 
 
 def test_weightmult(capsys, a2_path):

@@ -1,6 +1,7 @@
 """Submodule enumeration, count interpolation, and graded enumeration tests."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -31,8 +32,9 @@ from quivergrass.hull import (
     projective_sum,
 )
 from quivergrass.linalg import Mat, col_space, subspace_contains, subspace_intersect
-from quivergrass.quiver import double, kronecker_quiver, line_quiver
+from quivergrass.quiver import build_quiver, double, kronecker_quiver, line_quiver
 from quivergrass.repmod import (
+    Rep,
     check_closure,
     make_rep,
     reduce_mod,
@@ -44,8 +46,11 @@ from quivergrass.weyl import (
     diagram_involution,
     extremal_orbit,
     orbit_maximum,
+    weight_census,
     weight_multiplicity,
 )
+
+from oracles import brute_submodule_count
 
 A1 = line_quiver(1)
 A2 = line_quiver(2)
@@ -73,6 +78,19 @@ def test_subspace_cells_complete_and_canonical():
     pair_cells = list(subspace_cells(f3, 4, 2))
     assert len(pair_cells) == gaussian_binomial(4, 2, 3) == 130
     assert len({c.key() for c in pair_cells}) == 130
+
+
+def test_cells_between_yield_canonical_bases():
+    f3 = PrimeField(3)
+    lower = col_space(Mat.from_rows(f3, [[0], [1], [2], [1]]))
+    upper = Mat.identity(f3, 4)
+    counter = [0]
+    cells = list(grassmann._cells_between(lower, upper, 2, counter, 100))
+    assert counter == [gaussian_binomial(3, 1, 3)] == [13]
+    assert len({c.key() for c in cells}) == 13
+    for c in cells:
+        assert col_space(c) == c
+        assert subspace_contains(c, lower)
 
 
 # -- plain enumeration --------------------------------------------------------
@@ -195,6 +213,60 @@ def test_kronecker_line_counts_interpolate():
     poly = count_polynomial(K, w, {"1": 1, "2": 1}, [2, 3, 5])
     assert poly.coeffs == (1, 1)
     assert poly.chi == 2
+
+
+# -- brute-force cross-checks ----------------------------------------------------
+
+A3 = line_quiver(3)
+A4 = line_quiver(4)
+
+
+def _all_ones_hull(q):
+    w = {v: 1 for v in q.vertices}
+    return w, injective_hull(q, w)
+
+
+def test_counts_match_brute_force_over_a3_census():
+    w, model = _all_ones_hull(A3)
+    for p in (2, 3):
+        rep_p = reduce_mod(model.rep, p)
+        for vec in sorted(weight_census(A3, w)):
+            v = dict(zip(A3.vertices, vec))
+            assert count_submodules(rep_p, v) == brute_submodule_count(rep_p, v), (p, vec)
+
+
+@pytest.fixture(scope="module")
+def a4_mod_2():
+    _, model = _all_ones_hull(A4)
+    return reduce_mod(model.rep, 2)
+
+
+@pytest.mark.parametrize("vec, expected", [((1, 2, 2, 0), 23), ((1, 2, 2, 1), 425)])
+def test_counts_match_brute_force_a4_mod_2(a4_mod_2, vec, expected):
+    v = dict(zip(A4.vertices, vec))
+    assert brute_submodule_count(a4_mod_2, v) == expected
+    assert count_submodules(a4_mod_2, v) == expected
+
+
+def _order_free_keys(subs):
+    return {frozenset((x, s.basis(x).key()) for x in s.ambient.quiver.vertices) for s in subs}
+
+
+@pytest.mark.parametrize("order", list(permutations(A4.vertices)), ids="".join)
+def test_enumeration_independent_of_vertex_order(a4_mod_2, order):
+    v = {"1": 1, "2": 2, "3": 2, "4": 0}
+    arrows = [(a.name, a.src, a.dst) for a in a4_mod_2.quiver.arrows]
+    rep = Rep(a4_mod_2.field, build_quiver(order, arrows), a4_mod_2.dims, a4_mod_2.maps)
+    assert count_submodules(rep, v) == 23
+    natural = _order_free_keys(enumerate_submodules(a4_mod_2, v))
+    assert _order_free_keys(enumerate_submodules(rep, v)) == natural
+
+
+def test_leading_coefficient_is_weight_multiplicity_over_a3_census():
+    w, _ = _all_ones_hull(A3)
+    for vec, mult in sorted(weight_census(A3, w).items()):
+        v = dict(zip(A3.vertices, vec))
+        assert count_polynomial(A3, w, v, [2, 3, 5, 7]).leading == mult, vec
 
 
 # -- pairs ---------------------------------------------------------------------
