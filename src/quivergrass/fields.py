@@ -1,8 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields.
 
 Rational scalars are fractions.Fraction; prime-field scalars are plain ints
-normalized to 0..p-1. Matrix code receives one of these field objects and
-performs every operation through it, so no floating point can enter.
+normalized to 0..p-1, so in both fields an element is falsy iff it is zero.
+Matrix code receives one of these field objects and performs every
+operation through it, so no floating point can enter. Fractions are
+immutable, so zero and one are shared constants rather than fresh objects.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 class Rationals:
     """The field of rational numbers, elements are Fraction."""
 
@@ -41,11 +47,11 @@ class Rationals:
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _Q_ONE
 
     def add(self, a, b):
         return a + b

@@ -17,6 +17,7 @@ homogeneous system is the uniqueness certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,10 +30,20 @@ from .errors import (
     ValidationError,
 )
 from .fields import QQ
-from .linalg import Mat, kernel, rank, solve_right
+from .linalg import Mat, kernel, rank, rref
 from .palg import Path, algebra, compose, default_truncation, trivial_path
 from .quiver import Quiver
-from .repmod import Rep, Subrep, direct_sum, is_nilpotent, make_rep, restrict, check_closure
+from .repmod import (
+    Rep,
+    Subrep,
+    check_closure,
+    direct_sum,
+    intertwining_rows,
+    is_nilpotent,
+    make_rep,
+    maps_from_unknowns,
+    restrict,
+)
 
 
 class InjectiveModel:
@@ -235,66 +246,33 @@ def _solve_intertwining(v_rep: Rep, target: Rep, twists: dict, proj: dict,
     """Solve {g x_a = twist_a . y_a g for all a; proj g = rhs_proj} for g.
 
     Unknowns are the per-vertex matrices of g (target dim x source dim).
-    Raises when no solution exists or the homogeneous kernel is nonzero.
+    One elimination of [system | rhs] decides both failures: fewer pivots
+    than unknowns left of the rhs column means a nonzero homogeneous kernel,
+    checked first; otherwise a pivot in the rhs column means no solution.
     """
-    q = v_rep.quiver
     field = v_rep.field
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += target.dim(v) * v_rep.dim(v)
-
-    def var(v, r, c):
-        return offsets[v] + r * v_rep.dim(v) + c
-
-    rows = []
-    rhs = []
-    for a in q.arrows:
-        s_, t_ = a.src, a.dst
-        xv = v_rep.map(a.name)
-        xw = target.map(a.name)
-        z = twists.get(a.name, field.one)
-        for i in range(target.dim(t_)):
-            for j in range(v_rep.dim(s_)):
-                row = [field.zero] * total
-                for k in range(v_rep.dim(t_)):
-                    if xv.a[k][j] != field.zero:
-                        idx = var(t_, i, k)
-                        row[idx] = field.add(row[idx], xv.a[k][j])
-                for k in range(target.dim(s_)):
-                    if xw.a[i][k] != field.zero:
-                        idx = var(s_, k, j)
-                        row[idx] = field.sub(row[idx], field.mul(z, xw.a[i][k]))
+    rows, offsets, total = intertwining_rows(v_rep, target, twists)
+    for row in rows:
+        row.append(field.zero)
+    for v in v_rep.quiver.vertices:
+        p = proj[v].a
+        r_p = rhs_proj[v].a
+        n = v_rep.dim(v)
+        for i, p_i in enumerate(p):
+            coeffs = [(k, field.of(x)) for k, x in enumerate(p_i) if x]
+            for j in range(n):
+                row = [field.zero] * (total + 1)
+                for k, x in coeffs:
+                    row[offsets[v] + k * n + j] = x
+                row[total] = field.of(r_p[i][j])
                 rows.append(row)
-                rhs.append(field.zero)
-    for v in q.vertices:
-        p = proj[v]
-        r_p = rhs_proj[v]
-        for i in range(p.rows):
-            for j in range(v_rep.dim(v)):
-                row = [field.zero] * total
-                for k in range(target.dim(v)):
-                    if p.a[i][k] != field.zero:
-                        row[var(v, k, j)] = p.a[i][k]
-                rows.append(row)
-                rhs.append(r_p.a[i][j])
-    if total == 0:
-        return {v: Mat.zeros(field, target.dim(v), v_rep.dim(v)) for v in q.vertices}
-    m = Mat.from_rows(field, rows, total)
-    if kernel(m).cols != 0:
+    r, pivots = rref(Mat(field, len(rows), total + 1, rows))
+    rank_m = bisect_left(pivots, total)
+    if rank_m < total:
         raise NonUniqueError("homogeneous intertwining system has a nonzero kernel")
-    sol = solve_right(m, Mat.column(field, rhs))
-    if sol is None:
+    if rank_m < len(pivots):
         raise NoSolutionError("intertwining system is unsolvable")
-    out = {}
-    for v in q.vertices:
-        entries = [
-            [sol.a[var(v, r, c)][0] for c in range(v_rep.dim(v))]
-            for r in range(target.dim(v))
-        ]
-        out[v] = Mat.from_rows(field, entries, v_rep.dim(v))
-    return out
+    return maps_from_unknowns([r.a[i][total] for i in range(total)], offsets, v_rep, target)
 
 
 def extend_to_injective(v_rep: Rep, tau: dict, model: InjectiveModel) -> ExtensionResult:

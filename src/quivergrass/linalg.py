@@ -5,9 +5,19 @@ column-echelon basis matrices: each basis column has a leading 1 at a pivot
 row, pivot rows strictly increase left to right, and pivot rows are zero in
 every other column. Two subspaces are equal iff their canonical matrices are
 equal, which makes subspace sets and dedup keys cheap.
+
+Entries are tested for zero by truthiness: a Fraction, and a prime-field int
+normalized to 0..p-1, is falsy iff it is zero. `rref` is the one
+elimination, over Q and F_p alike. It touches only nonzero entries: the
+pivot row is scaled in its nonzero columns, and every other row is updated
+in those columns only. Each solve makes exactly one elimination: `kernel`
+eliminates M once, and `solve_right` and `solve_unique` read the solution
+and the rank of A off one elimination of [A | B].
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .errors import NonUniqueError, NoSolutionError, ShapeMismatchError
 
@@ -62,17 +72,13 @@ class Mat:
             )
         f = self.field
         out = Mat.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            ai = self.a[i]
-            oi = out.a[i]
-            for k in range(self.cols):
-                c = ai[k]
-                if c == f.zero:
+        for ai, oi in zip(self.a, out.a):
+            for c, bk in zip(ai, other.a):
+                if not c:
                     continue
-                bk = other.a[k]
-                for j in range(other.cols):
-                    if bk[j] != f.zero:
-                        oi[j] = f.add(oi[j], f.mul(c, bk[j]))
+                for j, y in enumerate(bk):
+                    if y:
+                        oi[j] = f.add(oi[j], f.mul(c, y))
         return out
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -147,8 +153,7 @@ class Mat:
         return Mat(self.field, len(idx), self.cols, [self.a[i] for i in idx])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for r in self.a for x in r)
+        return not any(any(r) for r in self.a)
 
     def key(self) -> tuple:
         return (self.rows, self.cols, tuple(tuple(r) for r in self.a))
@@ -177,32 +182,40 @@ class Mat:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Row-reduced echelon form and the pivot column list."""
+    """Row-reduced echelon form and the pivot column list.
+
+    Once a pivot row is scaled to a leading 1, its nonzero columns are
+    collected; every other row with a nonzero entry in the pivot column is
+    then updated in those columns only.
+    """
     f = m.field
+    one, mul, sub = f.one, f.mul, f.sub
+    nrows, ncols = m.rows, m.cols
     a = [list(r) for r in m.a]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        pr = None
-        for i in range(r, m.rows):
-            if a[i][c] != f.zero:
-                pr = i
-                break
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = f.inv(a[r][c])
-        if a[r][c] != f.one:
-            a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != f.zero:
-                coef = a[i][c]
-                a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[r])]
+        prow = a[r]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        if prow[c] != one:
+            s = f.inv(prow[c])
+            for j in nz:
+                prow[j] = mul(s, prow[j])
+        entries = [(j, prow[j]) for j in nz]
+        for i, row in enumerate(a):
+            coef = row[c]
+            if coef and i != r:
+                for j, y in entries:
+                    row[j] = sub(row[j], mul(coef, y))
         pivots.append(c)
         r += 1
-        if r == m.rows:
-            break
-    return Mat(f, m.rows, m.cols, a), pivots
+    return Mat(f, nrows, ncols, a), pivots
 
 
 def rank(m: Mat) -> int:
@@ -219,55 +232,70 @@ def col_space(m: Mat) -> Mat:
 
 def pivot_rows(w: Mat) -> list[int]:
     """Pivot rows of a canonical column-echelon matrix."""
-    f = w.field
     out = []
     for j in range(w.cols):
         for i in range(w.rows):
-            if w.a[i][j] != f.zero:
+            if w.a[i][j]:
                 out.append(i)
                 break
     return out
 
 
 def kernel(m: Mat) -> Mat:
-    """Canonical basis of the right null space, as columns."""
+    """Canonical basis of the right null space, as columns.
+
+    M is eliminated once with its columns reversed. Each free column then
+    carries a 1 above every other nonzero of its basis vector, and that
+    vector is zero in the other free columns, so the basis is canonical as
+    built.
+    """
     f = m.field
-    r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    n = m.cols
+    r, pivots = rref(Mat(f, m.rows, n, [row[::-1] for row in m.a]))
+    pivot_set = set(pivots)
     cols = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
+    for fc in reversed(range(n)):
+        if fc in pivot_set:
+            continue
+        v = [f.zero] * n
+        v[n - 1 - fc] = f.one
         for i, pc in enumerate(pivots):
-            v[pc] = f.neg(r.a[i][fc])
+            x = r.a[i][fc]
+            if x:
+                v[n - 1 - pc] = f.neg(x)
         cols.append(v)
     if not cols:
-        return Mat(f, m.cols, 0, [[] for _ in range(m.cols)])
-    raw = Mat(f, m.cols, len(cols), list(map(list, zip(*cols))))
-    return col_space(raw)
+        return Mat(f, n, 0, [[] for _ in range(n)])
+    return Mat(f, n, len(cols), list(map(list, zip(*cols))))
+
+
+def _solve(a: Mat, b: Mat) -> tuple[Mat | None, int]:
+    """One elimination of [A | B]: a solution X of A X = B (or None) and rank A.
+
+    The rank of A is the number of pivots left of column A.cols; A X = B is
+    solvable iff no pivot lies right of it. Free variables are set to zero.
+    """
+    r, pivots = rref(a.hstack(b))
+    rank_a = bisect_left(pivots, a.cols)
+    if rank_a != len(pivots):
+        return None, rank_a
+    x = Mat.zeros(a.field, a.cols, b.cols)
+    for i, pc in enumerate(pivots):
+        x.a[pc] = r.a[i][a.cols:]
+    return x, rank_a
 
 
 def solve_right(a: Mat, b: Mat) -> Mat | None:
     """One solution X of A X = B, or None. Free variables are set to zero."""
-    f = a.field
-    aug = a.hstack(b)
-    r, pivots = rref(aug)
-    pivots_a = [c for c in pivots if c < a.cols]
-    if len(pivots_a) != len(pivots):
-        return None
-    x = Mat.zeros(f, a.cols, b.cols)
-    for i, pc in enumerate(pivots_a):
-        for j in range(b.cols):
-            x.a[pc][j] = r.a[i][a.cols + j]
-    return x
+    return _solve(a, b)[0]
 
 
 def solve_unique(a: Mat, b: Mat) -> Mat:
     """The unique solution of A X = B; raises if none or many."""
-    x = solve_right(a, b)
+    x, rank_a = _solve(a, b)
     if x is None:
         raise NoSolutionError("linear system has no solution")
-    if kernel(a).cols != 0:
+    if rank_a != a.cols:
         raise NonUniqueError("linear system has a nontrivial null space")
     return x
 
@@ -349,7 +377,7 @@ def det(m: Mat):
     for c in range(n):
         pr = None
         for i in range(c, n):
-            if a[i][c] != f.zero:
+            if a[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -361,7 +389,7 @@ def det(m: Mat):
         acc = f.mul(acc, piv)
         inv = f.inv(piv)
         for i in range(c + 1, n):
-            if a[i][c] != f.zero:
+            if a[i][c]:
                 coef = f.mul(a[i][c], inv)
                 a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[c])]
     return acc if sign == 1 else f.neg(acc)

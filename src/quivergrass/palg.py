@@ -295,8 +295,9 @@ def _quotient_by_rows(rows: list[list], ncols: int) -> tuple[list[int], list[lis
 
 # -- headline queries --------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _algebra(q: Quiver) -> PathAlgebra:
+    """One shared PathAlgebra (and its built slices) per quiver, at most 64 kept."""
     return PathAlgebra(q)
 
 

@@ -287,6 +287,54 @@ def sub_generated(v_rep: Rep, vectors: dict) -> Subrep:
             return Subrep(v_rep, bases)
 
 
+def intertwining_rows(v_rep: Rep, w_rep: Rep, twists: dict | None = None):
+    """The equations phi[t(a)] x_a = z_a y_a phi[s(a)], one row per arrow entry.
+
+    Unknowns are the entries of the per-vertex maps phi[v] (w dim x v dim),
+    vertex by vertex in row-major order; z_a is twists[a], 1 when absent.
+    Rows hold field elements of v_rep's field. Returns (rows, offsets, total),
+    where phi[v][r][c] is unknown offsets[v] + r * v_rep.dim(v) + c.
+    """
+    q = v_rep.quiver
+    field = v_rep.field
+    twists = twists or {}
+    offsets = {}
+    total = 0
+    for v in q.vertices:
+        offsets[v] = total
+        total += w_rep.dim(v) * v_rep.dim(v)
+    rows = []
+    for a in q.arrows:
+        s_, t_ = a.src, a.dst
+        xv = v_rep.map(a.name).a
+        xw = w_rep.map(a.name).a
+        z = twists.get(a.name)
+        ns, nt = v_rep.dim(s_), v_rep.dim(t_)
+        xcols = [[(k, xv[k][j]) for k in range(nt) if xv[k][j]] for j in range(ns)]
+        for i in range(w_rep.dim(t_)):
+            yi = [(k, y if z is None else field.mul(z, y)) for k, y in enumerate(xw[i]) if y]
+            base = offsets[t_] + i * nt
+            for j in range(ns):
+                row = [field.zero] * total
+                for k, x in xcols[j]:
+                    row[base + k] = x
+                for k, y in yi:
+                    idx = offsets[s_] + k * ns + j
+                    row[idx] = field.sub(row[idx], y)
+                rows.append(row)
+    return rows, offsets, total
+
+
+def maps_from_unknowns(vec: list, offsets: dict, v_rep: Rep, w_rep: Rep) -> dict:
+    """The per-vertex maps phi[v] from values of the unknowns of intertwining_rows."""
+    out = {}
+    for v, o in offsets.items():
+        n = v_rep.dim(v)
+        out[v] = Mat(v_rep.field, w_rep.dim(v), n,
+                     [vec[o + r * n:o + (r + 1) * n] for r in range(w_rep.dim(v))])
+    return out
+
+
 def hom_space(v_rep: Rep, w_rep: Rep) -> list[dict]:
     """Basis of the space of maps commuting with every arrow.
 
@@ -297,47 +345,9 @@ def hom_space(v_rep: Rep, w_rep: Rep) -> list[dict]:
         raise ValidationError("hom requires representations of the same quiver")
     if v_rep.field is not w_rep.field and v_rep.field != w_rep.field:
         raise ValidationError("hom requires representations over the same field")
-    q = v_rep.quiver
-    field = v_rep.field
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += w_rep.dim(v) * v_rep.dim(v)
-
-    def var(v, r, c):
-        return offsets[v] + r * v_rep.dim(v) + c
-
-    rows = []
-    for a in q.arrows:
-        s_, t_ = a.src, a.dst
-        xv = v_rep.map(a.name)
-        xw = w_rep.map(a.name)
-        for i in range(w_rep.dim(t_)):
-            for j in range(v_rep.dim(s_)):
-                row = [field.zero] * total
-                for k in range(v_rep.dim(t_)):
-                    if xv.a[k][j] != field.zero:
-                        idx = var(t_, i, k)
-                        row[idx] = field.add(row[idx], xv.a[k][j])
-                for k in range(w_rep.dim(s_)):
-                    if xw.a[i][k] != field.zero:
-                        idx = var(s_, k, j)
-                        row[idx] = field.sub(row[idx], xw.a[i][k])
-                if any(x != field.zero for x in row):
-                    rows.append(row)
-    ker = kernel(Mat.from_rows(field, rows, total)) if rows else Mat.identity(field, total)
-    out = []
-    for c in range(ker.cols):
-        phi = {}
-        for v in q.vertices:
-            entries = [
-                [ker.a[var(v, r, cc)][c] for cc in range(v_rep.dim(v))]
-                for r in range(w_rep.dim(v))
-            ]
-            phi[v] = Mat.from_rows(field, entries, v_rep.dim(v))
-        out.append(phi)
-    return out
+    rows, offsets, total = intertwining_rows(v_rep, w_rep)
+    ker = kernel(Mat(v_rep.field, len(rows), total, rows))
+    return [maps_from_unknowns(ker.col(c), offsets, v_rep, w_rep) for c in range(ker.cols)]
 
 
 def is_isomorphic(v_rep: Rep, w_rep: Rep, sweep_cap: int = 1_000_000) -> bool:

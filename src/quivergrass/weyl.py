@@ -14,6 +14,8 @@ a positive vector).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import NotReducedError, ValidationError
 from .quiver import Quiver, cartan_matrix, require_finite_type
 
@@ -246,7 +248,14 @@ def positive_roots(q: Quiver) -> list:
     return sorted(seen, key=lambda x: (sum(x), x))
 
 
-_MULT_TABLES: dict = {}
+@lru_cache(maxsize=256)
+def _mult_table(q: Quiver, wt: tuple) -> dict:
+    """The memo of weight_multiplicity for one quiver and highest weight.
+
+    Bounded so a long-lived process keeps at most 256 tables; an evicted
+    table is refilled on demand with the same values.
+    """
+    return {}
 
 
 def weight_multiplicity(q: Quiver, w, v) -> int:
@@ -257,8 +266,7 @@ def weight_multiplicity(q: Quiver, w, v) -> int:
     require_finite_type(q)
     wt = _tup(q, w)
     vt = _tup(q, v)
-    key = (q, wt)
-    table = _MULT_TABLES.setdefault(key, {})
+    table = _mult_table(q, wt)
     c = _cartan(q)
     n = len(wt)
     roots = positive_roots(q)

@@ -6,10 +6,10 @@ with these on every case small enough to run them.
 """
 
 import functools
+from fractions import Fraction
 from itertools import product
 
 from quivergrass.fields import QQ
-from quivergrass.linalg import Mat, rank
 from quivergrass.palg import raw_paths
 from quivergrass.quiver import double
 
@@ -53,7 +53,7 @@ def naive_quotient_dims(q, n):
                             row[k] = QQ.add(row[k], term)
                         if any(v != QQ.zero for v in row):
                             rows.append(row)
-        cut = rank(Mat.from_rows(QQ, rows, len(cols))) if rows else 0
+        cut = len(textbook_rref(rows, len(cols))[1])
         d = len(cols) - cut
         if d:
             dims[(src, dst)] = d
@@ -62,6 +62,39 @@ def naive_quotient_dims(q, n):
 
 def naive_total_dim(q, n):
     return sum(naive_quotient_dims(q, n).values())
+
+
+# -- dense textbook elimination ----------------------------------------------
+
+def textbook_rref(rows, ncols, p=None):
+    """Gauss-Jordan elimination of a list of rows: (reduced rows, pivot columns).
+
+    Entries are Fractions over Q (p None) and ints mod p over F_p. Every
+    entry of every row is rewritten at every pivot; no sparsity, no field
+    object and no quivergrass.linalg routine is involved.
+    """
+    def norm(x):
+        return Fraction(x) if p is None else x % p
+
+    def inv(x):
+        return 1 / x if p is None else pow(x, p - 2, p)
+
+    a = [[norm(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        s = inv(a[r][c])
+        a[r] = [norm(s * x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                coef = a[i][c]
+                a[i] = [norm(x - coef * y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
 
 
 # -- F_p submodules as sets of vectors -----------------------------------------

@@ -248,6 +248,16 @@ def test_counts_match_brute_force_a4_mod_2(a4_mod_2, vec, expected):
     assert count_submodules(a4_mod_2, v) == expected
 
 
+@pytest.mark.slow
+def test_counts_match_brute_force_over_a4_census_mod_2(a4_mod_2):
+    w = {v: 1 for v in A4.vertices}
+    census = sorted(weight_census(A4, w))
+    assert len(census) == 291
+    for vec in census:
+        v = dict(zip(A4.vertices, vec))
+        assert count_submodules(a4_mod_2, v) == brute_submodule_count(a4_mod_2, v), vec
+
+
 def _order_free_keys(subs):
     return {frozenset((x, s.basis(x).key()) for x in s.ambient.quiver.vertices) for s in subs}
 

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import quivergrass.hull as hull
 from quivergrass.errors import (
     DimensionMismatchError,
+    NoSolutionError,
+    NonUniqueError,
     NotDiagonalizableError,
     NotNilpotentError,
     NotSubmoduleError,
@@ -328,3 +331,56 @@ def test_automorphism_rejects_zero_scale():
     m = injective_hull(A2, {"1": 1, "2": 1})
     with pytest.raises(ValidationError):
         induced_automorphism(m, identity_framing(m), 0)
+
+
+# -- one elimination per intertwining solve ------------------------------------
+
+@pytest.fixture
+def hull_eliminations(monkeypatch):
+    shapes = []
+    real = hull.rref
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(hull, "rref", counted)
+    return shapes
+
+
+def test_extension_eliminates_once(hull_eliminations):
+    m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
+    res = extend_to_injective(m.rep, m.pi, m)
+    assert res.injective
+    unknowns = sum(m.rep.dim(v) ** 2 for v in m.quiver.vertices)
+    assert [cols for _, cols in hull_eliminations] == [unknowns + 1]
+
+
+def test_induced_automorphism_eliminates_once(hull_eliminations):
+    m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
+    induced_automorphism(m, identity_framing(m), 2)
+    assert len(hull_eliminations) == 1
+
+
+def _one_vertex_system(target_dim, proj_rows, rhs_rows):
+    """g: k -> k^target_dim on the one-vertex quiver, constrained by proj g = rhs."""
+    dq = double(A1)
+    source = semisimple_rep(QQ, dq, {"1": 1})
+    target = semisimple_rep(QQ, dq, {"1": target_dim})
+    proj = {"1": mat(proj_rows, target_dim)}
+    rhs = {"1": mat(rhs_rows, 1)}
+    return source, target, {}, proj, rhs
+
+
+def test_intertwining_nonzero_kernel_is_reported_before_inconsistency():
+    # g0 = 1 and g0 = 0 contradict each other, and g1 is free.
+    system = _one_vertex_system(2, [[1, 0], [1, 0]], [[1], [0]])
+    with pytest.raises(NonUniqueError,
+                       match="^homogeneous intertwining system has a nonzero kernel$"):
+        hull._solve_intertwining(*system)
+
+
+def test_intertwining_inconsistency_with_zero_kernel():
+    system = _one_vertex_system(1, [[1], [1]], [[1], [0]])
+    with pytest.raises(NoSolutionError, match="^intertwining system is unsolvable$"):
+        hull._solve_intertwining(*system)

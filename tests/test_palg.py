@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import quivergrass.palg as palg
 from quivergrass.errors import NotFiniteTypeError
 from quivergrass.fields import QQ
 from quivergrass.palg import (
@@ -14,7 +15,7 @@ from quivergrass.palg import (
     trivial_path,
     vanishing_bound,
 )
-from quivergrass.quiver import kronecker_quiver, line_quiver, star_quiver
+from quivergrass.quiver import build_quiver, kronecker_quiver, line_quiver, star_quiver
 
 from oracles import naive_quotient_dims, relation_loops
 
@@ -143,3 +144,16 @@ def test_kronecker_slices_stay_positive():
     alg = algebra(kronecker_quiver())
     for n in range(1, 13):
         assert alg.slice(n).dim() > 0
+
+
+def test_algebra_cache_is_bounded_and_rebuilds_evicted_entries():
+    bound = palg._algebra.cache_info().maxsize
+    assert bound is not None
+    q = line_quiver(3)
+    first = algebra(q)
+    dims = hilbert(q, 5)
+    for k in range(bound):
+        algebra(build_quiver([f"bound{k}"], []))
+    assert palg._algebra.cache_info().currsize == bound
+    assert hilbert(q, 5) == dims
+    assert algebra(q) is not first

@@ -1,5 +1,6 @@
 import pytest
 
+import quivergrass.weyl as weyl
 from quivergrass.errors import NotFiniteTypeError, NotReducedError
 from quivergrass.fields import QQ
 from quivergrass.linalg import Mat, solve_unique
@@ -194,3 +195,16 @@ def test_census_keys_include_orbit_with_mult_one():
     census = weight_census(A2, w)
     for vec in extremal_orbit(A2, w):
         assert census[vec] == 1
+
+
+def test_multiplicity_tables_are_bounded_and_refill_identically():
+    bound = weyl._mult_table.cache_info().maxsize
+    assert bound is not None
+    w = {"1": 1, "2": 1, "3": 1}
+    first = weyl._mult_table(A3, (1, 1, 1))
+    assert weight_multiplicity(A3, w, (1, 2, 1)) == 4
+    for k in range(bound):
+        weight_multiplicity(A1, {"1": k}, {"1": 1})
+    assert weyl._mult_table.cache_info().currsize == bound
+    assert weight_multiplicity(A3, w, (1, 2, 1)) == 4
+    assert weyl._mult_table(A3, (1, 1, 1)) is not first
