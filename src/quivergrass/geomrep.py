@@ -22,15 +22,14 @@ from .demazure import demazure_module
 from .errors import (
     BadPrimeError,
     InternalCheckError,
-    InterpolationInconsistentError,
     NotFiniteRegimeError,
     NotMultiplicityFreeError,
     ValidationError,
 )
 from .fields import QQ
 from .grassmann import (
+    _certified_fit,
     _check_primes,
-    _lagrange,
     _next_prime,
     count_polynomial,
     count_submodules,
@@ -477,19 +476,7 @@ def _interpolated_chi(rep, target: dict, bound: int, primes, cap) -> int:
     counts = []
     for p in plist:
         counts.append((p, count_submodules(reduce_mod(rep, p), target, cap)))
-    coeffs = _lagrange(counts[: bound + 1])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if any(c.denominator != 1 for c in coeffs):
-        raise InterpolationInconsistentError(
-            "count not polynomial at tested degree", counts=counts
-        )
-    for p, n in counts:
-        if sum(c * p**d for d, c in enumerate(coeffs)) != n:
-            raise InterpolationInconsistentError(
-                "count not polynomial at tested degree", counts=counts
-            )
-    return int(sum(coeffs))
+    return sum(_certified_fit(counts, bound))
 
 
 def fiber_euler(

@@ -10,7 +10,7 @@ Invariant: every basis the recursion stores, and every basis it hands to
 `preimage`, `subspace_intersect` or `subspace_contains`, is a canonical
 column-echelon basis (`linalg.col_space` form), because `_cells_between`
 canonicalizes each cell it yields and the bounds come from canonicalizing
-constructors.  `linalg.membership_residual` and `_complement_in` read pivots
+constructors.  `linalg._residual` and `_complement_in` read pivots
 off such bases and give wrong answers on any other spanning set.
 
 Point counts at several primes feed a Lagrange interpolation whose value at
@@ -325,6 +325,31 @@ def _lagrange(points: list) -> list:
     return coeffs
 
 
+def _certified_fit(counts: list, degree: int) -> tuple:
+    """Integer coefficients, ascending, of the count polynomial; certified.
+
+    `counts` lists (prime, count) pairs.  The first degree+1 fix the Lagrange
+    polynomial, trailing zero coefficients are dropped, and the polynomial
+    must have integer coefficients and take every listed count at its prime,
+    the spare primes included; otherwise `InterpolationInconsistentError`
+    carries the counts.
+    """
+    coeffs = _lagrange(counts[: degree + 1])
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    if any(c.denominator != 1 for c in coeffs):
+        raise InterpolationInconsistentError(
+            "count not polynomial at tested degree", counts=counts
+        )
+    out = tuple(int(c) for c in coeffs)
+    for p, n in counts:
+        if sum(c * p**d for d, c in enumerate(out)) != n:
+            raise InterpolationInconsistentError(
+                "count not polynomial at tested degree", counts=counts
+            )
+    return out
+
+
 def expected_dimension(q: Quiver, w: dict, v: dict) -> int:
     """The v.w - (1/2) v^T C v dimension bound used for interpolation degree."""
     c = cartan_matrix(q).matrix
@@ -400,25 +425,12 @@ def count_polynomial(
             rep_p = reduce_mod(model.rep, p)
             n = count_submodules(rep_p, v, cap)
         counts.append((p, int(n)))
-    coeffs = _lagrange([(p, n) for p, n in counts[: bound + 1]])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if any(c.denominator != 1 for c in coeffs):
-        raise InterpolationInconsistentError(
-            "count not polynomial at tested degree", counts=counts
-        )
-    poly = CountPoly(
-        coeffs=tuple(int(c) for c in coeffs),
+    return CountPoly(
+        coeffs=_certified_fit(counts, bound),
         primes_used=tuple(interp),
         consistency_primes=tuple(extras),
         counts=tuple(counts),
     )
-    for p, n in counts:
-        if poly.evaluate(p) != n:
-            raise InterpolationInconsistentError(
-                "count not polynomial at tested degree", counts=counts
-            )
-    return poly
 
 
 # -- graded enumeration -------------------------------------------------------

@@ -13,6 +13,18 @@ pivot row is scaled in its nonzero columns, and every other row is updated
 in those columns only. Each solve makes exactly one elimination: `kernel`
 eliminates M once, and `solve_right` and `solve_unique` read the solution
 and the rank of A off one elimination of [A | B].
+
+Subspace questions go through one kernel, `_residual(w, u) = u - w·u[P]`,
+where P lists the pivot rows of the canonical basis w. Because w is the
+identity on P, a column v of u lies in span(w) iff v = w·v[P], that is iff
+its residual column is zero. The residual is built from the k-row slice u[P]
+and the nonzero entries of w, and has the shape of u, never n x n:
+`subspace_contains(w, u)` tests it for zero and `preimage(x, w)` is its
+kernel. `subspace_intersect(a, b)` is a·C with C the kernel of
+`_residual(b, a)`, the coefficient vectors c with a·c in span(b). When a and
+C are canonical, so is a·C: its rows at a's pivot rows are C's rows, and
+column t starts with the leading 1 of a's column at C's t-th pivot row, so
+no further `col_space` pass is needed.
 """
 
 from __future__ import annotations
@@ -300,23 +312,30 @@ def solve_unique(a: Mat, b: Mat) -> Mat:
     return x
 
 
-def membership_residual(w: Mat) -> Mat:
-    """R with R v = 0 iff v lies in the span of canonical basis w."""
+def _residual(w: Mat, u: Mat) -> Mat:
+    """u - w·u[pivot rows of w]: zero exactly in the columns of u inside span(w).
+
+    w must be canonical. Only the nonzero entries of w and of the pivot-row
+    slice of u are visited; the result is n x cols(u).
+    """
+    if w.rows != u.rows:
+        raise ShapeMismatchError(f"cannot reduce {u.rows}-row columns by a {w.rows}-row basis")
     f = w.field
+    mul, sub = f.mul, f.sub
     piv = pivot_rows(w)
-    sel = Mat.zeros(f, w.cols, w.rows)
-    for j, p in enumerate(piv):
-        sel.a[j][p] = f.one
-    return Mat.identity(f, w.rows) - (w @ sel)
-
-
-def contains_vector(w: Mat, v: list) -> bool:
-    return (membership_residual(w) @ Mat.column(w.field, v)).is_zero()
+    slices = [[(t, y) for t, y in enumerate(u.a[p]) if y] for p in piv]
+    out = [list(r) for r in u.a]
+    for row, wi in zip(out, w.a):
+        for j, x in enumerate(wi):
+            if x:
+                for t, y in slices[j]:
+                    row[t] = sub(row[t], mul(x, y))
+    return Mat(f, u.rows, u.cols, out)
 
 
 def subspace_contains(w: Mat, u: Mat) -> bool:
-    """Whether span(u) is inside span(w); both are basis matrices."""
-    return (membership_residual(w) @ u).is_zero()
+    """Whether span(u) is inside span(w); w is a canonical basis."""
+    return _residual(w, u).is_zero()
 
 
 def subspace_sum(a: Mat, b: Mat) -> Mat:
@@ -324,14 +343,13 @@ def subspace_sum(a: Mat, b: Mat) -> Mat:
 
 
 def subspace_intersect(a: Mat, b: Mat) -> Mat:
-    ra = membership_residual(a)
-    rb = membership_residual(b)
-    return kernel(ra.vstack(rb))
+    """Canonical basis of span(a) ∩ span(b); a and b are canonical bases."""
+    return a @ kernel(_residual(b, a))
 
 
 def preimage(x: Mat, w: Mat) -> Mat:
     """Canonical basis of {v : X v in span(w)}; w over the target space."""
-    return kernel(membership_residual(w) @ x)
+    return kernel(_residual(w, x))
 
 
 def coords_in(w: Mat, b: Mat) -> Mat:

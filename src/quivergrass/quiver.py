@@ -147,7 +147,7 @@ class Classification:
     label: str | None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cartan_matrix(q: Quiver) -> CartanData:
     n = len(q.vertices)
     edges = underlying_edges(q)

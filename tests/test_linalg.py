@@ -1,4 +1,5 @@
-"""Property tests of the elimination kernel against a dense textbook elimination."""
+"""Property tests of the elimination kernel and the subspace primitives against
+a dense textbook elimination."""
 
 from fractions import Fraction
 
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 
 from quivergrass.errors import NonUniqueError, NoSolutionError
 from quivergrass.fields import QQ, PrimeField
-from quivergrass.linalg import Mat, kernel, rref, solve_right, solve_unique
+from quivergrass.linalg import (
+    Mat,
+    col_space,
+    kernel,
+    preimage,
+    rref,
+    solve_right,
+    solve_unique,
+    subspace_contains,
+    subspace_intersect,
+)
 
 from oracles import textbook_rref
 
@@ -149,3 +160,74 @@ def test_solve_unique_reports_no_solution_before_non_uniqueness():
         solve_unique(a, Mat.from_rows(QQ, [[1], [0]]))
     with pytest.raises(NonUniqueError, match="^linear system has a nontrivial null space$"):
         solve_unique(a, Mat.from_rows(QQ, [[1], [1]]))
+
+
+# -- subspace primitives -------------------------------------------------------
+
+@st.composite
+def spans_in(draw, field, rows, inside=None):
+    """A canonical basis of rows-space; half the time spanned partly from `inside`."""
+    m = draw(matrices(field, rows=rows))
+    if inside is not None and draw(st.booleans()):
+        m = (inside @ draw(matrices(field, rows=inside.cols))).hstack(
+            draw(matrices(field, rows=rows, cols=draw(st.integers(1, 2)))))
+    return col_space(m)
+
+
+@st.composite
+def basis_and_columns(draw):
+    """(field, w, u): w canonical, u in span(w) half the time."""
+    field = draw(st.sampled_from(FIELDS))
+    w = col_space(draw(matrices(field)))
+    if draw(st.booleans()):
+        u = w @ draw(matrices(field, rows=w.cols))
+    else:
+        u = draw(matrices(field, rows=w.rows))
+    return field, w, u
+
+
+@st.composite
+def matrix_and_span(draw):
+    """(field, x, w): w a canonical basis of rows(x)-space, often meeting span(x)."""
+    field = draw(st.sampled_from(FIELDS))
+    x = draw(matrices(field))
+    return field, x, draw(spans_in(field, x.rows, inside=x))
+
+
+def _inside(w, u, p):
+    """Whether span(u) lies in span(w), by textbook ranks."""
+    return _textbook_rank(w.hstack(u), p) == _textbook_rank(w, p)
+
+
+@PROPERTY
+@given(basis_and_columns())
+def test_subspace_contains_matches_rank_test(case):
+    field, w, u = case
+    assert subspace_contains(w, u) == _inside(w, u, _p(field))
+
+
+@PROPERTY
+@given(matrix_and_span())
+def test_preimage_is_the_canonical_pullback(case):
+    field, x, w = case
+    p = _p(field)
+    pre = preimage(x, w)
+    assert pre.rows == x.cols
+    assert pre == col_space(pre)
+    assert pre.cols == x.cols - _textbook_rank(x.hstack(w), p) + w.cols
+    image = Mat(field, x.rows, pre.cols, [[field.of(e) for e in row] for row in _product(x, pre, p)])
+    assert _inside(w, image, p)
+
+
+@PROPERTY
+@given(matrix_and_span())
+def test_subspace_intersect_is_the_canonical_meet(case):
+    field, x, b = case
+    p = _p(field)
+    a = col_space(x)
+    meet = subspace_intersect(a, b)
+    assert meet.rows == a.rows
+    assert meet == col_space(meet)
+    assert meet.cols == a.cols + b.cols - _textbook_rank(a.hstack(b), p)
+    assert _inside(a, meet, p)
+    assert _inside(b, meet, p)
