@@ -22,6 +22,7 @@ from fractions import Fraction
 from .demazure import check_nesting, demazure_module
 from .fields import QQ
 from .geomrep import (
+    _commutator,
     chevalley_compare,
     fiber_euler,
     finite_points,
@@ -68,6 +69,7 @@ from .repmod import (
     zero_subrep,
 )
 from .weyl import (
+    _int_identity,
     act,
     apply_involution,
     bruhat_leq,
@@ -93,25 +95,6 @@ class CheckResult:
 def _expect(cond: bool, notes: list, message: str) -> None:
     if not cond:
         notes.append(message)
-
-
-# -- small exact-integer matrix helpers (operator tables are int tuples) ------
-
-def _imul(a, b):
-    inner = len(b)
-    width = len(b[0]) if inner else 0
-    return tuple(
-        tuple(sum(a[r][t] * b[t][c] for t in range(inner)) for c in range(width))
-        for r in range(len(a))
-    )
-
-
-def _isub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _izero(n):
-    return tuple(tuple(0 for _ in range(n)) for _ in range(n))
 
 
 # -- criterion 1: dimension table of the preprojective quotient ---------------
@@ -310,11 +293,8 @@ def _criterion_minuscule_realization() -> list:
         n = real.total_points()
         for i in q.vertices:
             for j in q.vertices:
-                bracket = _isub(
-                    _imul(ops[i].raising, ops[j].lowering),
-                    _imul(ops[j].lowering, ops[i].raising),
-                )
-                want = ops[i].torus if i == j else _izero(n)
+                bracket = _commutator(ops[i].raising, ops[j].lowering)
+                want = ops[i].torus if i == j else _int_identity(n, 0)
                 _expect(
                     bracket == want,
                     notes,

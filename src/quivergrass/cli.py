@@ -134,10 +134,6 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _int_matrix(frozen) -> list:
-    return [list(row) for row in frozen]
-
-
 def _rational_matrix(m) -> list:
     f = m.field
     return [[f.format_el(x) for x in row] for row in m.a]
@@ -288,9 +284,9 @@ def _cmd_rep_matrices(args) -> int:
                 }
                 for k, (vt, pt) in enumerate(points)
             ],
-            "E": {i: _int_matrix(ops[i].raising) for i in verts},
-            "F": {i: _int_matrix(ops[i].lowering) for i in verts},
-            "H": {i: _int_matrix(ops[i].torus) for i in verts},
+            "E": {i: ops[i].raising for i in verts},
+            "F": {i: ops[i].lowering for i in verts},
+            "H": {i: ops[i].torus for i in verts},
         }
     )
     return 0

@@ -4,9 +4,16 @@ Each chain stage is the unique submodule whose dimension vector is the dot
 action of a word prefix on zero.  A stage extends to the next by taking the
 preimage of the vertex-i socle of the quotient — the largest submodule whose
 quotient by the current stage is a sum of vertex-i simples — and certifying
-the result by an exact dimension match.  When the match fails, the unique
-target is recovered from a prime-field enumeration whose echelon support
-pattern turns the closure conditions into a rational linear solve.
+the result by an exact dimension match.
+
+The socle preimage is the only construction.  In the full hull it is the
+target stage itself, the unique submodule of its extremal dimension vector.
+A truncated hull is a submodule of the full hull, so its socle preimage lies
+inside the full one; any submodule of the target dimensions that contains the
+current stage lies inside the truncated preimage and so, by dimension, equals
+the full one.  When the truncated preimage misses the target dimensions, no
+such submodule exists in the truncation, and `demazure_module` reports
+`TruncationTooSmallError`.
 """
 
 from __future__ import annotations
@@ -22,25 +29,11 @@ from .errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from .grassmann import _check_primes, count_submodules, enumerate_submodules
+from .grassmann import _check_primes, count_submodules
 from .hull import InjectiveModel, injective_hull
-from .linalg import (
-    Mat,
-    pivot_rows,
-    preimage,
-    solve_right,
-    subspace_contains,
-    subspace_intersect,
-)
+from .linalg import Mat, preimage, subspace_contains, subspace_intersect
 from .quiver import Quiver, cartan_matrix
-from .repmod import (
-    Subrep,
-    make_subrep,
-    reduce_mod,
-    reduce_subrep,
-    restrict,
-    zero_subrep,
-)
+from .repmod import Subrep, make_subrep, reduce_mod, restrict, zero_subrep
 from .weyl import (
     act,
     dot_step,
@@ -52,8 +45,6 @@ from .weyl import (
     zero_vector,
     bruhat_leq,
 )
-
-_FALLBACK_PRIMES = (2, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -101,152 +92,9 @@ def extend_step(model: InjectiveModel, u: Subrep, i: str) -> Subrep:
     cand = make_subrep(rep, new_bases)
     if cand.dims() == target:
         return cand
-    lifted = _lift_from_prime_support(model, u, i, target)
-    if lifted is not None:
-        return lifted
     raise DimensionMismatchError(
         f"socle extension at vertex {i!r} gives dims {cand.dims()}, expected {target}"
     )
-
-
-def _lift_from_prime_support(model: InjectiveModel, u: Subrep, i: str, target: dict):
-    """Recover the unique target-dims submodule containing u from F_p support.
-
-    A prime where exactly one such submodule exists supplies the echelon
-    pivot pattern at vertex i; with the pattern fixed, arrow closure into and
-    out of vertex i is linear in the free entries, so a rational solve either
-    produces the submodule or the next prime is tried.
-    """
-    rep = model.rep
-    field = rep.field
-    n = rep.dim(i)
-    k = target[i]
-    for p in _FALLBACK_PRIMES:
-        rep_p = reduce_mod(rep, p)
-        u_p = reduce_subrep(u, rep_p)
-        found = [
-            s
-            for s in enumerate_submodules(rep_p, target)
-            if all(
-                subspace_contains(s.basis(v), u_p.basis(v))
-                for v in rep_p.quiver.vertices
-            )
-        ]
-        if len(found) != 1:
-            continue
-        pattern = pivot_rows(found[0].basis(i))
-        pivot_set = set(pattern)
-        free = [
-            (r, j)
-            for j in range(k)
-            for r in range(n)
-            if r > pattern[j] and r not in pivot_set
-        ]
-        index = {rc: t for t, rc in enumerate(free)}
-
-        def basis_entry(r: int, j: int, x: list):
-            # Value of the candidate basis at (r, j) given free entries x.
-            if r == pattern[j]:
-                return field.one
-            t = index.get((r, j))
-            return x[t] if t is not None else field.zero
-
-        rows = []
-        rhs = []
-
-        def add_membership_rows(span: Mat, col_linear):
-            # col_linear(r) -> (constant, coefficient row over free entries)
-            piv = pivot_rows(span)
-            for r in range(span.rows):
-                const_r, lin_r = col_linear(r)
-                coeffs = list(lin_r)
-                const = const_r
-                for mcol in range(span.cols):
-                    c_const, c_lin = col_linear(piv[mcol])
-                    w = span.a[r][mcol]
-                    const = field.sub(const, field.mul(w, c_const))
-                    for t, val in enumerate(c_lin):
-                        coeffs[t] = field.sub(coeffs[t], field.mul(w, val))
-                rows.append(coeffs)
-                rhs.append(field.neg(const))
-
-        zero_lin = [field.zero] * len(free)
-        for a in rep.quiver.arrows:
-            xmat = rep.map(a.name)
-            if a.src == i:
-                span = u.basis(a.dst)
-                for j in range(k):
-
-                    def col_linear(r, j=j, xmat=xmat):
-                        const = field.zero
-                        lin = list(zero_lin)
-                        for s in range(n):
-                            coef = xmat.a[r][s]
-                            if coef == field.zero:
-                                continue
-                            if s == pattern[j]:
-                                const = field.add(const, coef)
-                            else:
-                                t = index.get((s, j))
-                                if t is not None:
-                                    lin[t] = field.add(lin[t], coef)
-                        return const, lin
-
-                    add_membership_rows(span, col_linear)
-            if a.dst == i:
-                known = xmat @ u.basis(a.src)
-                for col in range(known.cols):
-                    vec = known.col(col)
-                    for r in range(n):
-                        lin = list(zero_lin)
-                        const = vec[r]
-                        for j in range(k):
-                            w = vec[pattern[j]]
-                            if w == field.zero:
-                                continue
-                            if r == pattern[j]:
-                                const = field.sub(const, w)
-                            else:
-                                t = index.get((r, j))
-                                if t is not None:
-                                    lin[t] = field.sub(lin[t], w)
-                        rows.append(lin)
-                        rhs.append(field.neg(const))
-        old = u.basis(i)
-        for col in range(old.cols):
-            vec = old.col(col)
-            for r in range(n):
-                lin = list(zero_lin)
-                const = vec[r]
-                for j in range(k):
-                    w = vec[pattern[j]]
-                    if w == field.zero:
-                        continue
-                    if r == pattern[j]:
-                        const = field.sub(const, w)
-                    else:
-                        t = index.get((r, j))
-                        if t is not None:
-                            lin[t] = field.sub(lin[t], w)
-                rows.append(lin)
-                rhs.append(field.neg(const))
-        if free:
-            mat = Mat.from_rows(field, rows, len(free))
-            sol = solve_right(mat, Mat.column(field, rhs))
-            if sol is None:
-                continue
-            x = [sol.a[t][0] for t in range(len(free))]
-        else:
-            if any(r != field.zero for r in rhs):
-                continue
-            x = []
-        entries = [[basis_entry(r, j, x) for j in range(k)] for r in range(n)]
-        new_bases = {v: u.basis(v) for v in rep.quiver.vertices}
-        new_bases[i] = Mat(field, n, k, entries)
-        cand = make_subrep(rep, new_bases)
-        if cand.dims() == target:
-            return cand
-    return None
 
 
 def demazure_module(

@@ -48,6 +48,10 @@ from .repmod import (
     zero_subrep,
 )
 from .weyl import (
+    _int_add,
+    _int_identity,
+    _int_mul,
+    _int_sub,
     apply_involution,
     diagram_involution,
     dot_step,
@@ -149,47 +153,6 @@ class ChevalleyReport:
         return all(item.passed for item in self.items)
 
 
-# -- small integer-matrix helpers ----------------------------------------------
-
-def _int_mul(a: list, b: list) -> list:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for r in range(n):
-        ar = a[r]
-        orow = out[r]
-        for t in range(k):
-            x = ar[t]
-            if x:
-                bt = b[t]
-                for c in range(m):
-                    orow[c] += x * bt[c]
-    return out
-
-
-def _int_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _int_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _int_zero(a: list) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def _int_identity(n: int, scale: int = 1) -> list:
-    return [[scale if r == c else 0 for c in range(n)] for r in range(n)]
-
-
-def _freeze(a: list) -> tuple:
-    return tuple(tuple(row) for row in a)
-
-
-def _thaw(a: tuple) -> list:
-    return [list(row) for row in a]
-
-
 # -- point containment and operator assembly -----------------------------------
 
 def _point_contained(small: Subrep, big: Subrep) -> bool:
@@ -204,10 +167,8 @@ def _vertex_operators(q: Quiver, w: dict, points: list) -> dict:
     n = len(points)
     out = {}
     for a, i in enumerate(verts):
-        raising = [[0] * n for _ in range(n)]
-        lowering = [[0] * n for _ in range(n)]
-        torus = [[0] * n for _ in range(n)]
-        for r, (vr, _) in enumerate(points):
+        diagonal = []
+        for vr, _ in points:
             h = int(w.get(i, 0)) - sum(cmat[a][b] * vr[b] for b in range(len(verts)))
             # independent check through the reflection-step arithmetic
             vdict = {verts[b]: vr[b] for b in range(len(verts))}
@@ -215,19 +176,27 @@ def _vertex_operators(q: Quiver, w: dict, points: list) -> dict:
                 raise InternalCheckError(
                     "torus entry disagrees with the reflection step"
                 )
-            torus[r][r] = h
-        for r, (vr, pr) in enumerate(points):
-            for c, (vc, pc) in enumerate(points):
+            diagonal.append(h)
+        raising = tuple(
+            tuple(
+                1
                 if all(
                     vc[b] - vr[b] == (1 if b == a else 0)
                     for b in range(len(verts))
-                ) and _point_contained(pr, pc):
-                    raising[r][c] = 1
-                    lowering[c][r] = 1
+                )
+                and _point_contained(pr, pc)
+                else 0
+                for vc, pc in points
+            )
+            for vr, pr in points
+        )
         out[i] = VertexOperators(
-            raising=_freeze(raising),
-            lowering=_freeze(lowering),
-            torus=_freeze(torus),
+            raising=raising,
+            lowering=tuple(zip(*raising)),
+            torus=tuple(
+                tuple(h if r == c else 0 for c in range(n))
+                for r, h in enumerate(diagonal)
+            ),
         )
     return out
 
@@ -517,8 +486,8 @@ def fiber_euler(
 
 # -- consequence checks ----------------------------------------------------------
 
-def _commutator(a: tuple, b: tuple) -> list:
-    return _int_sub(_int_mul(_thaw(a), _thaw(b)), _int_mul(_thaw(b), _thaw(a)))
+def _commutator(a: tuple, b: tuple) -> tuple:
+    return _int_sub(_int_mul(a, b), _int_mul(b, a))
 
 
 def verify_sl2(
@@ -576,15 +545,13 @@ def verify_sl2(
         total_points = len(points)
         ops = _vertex_operators(q, w, points)
         n = len(points)
+        zero = _int_identity(n, 0)
 
         comm_fail = []
         for i in verts:
             for j in verts:
                 comm = _commutator(ops[i].raising, ops[j].lowering)
-                expected = (
-                    _thaw(ops[i].torus) if i == j else _int_identity(n, 0)
-                )
-                if comm != expected:
+                if comm != (ops[i].torus if i == j else zero):
                     comm_fail.append(f"({i},{j})")
         items.append(
             CheckItem(
@@ -596,10 +563,9 @@ def verify_sl2(
 
         shift_fail = []
         for i in verts:
-            lhs = _int_mul(_thaw(ops[i].torus), _thaw(ops[i].raising))
+            lhs = _int_mul(ops[i].torus, ops[i].raising)
             rhs = _int_mul(
-                _thaw(ops[i].raising),
-                _int_add(_thaw(ops[i].torus), _int_identity(n, 2)),
+                ops[i].raising, _int_add(ops[i].torus, _int_identity(n, 2))
             )
             if lhs != rhs:
                 shift_fail.append(i)
@@ -619,13 +585,10 @@ def verify_sl2(
                     continue
                 power = 1 - cmat[a][b]
                 for kind in ("raising", "lowering"):
-                    acc = _thaw(getattr(ops[j], kind))
+                    acc = getattr(ops[j], kind)
                     for _ in range(power):
-                        acc = _int_sub(
-                            _int_mul(_thaw(getattr(ops[i], kind)), acc),
-                            _int_mul(acc, _thaw(getattr(ops[i], kind))),
-                        )
-                    if not _int_zero(acc):
+                        acc = _commutator(getattr(ops[i], kind), acc)
+                    if acc != zero:
                         serre_fail.append(f"({i},{j},{kind})")
         items.append(
             CheckItem(

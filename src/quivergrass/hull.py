@@ -4,8 +4,11 @@ The injective envelope of the vertex simple is modeled as the dual of the
 space of path classes ending at that vertex: basis vectors are duals of
 path classes, placed at the source vertex of the path, with arrow action
 (b . f)(x) = f(x b). Degrees at or above the truncation bound are dropped,
-which quotients by a filtration stage and keeps everything finite; in
-finite type the default bound keeps the whole module.
+which keeps everything finite; in finite type the default bound keeps the
+whole module.  An arrow sends the dual of a path to the dual of a shorter
+path (or to zero), so the duals of paths shorter than the bound span a
+submodule: a truncated hull is a submodule of every longer truncation and
+of the full hull.
 
 The projective at a vertex is the span of path classes starting there,
 placed at their target vertex, with arrows acting by left concatenation.
@@ -82,15 +85,6 @@ class InjectiveModel:
                 m.a[c][j] = f.one
             bases[v] = m
         return make_subrep(self.rep, bases)
-
-    def coord_length(self, v: str, idx: int) -> int:
-        return self.labels[v][idx][1].length
-
-    def top_length(self) -> int:
-        return max(
-            (lab[1].length for v in self.quiver.vertices for lab in self.labels[v]),
-            default=-1,
-        )
 
     def with_projection(self, pi: dict) -> "InjectiveModel":
         for v in self.quiver.vertices:

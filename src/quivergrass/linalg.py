@@ -74,9 +74,6 @@ class Mat:
     def column(cls, field, vec) -> "Mat":
         return cls(field, len(vec), 1, [[field.of(v)] for v in vec])
 
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, self.a)
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeMismatchError(
@@ -118,10 +115,6 @@ class Mat:
                 for r, s in zip(self.a, other.a)
             ],
         )
-
-    def __neg__(self) -> "Mat":
-        f = self.field
-        return Mat(f, self.rows, self.cols, [[f.neg(x) for x in r] for r in self.a])
 
     def scale(self, c) -> "Mat":
         f = self.field
@@ -354,12 +347,9 @@ def preimage(x: Mat, w: Mat) -> Mat:
 
 def coords_in(w: Mat, b: Mat) -> Mat:
     """Coordinates of the columns of b in the canonical basis w."""
-    f = w.field
-    piv = pivot_rows(w)
-    c = b.take_rows(piv) if piv else Mat(f, 0, b.cols, [])
-    if (w @ c).key() != b.key():
+    if not subspace_contains(w, b):
         raise NoSolutionError("columns do not lie in the given subspace")
-    return c
+    return b.take_rows(pivot_rows(w))
 
 
 def char_poly(m: Mat) -> list:

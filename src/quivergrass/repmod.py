@@ -21,6 +21,7 @@ from .errors import (
 from .fields import PrimeField, QQ, field_from_tag
 from .linalg import (
     Mat,
+    _residual,
     col_space,
     coords_in,
     kernel,
@@ -421,13 +422,7 @@ def quotient(v_rep: Rep, s: Subrep) -> tuple[Rep, dict]:
         free = [i for i in range(n) if i not in pivots]
         qdims[v] = len(free)
         # subtract the unique s-component then read the free coordinates
-        resid = Mat.identity(field, n)
-        if b.cols:
-            sel = Mat.zeros(field, b.cols, n)
-            for j, r in enumerate(pivots):
-                sel.a[j][r] = field.one
-            resid = resid - (b @ sel)
-        projs[v] = resid.take_rows(free)
+        projs[v] = _residual(b, Mat.identity(field, n)).take_rows(free)
         lift = Mat.zeros(field, n, len(free))
         for j, r in enumerate(free):
             lift.a[r][j] = field.one

@@ -92,6 +92,33 @@ def orbit_maximum(q: Quiver, w) -> dict:
     return act(q, longest_element(q), w, zero_vector(q))
 
 
+# -- exact integer matrices as tuples of row tuples ---------------------------
+
+def _int_mul(a, b) -> tuple:
+    width = len(b[0]) if b else 0
+    out = []
+    for ar in a:
+        row = [0] * width
+        for x, bt in zip(ar, b):
+            if x:
+                for c in range(width):
+                    row[c] += x * bt[c]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _int_sub(a, b) -> tuple:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _int_add(a, b) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _int_identity(n: int, scale: int = 1) -> tuple:
+    return tuple(tuple(scale if r == c else 0 for c in range(n)) for r in range(n))
+
+
 # -- reflection matrices on root coordinates ---------------------------------
 
 def _reflection(q: Quiver, i: str) -> tuple:
@@ -104,24 +131,12 @@ def _reflection(q: Quiver, i: str) -> tuple:
     )
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def word_matrix(q: Quiver, word) -> tuple:
     """Integer matrix of the word's action on root coordinates."""
     n = len(q.vertices)
-    m = _identity(n)
+    m = _int_identity(n)
     for i in word:
-        m = _matmul(m, _reflection(q, i))
+        m = _int_mul(m, _reflection(q, i))
     return m
 
 
@@ -132,14 +147,14 @@ def _column(m, j):
 def is_reduced(q: Quiver, word) -> bool:
     """Positivity test: each prepended letter must increase the length."""
     n = len(q.vertices)
-    minv = _identity(n)
+    minv = _int_identity(n)
     for i in reversed(list(word)):
         if i not in q.vertices:
             raise ValidationError(f"unknown vertex {i!r} in word")
         col = _column(minv, q.vindex(i))
         if not (any(col) and all(x >= 0 for x in col)):
             return False
-        minv = _matmul(minv, _reflection(q, i))
+        minv = _int_mul(minv, _reflection(q, i))
     return True
 
 
@@ -151,19 +166,19 @@ def require_reduced(q: Quiver, word) -> None:
 def left_multiply(q: Quiver, j: str, word: tuple) -> tuple:
     """Reduced word for s_j times the (reduced) given word."""
     n = len(q.vertices)
-    minv = _identity(n)
+    minv = _int_identity(n)
     for i in reversed(word):
-        minv = _matmul(minv, _reflection(q, i))
+        minv = _int_mul(minv, _reflection(q, i))
     col = _column(minv, q.vindex(j))
     if any(col) and all(x >= 0 for x in col):
         return (j,) + tuple(word)
     # length drops: delete the letter whose prefix-transported root is alpha_j
     target = tuple(1 if k == q.vindex(j) else 0 for k in range(n))
-    prefix = _identity(n)
+    prefix = _int_identity(n)
     for t, letter in enumerate(word):
         if _column(prefix, q.vindex(letter)) == target:
             return tuple(word[:t]) + tuple(word[t + 1 :])
-        prefix = _matmul(prefix, _reflection(q, letter))
+        prefix = _int_mul(prefix, _reflection(q, letter))
     raise NotReducedError(f"word {list(word)!r} is not reduced")
 
 

@@ -1,10 +1,9 @@
-"""Chain construction, nesting, fallback, and stabilization tests."""
+"""Chain construction, nesting, truncation errors, and stabilization tests."""
 
 import pytest
 
 from quivergrass.demazure import (
     DemazureChain,
-    _lift_from_prime_support,
     check_nesting,
     demazure_module,
     extend_step,
@@ -17,14 +16,16 @@ from quivergrass.errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from quivergrass.grassmann import count_submodules
+from quivergrass import grassmann
+from quivergrass.grassmann import count_submodules, enumerate_submodules
 from quivergrass.hull import framed_point, injective_hull
 from quivergrass.linalg import subspace_contains
-from quivergrass.quiver import kronecker_quiver, line_quiver
+from quivergrass.quiver import kronecker_quiver, line_quiver, star_quiver
 from quivergrass.repmod import (
     is_nilpotent,
     make_subrep,
     reduce_mod,
+    reduce_subrep,
     restrict,
     socle,
 )
@@ -107,13 +108,18 @@ def test_stage_dims_unique_over_small_primes():
 
 
 def test_every_extremal_dim_vector_unique_over_f2_f3():
-    model = injective_hull(A2, W11)
-    orbit = extremal_orbit(A2, W11)
-    assert len(orbit) == 6
-    for vec in orbit:
-        target = {v: vec[k] for k, v in enumerate(A2.vertices)}
-        for p in (2, 3):
-            assert count_submodules(reduce_mod(model.rep, p), target) == 1
+    for q, w, orbit_size in ((A2, W11, 6), (A3, {"1": 1, "2": 1, "3": 1}, 24)):
+        orbit = extremal_orbit(q, w)
+        assert len(orbit) == orbit_size
+        for vec, word in orbit.items():
+            target = {v: vec[k] for k, v in enumerate(q.vertices)}
+            chain = demazure_module(q, w, word)
+            stage = chain.stages[-1]
+            assert stage.dims() == target
+            for p in (2, 3):
+                rep_p = reduce_mod(chain.model.rep, p)
+                (point,) = enumerate_submodules(rep_p, target)
+                assert reduce_subrep(stage, rep_p).key() == point.key()
 
 
 def test_extend_step_rejects_non_extremal_dims():
@@ -152,14 +158,6 @@ def test_wall_letter_keeps_stage_fixed():
     assert chain.stages[-1].dims() == {"1": 0, "2": 0}
 
 
-def test_fallback_lift_reproduces_primary_step():
-    model = injective_hull(A2, W11)
-    chain = demazure_module(A2, W11, ("1", "2", "1"))
-    lifted = _lift_from_prime_support(model, chain.stages[1], "2", {"1": 1, "2": 2})
-    assert lifted is not None
-    assert lifted.key() == chain.stages[2].key()
-
-
 def test_nesting_frozen_and_prefix_cases():
     c_one = demazure_module(A2, W11, ("1",))
     c_two = demazure_module(A2, W11, ("2", "1"))
@@ -188,6 +186,19 @@ def test_truncation_too_small_is_reported():
     with pytest.raises(TruncationTooSmallError) as exc:
         demazure_module(K, {"1": 1, "2": 0}, ("2", "1"), trunc=1)
     assert exc.value.suggested == 2
+
+
+def test_truncation_miss_is_reported_without_enumerating(monkeypatch):
+    # The socle preimage alone decides a miss: no prime-field search runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Demazure step enumerated submodules")
+
+    monkeypatch.setattr(grassmann, "_leaves", refuse)
+    D4 = star_quiver(3)
+    w = {v: 1 for v in D4.vertices}
+    with pytest.raises(TruncationTooSmallError) as exc:
+        demazure_module(D4, w, longest_element(D4), trunc=3)
+    assert exc.value.suggested == 6
 
 
 def test_kronecker_chain_at_default_truncation():
