@@ -8,10 +8,11 @@ counting all run on it; counting keeps no list.
 
 Invariant: every basis the recursion stores, and every basis it hands to
 `preimage`, `subspace_intersect` or `subspace_contains`, is a canonical
-column-echelon basis (`linalg.col_space` form), because `_cells_between`
-canonicalizes each cell it yields and the bounds come from canonicalizing
-constructors.  `linalg._residual` and `_complement_in` read pivots
-off such bases and give wrong answers on any other spanning set.
+column-echelon basis (`linalg.col_space` form).  The bounds come from
+canonicalizing constructors, and `_cells_between` builds each cell canonical
+by merging two canonical column sets with disjoint pivot rows, with no
+elimination.  `linalg._residual`, `_complement_in` and that merge read
+pivots off such bases and give wrong answers on any other spanning set.
 
 Point counts at several primes feed a Lagrange interpolation whose value at
 1 is the Euler characteristic; every interpolation is certified at an extra
@@ -35,6 +36,7 @@ from .fields import PrimeField, is_prime
 from .hull import Grading, InjectiveModel, injective_hull
 from .linalg import (
     Mat,
+    _residual,
     col_space,
     mat_over,
     pivot_rows,
@@ -118,8 +120,20 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
     """Yield the k-dimensional subspaces W with lower <= W <= upper.
 
     `lower` and `upper` must be canonical bases, and each W comes out as
-    its canonical basis.  The cap is charged for the whole cell before the
-    first yield.
+    its canonical basis, built by a merge with no elimination.  The columns
+    `comp` of `upper` outside lower's pivot rows are canonical, with pivot
+    rows Q disjoint from lower's pivot rows P, and zero on P.  For a
+    canonical cell s, comp·s is again canonical: its column t has the
+    leading 1 of comp's column at s's t-th pivot, comp's later columns are
+    zero down to that row, and s is zero at its other pivots.  It is zero
+    on P too.  Clearing lower's columns at the pivot rows of comp·s
+    (`_residual(comp·s, lower)`) subtracts from lower's column j only
+    columns of comp·s whose pivot row lies below lower's leading 1 at p_j
+    (lower is zero above p_j) and which are zero on P, so the leading 1
+    and the zeros on P stay, and each cleared row is left exactly zero
+    because comp·s is the identity on its own pivot rows.  The two column
+    sets, merged in pivot-row order, are then the canonical basis of W.
+    The cap is charged for the whole cell before the first yield.
     """
     if not subspace_contains(upper, lower):
         return
@@ -134,9 +148,18 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
             candidates=counter[0] + count,
         )
     counter[0] += count
+    lower_piv = pivot_rows(lower)
     comp = _complement_in(lower, upper)
     for s in subspace_cells(field, m - l, k - l):
-        yield col_space(lower.hstack(comp @ s))
+        new = comp @ s
+        cleared = _residual(new, lower)
+        order = [j for _, j in sorted(zip(lower_piv + pivot_rows(new), range(k)))]
+        yield Mat(
+            field,
+            lower.rows,
+            k,
+            [[r[j] for j in order] for r in map(list.__add__, cleared.a, new.a)],
+        )
 
 
 # -- submodule enumeration ----------------------------------------------------
@@ -144,13 +167,25 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
 def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int):
     """Yield {slot: basis} for every arrow-closed choice of slot subspaces.
 
-    Slots are visited in the order of `upper`, which maps each slot to its
-    starting upper bound.  `incoming[s]` and `outgoing[s]` list (map, slot)
-    pairs for the arrows ending and starting at s; a chosen neighbour bounds
-    s from below by its image and from above by the preimage of its choice,
-    so each arrow is enforced once, at whichever end comes later.
+    `upper` maps each slot to its starting upper bound.  `incoming[s]` and
+    `outgoing[s]` list (map, slot) pairs for the arrows ending and starting
+    at s; a chosen neighbour bounds s from below by its image and from above
+    by the preimage of its choice, so each arrow is enforced once, at
+    whichever end comes later.  The slot order is fixed before the walk:
+    next comes the slot with the most arrows to slots already placed, the
+    first in `upper` order on ties, so a connected quiver is walked along
+    its arrows and no two unlinked slots multiply their cells unpruned.
     """
-    order = list(upper)
+    order: list = []
+    rest = list(upper)
+    while rest:
+        placed = set(order)
+        links = [
+            sum(src in placed for _, src in incoming[s])
+            + sum(dst in placed for _, dst in outgoing[s])
+            for s in rest
+        ]
+        order.append(rest.pop(links.index(max(links))))
     chosen: dict = {}
     counter = [0]
 

@@ -1,6 +1,11 @@
 """Exact linear algebra over a field object from .fields.
 
-Matrices are dense lists of rows. Subspaces are stored as canonical
+Matrices are dense lists of rows. A `Mat` adopts the row lists it is
+given, without copying them, and checks their shape on every construction;
+the caller hands over ownership and must not keep mutating those rows.
+Every method that builds a matrix from another's rows (`take_rows`,
+`vstack`, `t`, `hstack`, `rref`) gives the new matrix row lists of its own,
+so no two matrices share a row object. Subspaces are stored as canonical
 column-echelon basis matrices: each basis column has a leading 1 at a pivot
 row, pivot rows strictly increase left to right, and pivot rows are zero in
 every other column. Two subspaces are equal iff their canonical matrices are
@@ -24,7 +29,9 @@ kernel. `subspace_intersect(a, b)` is a·C with C the kernel of
 `_residual(b, a)`, the coefficient vectors c with a·c in span(b). When a and
 C are canonical, so is a·C: its rows at a's pivot rows are C's rows, and
 column t starts with the leading 1 of a's column at C's t-th pivot row, so
-no further `col_space` pass is needed.
+no further `col_space` pass is needed. A canonical basis with as many
+columns as rows is the identity, the whole space, so intersecting with it
+returns the other basis unchanged, the same object, with no elimination.
 """
 
 from __future__ import annotations
@@ -38,15 +45,14 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "a")
 
     def __init__(self, field, rows: int, cols: int, entries):
+        if len(entries) != rows or any(map(cols.__ne__, map(len, entries))):
+            raise ShapeMismatchError(
+                f"expected {rows}x{cols} entries, got {[len(r) for r in entries]}"
+            )
         self.field = field
         self.rows = rows
         self.cols = cols
-        a = [list(r) for r in entries]
-        if len(a) != rows or any(len(r) != cols for r in a):
-            raise ShapeMismatchError(
-                f"expected {rows}x{cols} entries, got {[len(r) for r in a]}"
-            )
-        self.a = a
+        self.a = entries
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Mat":
@@ -80,15 +86,18 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        out = Mat.zeros(f, self.rows, other.cols)
-        for ai, oi in zip(self.a, out.a):
+        add, mul = f.add, f.mul
+        z = f.zero
+        out = []
+        for ai in self.a:
+            oi = [z] * other.cols
             for c, bk in zip(ai, other.a):
-                if not c:
-                    continue
-                for j, y in enumerate(bk):
-                    if y:
-                        oi[j] = f.add(oi[j], f.mul(c, y))
-        return out
+                if c:
+                    for j, y in enumerate(bk):
+                        if y:
+                            oi[j] = add(oi[j], mul(c, y))
+            out.append(oi)
+        return Mat(f, self.rows, other.cols, out)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
@@ -121,12 +130,9 @@ class Mat:
         return Mat(f, self.rows, self.cols, [[f.mul(c, x) for x in r] for r in self.a])
 
     def t(self) -> "Mat":
-        return Mat(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        if not self.rows:
+            return Mat(self.field, self.cols, 0, [[] for _ in range(self.cols)])
+        return Mat(self.field, self.cols, self.rows, list(map(list, zip(*self.a))))
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
@@ -141,7 +147,9 @@ class Mat:
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ShapeMismatchError("vstack col mismatch")
-        return Mat(self.field, self.rows + other.rows, self.cols, self.a + other.a)
+        return Mat(
+            self.field, self.rows + other.rows, self.cols, [r[:] for r in self.a + other.a]
+        )
 
     def col(self, j: int) -> list:
         return [self.a[i][j] for i in range(self.rows)]
@@ -155,7 +163,7 @@ class Mat:
         )
 
     def take_rows(self, idx) -> "Mat":
-        return Mat(self.field, len(idx), self.cols, [self.a[i] for i in idx])
+        return Mat(self.field, len(idx), self.cols, [self.a[i][:] for i in idx])
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.a)
@@ -236,13 +244,19 @@ def col_space(m: Mat) -> Mat:
 
 
 def pivot_rows(w: Mat) -> list[int]:
-    """Pivot rows of a canonical column-echelon matrix."""
+    """Pivot rows of a canonical column-echelon matrix.
+
+    Column j is zero above its pivot row, which lies below column j-1's, so
+    one pass down the rows finds every pivot in order.
+    """
     out = []
-    for j in range(w.cols):
-        for i in range(w.rows):
-            if w.a[i][j]:
-                out.append(i)
-                break
+    j = 0
+    for i, r in enumerate(w.a):
+        if j == w.cols:
+            break
+        if r[j]:
+            out.append(i)
+            j += 1
     return out
 
 
@@ -336,7 +350,13 @@ def subspace_sum(a: Mat, b: Mat) -> Mat:
 
 
 def subspace_intersect(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of span(a) ∩ span(b); a and b are canonical bases."""
+    """Canonical basis of span(a) ∩ span(b); a and b are canonical bases.
+
+    A canonical a with as many columns as rows is the identity, so the meet
+    is b itself, returned as is.
+    """
+    if a.cols == a.rows == b.rows:
+        return b
     return a @ kernel(_residual(b, a))
 
 

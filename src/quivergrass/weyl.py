@@ -63,12 +63,22 @@ def act(q: Quiver, word, w, v) -> dict:
 
 
 def extremal_orbit(q: Quiver, w, length_cap: int | None = None) -> dict:
-    """BFS orbit of zero under the dot action: vector tuple -> shortest word."""
-    if length_cap is None:
-        if cartan_matrix(q).kind != "finite":
-            length_cap = _ORBIT_DEFAULT_CAP
-        else:
-            length_cap = None
+    """BFS orbit of zero under the dot action: vector tuple -> shortest word.
+
+    Each call returns a fresh dict, copied from `_orbit`'s bounded cache.
+    """
+    if length_cap is None and cartan_matrix(q).kind != "finite":
+        length_cap = _ORBIT_DEFAULT_CAP
+    return dict(_orbit(q, _tup(q, w), length_cap))
+
+
+@lru_cache(maxsize=256)
+def _orbit(q: Quiver, wt: tuple, length_cap: int | None) -> tuple:
+    """The orbit of extremal_orbit as (vector, word) pairs, in BFS order.
+
+    Bounded so a long-lived process keeps at most 256 orbits; an evicted
+    orbit is recomputed on demand with the same pairs.
+    """
     start = tuple(0 for _ in q.vertices)
     found: dict[tuple, tuple] = {start: ()}
     frontier = [start]
@@ -78,12 +88,12 @@ def extremal_orbit(q: Quiver, w, length_cap: int | None = None) -> dict:
         nxt = []
         for vt in frontier:
             for i in q.vertices:
-                out = _tup(q, dot_step(q, i, w, vt))
+                out = _tup(q, dot_step(q, i, wt, vt))
                 if out not in found:
                     found[out] = (i,) + found[vt]
                     nxt.append(out)
         frontier = nxt
-    return found
+    return tuple(found.items())
 
 
 def orbit_maximum(q: Quiver, w) -> dict:

@@ -4,8 +4,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quivergrass.grassmann as grassmann
+import quivergrass.linalg as linalg
 from quivergrass.errors import (
     BadPrimeError,
     CapExceededError,
@@ -91,6 +94,55 @@ def test_cells_between_yield_canonical_bases():
     for c in cells:
         assert col_space(c) == c
         assert subspace_contains(c, lower)
+
+
+CELL_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5)]
+
+
+@st.composite
+def nested_bounds(draw):
+    """(field, lower, upper, k): canonical lower <= upper in F_p^n, n <= 4."""
+    field = draw(st.sampled_from(CELL_FIELDS))
+    entry = st.integers(0, field.p - 1)
+
+    def spanning(rows, cols):
+        return Mat(field, rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+    n = draw(st.integers(1, 4))
+    upper = col_space(spanning(n, draw(st.integers(1, n))))
+    lower = col_space(upper @ spanning(upper.cols, draw(st.integers(0, upper.cols))))
+    return field, lower, upper, draw(st.integers(lower.cols, upper.cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_bounds())
+def test_cells_between_are_every_canonical_subspace_between_the_bounds(case):
+    field, lower, upper, k = case
+    counter = [0]
+    cells = list(grassmann._cells_between(lower, upper, k, counter, 10**6))
+    expected = gaussian_binomial(upper.cols - lower.cols, k - lower.cols, field.p)
+    assert len(cells) == counter[0] == expected
+    assert len({c.key() for c in cells}) == expected
+    for c in cells:
+        assert c.cols == k
+        assert col_space(c) == c
+        assert subspace_contains(c, lower)
+        assert subspace_contains(upper, c)
+
+
+def test_cells_between_runs_no_elimination(monkeypatch):
+    f5 = PrimeField(5)
+    upper = col_space(Mat.from_rows(f5, [[1, 0, 0], [2, 1, 0], [0, 3, 0], [4, 0, 1], [1, 1, 1]]))
+    lower = col_space(upper @ Mat.from_rows(f5, [[1], [2], [3]]))
+
+    def no_rref(m):
+        raise AssertionError("_cells_between eliminated a matrix")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    cells = list(grassmann._cells_between(lower, upper, 2, [0], 100))
+    assert len(cells) == gaussian_binomial(2, 1, 5) == 6
+    monkeypatch.undo()
+    assert all(col_space(c) == c for c in cells)
 
 
 # -- plain enumeration --------------------------------------------------------
@@ -233,6 +285,31 @@ def test_counts_match_brute_force_over_a3_census():
         for vec in sorted(weight_census(A3, w)):
             v = dict(zip(A3.vertices, vec))
             assert count_submodules(rep_p, v) == brute_submodule_count(rep_p, v), (p, vec)
+
+
+@st.composite
+def random_double_reps(draw):
+    """(rep, d): random maps on doubled A2 or A3 over F_2 or F_3, dims <= 3.
+
+    The maps need not satisfy the preprojective relation.
+    """
+    q = draw(st.sampled_from([double(A2), double(A3)]))
+    field = draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
+    dims = {v: draw(st.integers(0, 3)) for v in q.vertices}
+    entry = st.integers(0, field.p - 1)
+    maps = {
+        a.name: [[draw(entry) for _ in range(dims[a.src])] for _ in range(dims[a.dst])]
+        for a in q.arrows
+    }
+    rep = make_rep(field, q, dims, maps, preprojective=False)
+    return rep, {v: draw(st.integers(0, dims[v])) for v in q.vertices}
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_double_reps())
+def test_counts_match_brute_force_on_random_double_quiver_reps(case):
+    rep, d = case
+    assert count_submodules(rep, d) == brute_submodule_count(rep, d)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergrass.errors import NonUniqueError, NoSolutionError
+from quivergrass.errors import NonUniqueError, NoSolutionError, ShapeMismatchError
 from quivergrass.fields import QQ, PrimeField
 from quivergrass.linalg import (
     Mat,
@@ -231,3 +231,42 @@ def test_subspace_intersect_is_the_canonical_meet(case):
     assert meet.cols == a.cols + b.cols - _textbook_rank(a.hstack(b), p)
     assert _inside(a, meet, p)
     assert _inside(b, meet, p)
+
+
+# -- row ownership and the whole space ------------------------------------------
+
+def test_built_matrices_share_no_row_with_their_sources():
+    for field in (QQ, PrimeField(3)):
+        a = Mat.from_rows(field, [[1, 2, 0], [0, 1, 1]])
+        b = Mat.from_rows(field, [[2, 0, 1], [1, 1, 1]])
+        sources = [id(r) for r in a.a + b.a]
+        built = [a.take_rows([1, 0, 1]), a.vstack(b), a.hstack(b), a.t(), b.t().t()]
+        for m in built:
+            assert not any(id(r) in sources for r in m.a)
+            assert len({id(r) for r in m.a}) == m.rows
+        assert built[0].a == [[0, 1, 1], [1, 2, 0], [0, 1, 1]]
+        assert built[4] == b
+
+
+def test_transpose_keeps_empty_shapes():
+    m = Mat(QQ, 0, 3, [])
+    assert (m.t().rows, m.t().cols) == (3, 0)
+    assert m.t().t() == m
+    n = Mat(QQ, 2, 0, [[], []])
+    assert (n.t().rows, n.t().cols) == (0, 2)
+
+
+def test_construction_still_checks_every_row():
+    with pytest.raises(ShapeMismatchError):
+        Mat(QQ, 2, 2, [[QQ.one, QQ.zero], [QQ.one]])
+    with pytest.raises(ShapeMismatchError):
+        Mat(QQ, 3, 1, [[QQ.one], [QQ.one]])
+
+
+@PROPERTY
+@given(basis_and_columns())
+def test_intersecting_with_the_whole_space_returns_the_other_basis(case):
+    field, w, _ = case
+    whole = Mat.identity(field, w.rows)
+    assert subspace_intersect(whole, w) is w
+    assert subspace_intersect(w, whole) == w

@@ -208,3 +208,23 @@ def test_multiplicity_tables_are_bounded_and_refill_identically():
     assert weyl._mult_table.cache_info().currsize == bound
     assert weight_multiplicity(A3, w, (1, 2, 1)) == 4
     assert weyl._mult_table(A3, (1, 1, 1)) is not first
+
+
+def test_orbit_cache_is_bounded_hands_out_fresh_dicts_and_refills_identically():
+    bound = weyl._orbit.cache_info().maxsize
+    assert bound is not None
+    w = {"1": 1, "2": 1, "3": 1}
+    first = extremal_orbit(A3, w)
+    assert len(first) == 24
+    first[(9, 9, 9)] = ("1",)
+    second = extremal_orbit(A3, w)
+    assert second is not first
+    assert (9, 9, 9) not in second
+    cached = weyl._orbit(A3, (1, 1, 1), None)
+    for k in range(bound):
+        extremal_orbit(A1, {"1": k})
+    assert weyl._orbit.cache_info().currsize == bound
+    assert weyl._orbit(A3, (1, 1, 1), None) is not cached
+    assert extremal_orbit(A3, w) == second
+    kron = kronecker_quiver()
+    assert extremal_orbit(kron, {"1": 1, "2": 0}) == extremal_orbit(kron, {"1": 1, "2": 0}, 64)
