@@ -395,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True, metavar="LIST",
                    help='comma-separated primes, e.g. "2,3,5"')
     p.add_argument("--trunc", type=int, metavar="N", help="truncation length")
-    p.add_argument("--cap", type=int, metavar="N", help="enumeration candidate cap")
+    p.add_argument("--cap", type=int, metavar="N",
+                   help="cap on the subspace cells the enumeration walks")
     p.add_argument("--workers", type=int, metavar="K",
                    help="process count for per-prime counting (default 1, serial)")
 
@@ -410,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, metavar="N", help="truncation length")
     p.add_argument("--primes", default="2,3,5", metavar="LIST",
                    help='test primes (default "2,3,5")')
-    p.add_argument("--cap", type=int, metavar="N", help="enumeration candidate cap")
+    p.add_argument("--cap", type=int, metavar="N",
+                   help="cap on the subspace cells the enumeration walks")
 
     p = add("chevalley", _cmd_chevalley, "diagram-twist comparison report")
     p.add_argument("quiver", help="quiver JSON file")
@@ -418,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, metavar="N", help="truncation length")
     p.add_argument("--primes", default="2,3,5", metavar="LIST",
                    help='test primes (default "2,3,5")')
-    p.add_argument("--cap", type=int, metavar="N", help="enumeration candidate cap")
+    p.add_argument("--cap", type=int, metavar="N",
+                   help="cap on the subspace cells the enumeration walks")
 
     p = add("verify", _cmd_verify, "run a named check suite")
     p.add_argument("suite", help='suite name ("core")')

@@ -87,9 +87,16 @@ class LimitError(QuivergrassError):
 
 
 class CapExceededError(LimitError):
-    def __init__(self, msg: str, candidates: int | None = None):
+    """More subspace cells would be walked than the cap allows.
+
+    `candidates` is the cell count the walk would have reached, and `slot`
+    the enumeration slot whose branching overflowed, when one is known.
+    """
+
+    def __init__(self, msg: str, candidates: int | None = None, slot=None):
         super().__init__(msg)
         self.candidates = candidates
+        self.slot = slot
 
 
 class TruncationTooSmallError(LimitError):

@@ -2,9 +2,33 @@
 
 One recursion, `_leaves`, enumerates submodule grassmannians slot by slot
 through Gaussian cells: a slot is a vertex, or a (vertex, layer) pair for a
-graded enumeration.  Arrow-closure bounds propagate between slots so that
-each arrow is enforced exactly once.  Plain and graded enumeration and plain
-counting all run on it; counting keeps no list.
+graded enumeration.  Placing a slot bounds each unplaced neighbour: an arrow
+out of it bounds the neighbour from below by the image of its choice, an
+arrow into it bounds the neighbour from above by the preimage of its choice.
+So every arrow is imposed once, at whichever end is placed later.  Plain and
+graded enumeration and plain counting all run on it; counting keeps no list.
+
+Branching rule: at each node, an unplaced slot of target dimension k has
+[dim hi - dim lo, k - dim lo]_p cells between its bounds lo and hi.  A slot
+with no cell prunes the node at once.  Otherwise the walk branches on the
+slot with the fewest cells among those still joined by an arrow to another
+unplaced slot, the first in slot order on ties, so the walk is deterministic.
+(Placing any other slot would move no bound, so it could prune nothing.)
+
+Free-remainder rule: the walk stops once no arrow joins two unplaced slots.
+Every arrow at an unplaced slot then ends at a placed slot and is already
+imposed by the unplaced slot's bounds, and quivers have no loops, so no slot
+constrains itself: the unplaced slots' cells are independent, and any choice
+of one cell per slot is arrow-closed.  `_leaves` yields the placed choices
+with the remainder's bounds.  Enumeration expands the remainder as a product
+of cells and still runs `check_closure` on every submodule it returns.
+Counting adds the product of the remainder's Gaussian binomials and runs no
+closure re-check: by the two rules every arrow is imposed, at its later end
+or at the remainder slot's bound.
+
+The cap counts the cells `_cells_between` walks: those of every branching
+slot and, when enumerating, those of each remainder slot.  A remainder
+counted in closed form walks no cell and is not charged.
 
 Invariant: every basis the recursion stores, and every basis it hands to
 `preimage`, `subspace_intersect` or `subspace_contains`, is a canonical
@@ -119,10 +143,11 @@ def _complement_in(lower: Mat, upper: Mat) -> Mat:
 def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
     """Yield the k-dimensional subspaces W with lower <= W <= upper.
 
-    `lower` and `upper` must be canonical bases, and each W comes out as
-    its canonical basis, built by a merge with no elimination.  The columns
-    `comp` of `upper` outside lower's pivot rows are canonical, with pivot
-    rows Q disjoint from lower's pivot rows P, and zero on P.  For a
+    `lower` and `upper` must be canonical bases with span(lower) inside
+    span(upper), and each W comes out as its canonical basis, built by a
+    merge with no elimination.  The columns `comp` of `upper` outside
+    lower's pivot rows are canonical, with pivot rows Q disjoint from
+    lower's pivot rows P, and zero on P.  For a
     canonical cell s, comp·s is again canonical: its column t has the
     leading 1 of comp's column at s's t-th pivot, comp's later columns are
     zero down to that row, and s is zero at its other pivots.  It is zero
@@ -135,8 +160,6 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
     sets, merged in pivot-row order, are then the canonical basis of W.
     The cap is charged for the whole cell before the first yield.
     """
-    if not subspace_contains(upper, lower):
-        return
     l, m = lower.cols, upper.cols
     if k < l or k > m:
         return
@@ -162,55 +185,127 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
         )
 
 
+def _slot_cells(slot, lo: Mat, hi: Mat, k: int, counter: list, cap: int):
+    """`_cells_between(lo, hi, k, counter, cap)` at one slot.
+
+    A cap overflow is raised again naming the slot and its branching [n k]_p.
+    """
+    cells = _cells_between(lo, hi, k, counter, cap)
+    try:
+        first = next(cells, None)
+    except CapExceededError as exc:
+        raise CapExceededError(
+            f"{exc} at slot {slot!r}, branching "
+            f"[{hi.cols - lo.cols} {k - lo.cols}]_{hi.field.p}",
+            candidates=exc.candidates,
+            slot=slot,
+        ) from None
+    if first is not None:
+        yield first
+        yield from cells
+
+
 # -- submodule enumeration ----------------------------------------------------
 
-def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int):
+def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: list, cap: int):
+    """Yield (placed, remainder) for every arrow-closed choice at the branched slots.
+
+    `upper` maps each slot, in slot order, to its starting upper bound and
+    `target` to its dimension.  `incoming[s]` and `outgoing[s]` list
+    (map, slot) pairs for the arrows ending and starting at s.  `placed`
+    maps each branched slot to its chosen basis, and `remainder` lists
+    (slot, lo, hi) for the slots left unplaced.
+
+    Placing a slot moves each unplaced neighbour's bounds: its lower bound
+    takes in the image of the choice, its upper bound is cut to the
+    preimage.  So each arrow is imposed once, when its earlier end is
+    placed, on its later end.  Branching rule: a node where some unplaced
+    slot has no cell between its bounds is pruned; otherwise the walk
+    branches on the slot with the fewest cells among those joined by an
+    arrow to another unplaced slot, the first in slot order on ties.
+    Free-remainder rule: when no arrow joins two unplaced slots the walk
+    stops.  Every arrow at a remainder slot then ends at a placed slot and
+    is imposed by the remainder slot's bounds, and no slot constrains itself
+    (quivers have no loops), so the remainder's cells are independent, each
+    slot has at least one, and every product of them is arrow-closed: a
+    count needs no closure re-check.  `counter` and `cap` are charged for
+    the cells of every branching slot.
+    """
+    # The walk's state maps each unplaced slot to (lo, hi, its cell count).
+    links = {s: {t for _, t in incoming[s] + outgoing[s]} for s in upper}
+    chosen: dict = {}
+
+    def cells(s, lo: Mat, hi: Mat) -> int:
+        if lo.cols and not subspace_contains(hi, lo):
+            return 0
+        return gaussian_binomial(hi.cols - lo.cols, target[s] - lo.cols, hi.field.p)
+
+    def place(rest: dict, s, w: Mat) -> dict | None:
+        """The bounds in `rest` once s holds w, or None if a slot has no cell."""
+        new = dict(rest)
+        for m, t in outgoing[s]:
+            if t in rest:
+                lo, hi, _ = new[t]
+                lo = col_space(lo.hstack(m @ w))
+                if lo.cols > target[t]:
+                    return None  # no cell fits; skip the costlier upper bounds
+                new[t] = (lo, hi, None)
+        for m, t in incoming[s]:
+            if t in rest:
+                lo, hi, _ = new[t]
+                hi = subspace_intersect(hi, preimage(m, w))
+                if hi.cols < target[t]:
+                    return None
+                new[t] = (lo, hi, None)
+        for t, (lo, hi, n) in new.items():
+            if n is None:
+                n = cells(t, lo, hi)
+                if not n:
+                    return None
+                new[t] = (lo, hi, n)
+        return new
+
+    def rec(bounds: dict):
+        best = None
+        for s, (_, _, n) in bounds.items():
+            if (best is None or n < bounds[best][2]) and any(t in bounds for t in links[s]):
+                best = s
+        if best is None:
+            yield dict(chosen), [(s, lo, hi) for s, (lo, hi, _) in bounds.items()]
+            return
+        lo, hi, _ = bounds[best]
+        rest = {t: b for t, b in bounds.items() if t != best}
+        for w in _slot_cells(best, lo, hi, target[best], counter, cap):
+            new = place(rest, best, w)
+            if new is not None:
+                chosen[best] = w
+                yield from rec(new)
+        chosen.pop(best, None)
+
+    start = {}
+    for s, hi in upper.items():
+        lo = Mat.zeros(hi.field, hi.rows, 0)
+        n = cells(s, lo, hi)
+        if not n:
+            return
+        start[s] = (lo, hi, n)
+    yield from rec(start)
+
+
+def _expanded(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int):
     """Yield {slot: basis} for every arrow-closed choice of slot subspaces.
 
-    `upper` maps each slot to its starting upper bound.  `incoming[s]` and
-    `outgoing[s]` list (map, slot) pairs for the arrows ending and starting
-    at s; a chosen neighbour bounds s from below by its image and from above
-    by the preimage of its choice, so each arrow is enforced once, at
-    whichever end comes later.  The slot order is fixed before the walk:
-    next comes the slot with the most arrows to slots already placed, the
-    first in `upper` order on ties, so a connected quiver is walked along
-    its arrows and no two unlinked slots multiply their cells unpruned.
+    Each remainder from `_leaves` is expanded as a product of its slots'
+    cells, and the cap is charged for those cells too.
     """
-    order: list = []
-    rest = list(upper)
-    while rest:
-        placed = set(order)
-        links = [
-            sum(src in placed for _, src in incoming[s])
-            + sum(dst in placed for _, dst in outgoing[s])
-            for s in rest
-        ]
-        order.append(rest.pop(links.index(max(links))))
-    chosen: dict = {}
     counter = [0]
-
-    def rec(idx: int):
-        if idx == len(order):
-            yield dict(chosen)
-            return
-        s = order[idx]
-        hi = upper[s]
-        lo = Mat.zeros(hi.field, hi.rows, 0)
-        for m, src in incoming[s]:
-            if src in chosen:
-                lo = lo.hstack(m @ chosen[src])
-        lo = col_space(lo)
-        if lo.cols > target[s]:
-            return  # no cell fits; skip the costlier upper bound
-        for m, dst in outgoing[s]:
-            if dst in chosen:
-                hi = subspace_intersect(hi, preimage(m, chosen[dst]))
-        for w in _cells_between(lo, hi, target[s], counter, cap):
-            chosen[s] = w
-            yield from rec(idx + 1)
-        chosen.pop(s, None)
-
-    return rec(0)
+    for placed, rest in _leaves(upper, incoming, outgoing, target, counter, cap):
+        slots = [s for s, _, _ in rest]
+        cells = [list(_slot_cells(s, lo, hi, target[s], counter, cap)) for s, lo, hi in rest]
+        for combo in product(*cells):
+            leaf = dict(placed)
+            leaf.update(zip(slots, combo))
+            yield leaf
 
 
 def _check_dim_vector(v_rep: Rep, v: dict) -> dict:
@@ -226,13 +321,12 @@ def _check_dim_vector(v_rep: Rep, v: dict) -> dict:
     return out
 
 
-def _submodules(v_rep: Rep, v: dict, cap: int | None):
-    """Yield each submodule of dims v as a closure-checked Subrep."""
+def _vertex_slots(v_rep: Rep, v: dict) -> tuple:
+    """(upper, incoming, outgoing, target) of `_leaves`, one slot per vertex."""
     field = v_rep.field
     if not isinstance(field, PrimeField):
         raise ValidationError("submodule enumeration requires a prime field")
     target = _check_dim_vector(v_rep, v)
-    cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
     q = v_rep.quiver
     upper = {u: Mat.identity(field, v_rep.dim(u)) for u in q.vertices}
     incoming: dict = {u: [] for u in q.vertices}
@@ -240,7 +334,14 @@ def _submodules(v_rep: Rep, v: dict, cap: int | None):
     for a in q.arrows:
         incoming[a.dst].append((v_rep.map(a.name), a.src))
         outgoing[a.src].append((v_rep.map(a.name), a.dst))
-    for leaf in _leaves(upper, incoming, outgoing, target, cap):
+    return upper, incoming, outgoing, target
+
+
+def _submodules(v_rep: Rep, v: dict, cap: int | None):
+    """Yield each submodule of dims v as a closure-checked Subrep."""
+    slots = _vertex_slots(v_rep, v)
+    cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
+    for leaf in _expanded(*slots, cap):
         s = Subrep(v_rep, leaf)
         check_closure(s)
         yield s
@@ -254,8 +355,20 @@ def enumerate_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> list:
 
 
 def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
-    """Number of arrow-closed subspaces of dims v, counted without a list."""
-    return sum(1 for _ in _submodules(v_rep, v, cap))
+    """Number of arrow-closed subspaces of dims v, counted without a list.
+
+    Each free remainder adds the product of its Gaussian binomials; no
+    submodule is built and no closure is re-checked (see the module docstring).
+    """
+    upper, incoming, outgoing, target = _vertex_slots(v_rep, v)
+    cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
+    total = 0
+    for _, rest in _leaves(upper, incoming, outgoing, target, [0], cap):
+        n = 1
+        for s, lo, hi in rest:
+            n *= gaussian_binomial(hi.cols - lo.cols, target[s] - lo.cols, hi.field.p)
+        total += n
+    return total
 
 
 def enumerate_pairs(v_rep: Rep, u: dict, u_prime: dict, cap: int | None = None) -> list:
@@ -545,7 +658,7 @@ def graded_submodules(
             outgoing[(a.src, k)].append((m, (a.dst, k_out)))
     target = {slot: int((d or {}).get(slot, 0)) for slot in upper}
     out = []
-    for leaf in _leaves(upper, incoming, outgoing, target, cap):
+    for leaf in _expanded(upper, incoming, outgoing, target, cap):
         bases = {}
         for vert in rep_p.quiver.vertices:
             b = Mat.zeros(fp, rep_p.dim(vert), 0)

@@ -24,14 +24,15 @@ where P lists the pivot rows of the canonical basis w. Because w is the
 identity on P, a column v of u lies in span(w) iff v = w·v[P], that is iff
 its residual column is zero. The residual is built from the k-row slice u[P]
 and the nonzero entries of w, and has the shape of u, never n x n:
-`subspace_contains(w, u)` tests it for zero and `preimage(x, w)` is its
-kernel. `subspace_intersect(a, b)` is a·C with C the kernel of
-`_residual(b, a)`, the coefficient vectors c with a·c in span(b). When a and
-C are canonical, so is a·C: its rows at a's pivot rows are C's rows, and
-column t starts with the leading 1 of a's column at C's t-th pivot row, so
-no further `col_space` pass is needed. A canonical basis with as many
-columns as rows is the identity, the whole space, so intersecting with it
-returns the other basis unchanged, the same object, with no elimination.
+`subspace_contains(w, u)` builds it row by row and stops at the first
+nonzero row, and `preimage(x, w)` is its kernel. `subspace_intersect(a, b)`
+is a·C with C the kernel of `_residual(b, a)`, the coefficient vectors c
+with a·c in span(b). When a and C are canonical, so is a·C: its rows at
+a's pivot rows are C's rows, and column t starts with the leading 1 of a's
+column at C's t-th pivot row, so no further `col_space` pass is needed. A
+canonical basis with as many columns as rows is the identity, the whole
+space, so intersecting with it returns the other basis unchanged, the same
+object, with no elimination.
 """
 
 from __future__ import annotations
@@ -319,30 +320,40 @@ def solve_unique(a: Mat, b: Mat) -> Mat:
     return x
 
 
-def _residual(w: Mat, u: Mat) -> Mat:
-    """u - w·u[pivot rows of w]: zero exactly in the columns of u inside span(w).
+def _residual_rows(w: Mat, u: Mat):
+    """Yield the rows of u - w·u[pivot rows of w], top to bottom, one at a time.
 
     w must be canonical. Only the nonzero entries of w and of the pivot-row
-    slice of u are visited; the result is n x cols(u).
+    slice of u are visited, and a row is built only when it is asked for.
     """
     if w.rows != u.rows:
         raise ShapeMismatchError(f"cannot reduce {u.rows}-row columns by a {w.rows}-row basis")
     f = w.field
     mul, sub = f.mul, f.sub
-    piv = pivot_rows(w)
-    slices = [[(t, y) for t, y in enumerate(u.a[p]) if y] for p in piv]
-    out = [list(r) for r in u.a]
-    for row, wi in zip(out, w.a):
+    slices = [[(t, y) for t, y in enumerate(u.a[p]) if y] for p in pivot_rows(w)]
+    for ui, wi in zip(u.a, w.a):
+        row = list(ui)
         for j, x in enumerate(wi):
             if x:
                 for t, y in slices[j]:
                     row[t] = sub(row[t], mul(x, y))
-    return Mat(f, u.rows, u.cols, out)
+        yield row
+
+
+def _residual(w: Mat, u: Mat) -> Mat:
+    """u - w·u[pivot rows of w]: zero exactly in the columns of u inside span(w).
+
+    w must be canonical; the result is n x cols(u).
+    """
+    return Mat(w.field, u.rows, u.cols, list(_residual_rows(w, u)))
 
 
 def subspace_contains(w: Mat, u: Mat) -> bool:
-    """Whether span(u) is inside span(w); w is a canonical basis."""
-    return _residual(w, u).is_zero()
+    """Whether span(u) is inside span(w); w is a canonical basis.
+
+    Stops at the first residual row with a nonzero entry.
+    """
+    return not any(map(any, _residual_rows(w, u)))
 
 
 def subspace_sum(a: Mat, b: Mat) -> Mat:

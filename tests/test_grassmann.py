@@ -35,7 +35,7 @@ from quivergrass.hull import (
     projective_sum,
 )
 from quivergrass.linalg import Mat, col_space, subspace_contains, subspace_intersect
-from quivergrass.quiver import build_quiver, double, kronecker_quiver, line_quiver
+from quivergrass.quiver import build_quiver, double, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.repmod import (
     Rep,
     check_closure,
@@ -204,6 +204,88 @@ def test_cap_exceeded_reports_candidates():
     assert exc.value.candidates == 3
 
 
+def test_cap_error_names_the_slot_and_its_branching():
+    model = injective_hull(A1, {"1": 2})
+    rep2 = reduce_mod(model.rep, 2)
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_submodules(rep2, {"1": 1}, cap=2)
+    assert exc.value.slot == "1"
+    assert str(exc.value) == "candidate count 3 exceeds the cap 2 at slot '1', branching [2 1]_2"
+
+
+def test_cap_error_names_a_branching_slot_when_counting():
+    model = injective_hull(A2, {"1": 1, "2": 1})
+    rep3 = reduce_mod(model.rep, 3)
+    assert count_submodules(rep3, {"1": 1, "2": 1}) == 7
+    with pytest.raises(CapExceededError) as exc:
+        count_submodules(rep3, {"1": 1, "2": 1}, cap=1)
+    assert exc.value.slot in A2.vertices
+    assert f"at slot {exc.value.slot!r}, branching [" in str(exc.value)
+
+
+def test_cap_does_not_charge_a_lone_slot_counted_in_closed_form():
+    model = injective_hull(A1, {"1": 2})
+    rep2 = reduce_mod(model.rep, 2)
+    assert count_submodules(rep2, {"1": 1}, cap=2) == 3
+
+
+# -- what the count path runs -------------------------------------------------
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refuse
+
+
+def test_count_runs_no_closure_check_and_enumeration_does(monkeypatch):
+    model = injective_hull(A2, {"1": 1, "2": 1})
+    rep3 = reduce_mod(model.rep, 3)
+    monkeypatch.setattr(grassmann, "check_closure", _refuse("check_closure"))
+    assert count_submodules(rep3, {"1": 1, "2": 1}) == 7
+    with pytest.raises(AssertionError, match="check_closure was called"):
+        enumerate_submodules(rep3, {"1": 1, "2": 1})
+
+
+def test_lone_slot_is_counted_without_walking_cells(monkeypatch):
+    model = injective_hull(A1, {"1": 2})
+    rep3 = reduce_mod(model.rep, 3)
+    monkeypatch.setattr(grassmann, "_cells_between", _refuse("_cells_between"))
+    assert count_submodules(rep3, {"1": 1}) == 4
+
+
+@pytest.fixture(scope="module")
+def d4_all_ones():
+    q = star_quiver(3)
+    return injective_hull(q, {v: 1 for v in q.vertices})
+
+
+D4_V = {"0": 2, "1": 1, "2": 1, "3": 1}
+
+
+def test_d4_all_ones_count_mod_2(d4_all_ones):
+    assert count_submodules(reduce_mod(d4_all_ones.rep, 2), D4_V) == 413
+
+
+@pytest.mark.slow
+def test_d4_all_ones_count_mod_3_under_the_default_cap(d4_all_ones):
+    assert count_submodules(reduce_mod(d4_all_ones.rep, 3), D4_V) == 1705
+
+
+def test_branch_point_leaves_a_remainder_of_three_slots(d4_all_ones):
+    # With nothing at the centre, its one cell is the cheapest branching, and
+    # the three legs, joined only through the centre, are left free.
+    rep2 = reduce_mod(d4_all_ones.rep, 2)
+    v = {"0": 0, "1": 1, "2": 1, "3": 1}
+    walk = list(grassmann._leaves(*grassmann._vertex_slots(rep2, v), [0], 10**6))
+    assert len(walk) == 1
+    placed, rest = walk[0]
+    assert list(placed) == ["0"]
+    assert [s for s, _, _ in rest] == ["1", "2", "3"]
+    n = count_submodules(rep2, v)
+    assert n == len(enumerate_submodules(rep2, v)) == brute_submodule_count(rep2, v)
+
+
 # -- count polynomials --------------------------------------------------------
 
 def test_adjoint_count_polynomial_frozen():
@@ -287,13 +369,18 @@ def test_counts_match_brute_force_over_a3_census():
             assert count_submodules(rep_p, v) == brute_submodule_count(rep_p, v), (p, vec)
 
 
+RANDOM_QUIVERS = [double(A2), double(A3), double(star_quiver(3)), double(kronecker_quiver())]
+
+
 @st.composite
 def random_double_reps(draw):
-    """(rep, d): random maps on doubled A2 or A3 over F_2 or F_3, dims <= 3.
+    """(rep, d): random maps over F_2 or F_3, dims <= 3, on a doubled quiver.
 
+    The quivers are doubled A2, A3, D4 (`star_quiver(3)`, whose centre, once
+    placed, leaves the three legs free) and Kronecker (parallel arrows).
     The maps need not satisfy the preprojective relation.
     """
-    q = draw(st.sampled_from([double(A2), double(A3)]))
+    q = draw(st.sampled_from(RANDOM_QUIVERS))
     field = draw(st.sampled_from([PrimeField(2), PrimeField(3)]))
     dims = {v: draw(st.integers(0, 3)) for v in q.vertices}
     entry = st.integers(0, field.p - 1)
@@ -310,6 +397,25 @@ def random_double_reps(draw):
 def test_counts_match_brute_force_on_random_double_quiver_reps(case):
     rep, d = case
     assert count_submodules(rep, d) == brute_submodule_count(rep, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_double_reps(), st.data())
+def test_counts_unchanged_when_vertices_are_permuted_and_renamed(case, data):
+    rep, d = case
+    q = rep.quiver
+    order = data.draw(st.permutations(q.vertices))
+    arrows = data.draw(st.permutations(q.arrows))
+    name = {v: f"x{v}" for v in q.vertices}
+    relabelled = Rep(
+        rep.field,
+        build_quiver([name[v] for v in order], [(a.name, name[a.src], name[a.dst]) for a in arrows]),
+        {name[v]: rep.dim(v) for v in q.vertices},
+        dict(rep.maps),
+    )
+    n = count_submodules(rep, d)
+    assert count_submodules(relabelled, {name[v]: k for v, k in d.items()}) == n
+    assert len(enumerate_submodules(rep, d)) == n
 
 
 @pytest.fixture(scope="module")
