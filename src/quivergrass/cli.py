@@ -25,6 +25,10 @@ certificate failed (always a bug).
 Caps and truncations can also be supplied through a JSON config file
 (``--config``) with keys among {"trunc", "cap", "workers"}; explicit flags
 win over the file.
+
+Each verb imports the library modules it calls when it runs, with
+``from .module import name``, so an invocation loads only those; only
+`verify` loads the acceptance battery.
 """
 
 from __future__ import annotations
@@ -33,24 +37,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .acceptance import format_result, run_suite
-from .demazure import demazure_module
 from .errors import (
     InternalCheckError,
     LimitError,
     QuivergrassError,
     ValidationError,
 )
-from .geomrep import chevalley_compare, finite_points, operator_matrices
-from .grassmann import count_polynomial, count_submodules, interpolation_plan
-from .hull import injective_hull, projective_sum
-from .palg import hilbert
-from .quiver import Quiver, classify, parse_dimvec, quiver_from_json, quiver_to_json
-from .repmod import reduce_mod, rep_to_obj, subrep_to_obj
-from .weyl import weight_multiplicity
+from .quiver import Quiver, parse_dimvec, quiver_from_json
 
 _CONFIG_KEYS = ("trunc", "cap", "workers")
 
@@ -142,6 +137,8 @@ def _rational_matrix(m) -> list:
 # -- verbs ----------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
+    from .quiver import classify
+
     q = _load_quiver(args.quiver)
     result = classify(q)
     _emit({"kind": result.kind, "label": result.label})
@@ -149,6 +146,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ppalg_dims(args) -> int:
+    from .palg import hilbert
+
     q = _load_quiver(args.quiver)
     if args.max_len < 0:
         raise ValidationError("--max-len must be non-negative")
@@ -157,6 +156,9 @@ def _cmd_ppalg_dims(args) -> int:
 
 
 def _cmd_injective(args) -> int:
+    from .hull import injective_hull
+    from .repmod import rep_to_obj
+
     q = _load_quiver(args.quiver)
     socle = _dimvec(q, args.socle)
     model = injective_hull(q, socle, _setting(args, "trunc"))
@@ -176,6 +178,9 @@ def _cmd_injective(args) -> int:
 
 
 def _cmd_projective(args) -> int:
+    from .hull import projective_sum
+    from .repmod import rep_to_obj
+
     q = _load_quiver(args.quiver)
     w = _dimvec(q, args.w)
     rep = projective_sum(q, w, _setting(args, "trunc"))
@@ -184,6 +189,9 @@ def _cmd_projective(args) -> int:
 
 
 def _cmd_demazure(args) -> int:
+    from .demazure import demazure_module
+    from .repmod import subrep_to_obj
+
     q = _load_quiver(args.quiver)
     w = _dimvec(q, args.w)
     word = _parse_word(args.word)
@@ -208,6 +216,10 @@ def _cmd_demazure(args) -> int:
 
 def _prime_count_task(task: tuple) -> tuple:
     """Count submodules at one prime; runs in a worker process."""
+    from .grassmann import count_submodules
+    from .hull import injective_hull
+    from .repmod import reduce_mod
+
     qjson, w_items, v_items, p, trunc, cap = task
     q = quiver_from_json(qjson)
     model = injective_hull(q, dict(w_items), trunc)
@@ -215,6 +227,9 @@ def _prime_count_task(task: tuple) -> tuple:
 
 
 def _cmd_count(args) -> int:
+    from .grassmann import count_polynomial, interpolation_plan
+    from .quiver import quiver_to_json
+
     q = _load_quiver(args.quiver)
     w = _dimvec(q, args.w)
     v = _dimvec(q, args.v)
@@ -229,6 +244,8 @@ def _cmd_count(args) -> int:
         # One worker per planned prime at most, and no more than the cores.
         workers = min(workers, len(planned), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [
             (
                 quiver_to_json(q),
@@ -257,6 +274,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_weightmult(args) -> int:
+    from .weyl import weight_multiplicity
+
     q = _load_quiver(args.quiver)
     w = _dimvec(q, args.w)
     v = _dimvec(q, args.v)
@@ -265,6 +284,9 @@ def _cmd_weightmult(args) -> int:
 
 
 def _cmd_rep_matrices(args) -> int:
+    from .geomrep import finite_points, operator_matrices
+    from .repmod import subrep_to_obj
+
     q = _load_quiver(args.quiver)
     w = _dimvec(q, args.w)
     primes = _parse_primes(args.primes)
@@ -293,6 +315,8 @@ def _cmd_rep_matrices(args) -> int:
 
 
 def _cmd_chevalley(args) -> int:
+    from .geomrep import chevalley_compare
+
     q = _load_quiver(args.quiver)
     w = _dimvec(q, args.w)
     primes = _parse_primes(args.primes)
@@ -313,6 +337,8 @@ def _cmd_chevalley(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .acceptance import format_result, run_suite
+
     if args.suite != "core":
         raise ValidationError(f"unknown suite {args.suite!r}; available: core")
     results = run_suite()

@@ -35,7 +35,7 @@ Invariant: every basis the recursion stores, and every basis it hands to
 column-echelon basis (`linalg.col_space` form).  The bounds come from
 canonicalizing constructors, and `_cells_between` builds each cell canonical
 by merging two canonical column sets with disjoint pivot rows, with no
-elimination.  `linalg._residual`, `_complement_in` and that merge read
+elimination.  `linalg._merge`, `_complement_in` and `subspace_sum` read
 pivots off such bases and give wrong answers on any other spanning set.
 
 Point counts at several primes feed a Lagrange interpolation whose value at
@@ -60,13 +60,14 @@ from .fields import PrimeField, is_prime
 from .hull import Grading, InjectiveModel, injective_hull
 from .linalg import (
     Mat,
-    _residual,
+    _merge,
     col_space,
     mat_over,
     pivot_rows,
     preimage,
     subspace_contains,
     subspace_intersect,
+    subspace_sum,
 )
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
@@ -146,18 +147,11 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
     `lower` and `upper` must be canonical bases with span(lower) inside
     span(upper), and each W comes out as its canonical basis, built by a
     merge with no elimination.  The columns `comp` of `upper` outside
-    lower's pivot rows are canonical, with pivot rows Q disjoint from
-    lower's pivot rows P, and zero on P.  For a
-    canonical cell s, comp·s is again canonical: its column t has the
-    leading 1 of comp's column at s's t-th pivot, comp's later columns are
-    zero down to that row, and s is zero at its other pivots.  It is zero
-    on P too.  Clearing lower's columns at the pivot rows of comp·s
-    (`_residual(comp·s, lower)`) subtracts from lower's column j only
-    columns of comp·s whose pivot row lies below lower's leading 1 at p_j
-    (lower is zero above p_j) and which are zero on P, so the leading 1
-    and the zeros on P stay, and each cleared row is left exactly zero
-    because comp·s is the identity on its own pivot rows.  The two column
-    sets, merged in pivot-row order, are then the canonical basis of W.
+    lower's pivot rows P are canonical and zero on P.  For a canonical cell
+    s, comp·s is again canonical: its column t has the leading 1 of comp's
+    column at s's t-th pivot, comp's later columns are zero down to that
+    row, and s is zero at its other pivots.  It is zero on P too, so
+    `linalg._merge(lower, comp·s)` is the canonical basis of W.
     The cap is charged for the whole cell before the first yield.
     """
     l, m = lower.cols, upper.cols
@@ -171,18 +165,9 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
             candidates=counter[0] + count,
         )
     counter[0] += count
-    lower_piv = pivot_rows(lower)
     comp = _complement_in(lower, upper)
     for s in subspace_cells(field, m - l, k - l):
-        new = comp @ s
-        cleared = _residual(new, lower)
-        order = [j for _, j in sorted(zip(lower_piv + pivot_rows(new), range(k)))]
-        yield Mat(
-            field,
-            lower.rows,
-            k,
-            [[r[j] for j in order] for r in map(list.__add__, cleared.a, new.a)],
-        )
+        yield _merge(lower, comp @ s)
 
 
 def _slot_cells(slot, lo: Mat, hi: Mat, k: int, counter: list, cap: int):
@@ -246,7 +231,7 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: 
         for m, t in outgoing[s]:
             if t in rest:
                 lo, hi, _ = new[t]
-                lo = col_space(lo.hstack(m @ w))
+                lo = subspace_sum(lo, m @ w)
                 if lo.cols > target[t]:
                     return None  # no cell fits; skip the costlier upper bounds
                 new[t] = (lo, hi, None)

@@ -29,7 +29,9 @@ nonzero row, and `preimage(x, w)` is its kernel. `subspace_intersect(a, b)`
 is a·C with C the kernel of `_residual(b, a)`, the coefficient vectors c
 with a·c in span(b). When a and C are canonical, so is a·C: its rows at
 a's pivot rows are C's rows, and column t starts with the leading 1 of a's
-column at C's t-th pivot row, so no further `col_space` pass is needed. A
+column at C's t-th pivot row, so no further `col_space` pass is needed.
+`subspace_sum(a, b)` eliminates only `_residual(a, b)`, which is zero on
+a's pivot rows, and merges its canonical basis with a by pivot row. A
 canonical basis with as many columns as rows is the identity, the whole
 space, so intersecting with it returns the other basis unchanged, the same
 object, with no elimination.
@@ -356,8 +358,38 @@ def subspace_contains(w: Mat, u: Mat) -> bool:
     return not any(map(any, _residual_rows(w, u)))
 
 
+def _merge(a: Mat, b: Mat) -> Mat:
+    """Canonical basis of span(a) + span(b), built with no elimination.
+
+    a and b are canonical and b is zero on a's pivot rows P, so b's pivot
+    rows Q are disjoint from P. Clearing a at Q (`_residual(b, a)`)
+    subtracts from a's column j only columns of b whose pivot row lies
+    below a's leading 1 at p_j (a is zero above p_j); they are zero down to
+    that pivot row and on P, so the leading 1 and the zeros on P stay, and
+    each row of Q is left exactly zero because b is the identity on Q. The
+    two column sets, merged in pivot-row order, are then canonical. When
+    either basis is empty the other is returned as is, the same object.
+    """
+    if not b.cols:
+        return a
+    if not a.cols:
+        return b
+    order = [j for _, j in sorted(zip(pivot_rows(a) + pivot_rows(b), range(a.cols + b.cols)))]
+    return Mat(
+        a.field,
+        a.rows,
+        len(order),
+        [[r[j] for j in order] for r in map(list.__add__, _residual_rows(b, a), b.a)],
+    )
+
+
 def subspace_sum(a: Mat, b: Mat) -> Mat:
-    return col_space(a.hstack(b))
+    """Canonical basis of span(a) + span(b); a is a canonical basis.
+
+    Only the residual of b against a is eliminated. Its columns are zero on
+    a's pivot rows, so its canonical basis merges with a by pivot row.
+    """
+    return _merge(a, col_space(_residual(a, b)))
 
 
 def subspace_intersect(a: Mat, b: Mat) -> Mat:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line: shapes, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
 import shutil
@@ -8,12 +9,18 @@ import sys
 
 import pytest
 
-from quivergrass import cli
 from quivergrass.cli import main
 from quivergrass.repmod import rep_from_obj
 
 
 A2 = {"vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1", "to": "2"}]}
+A3 = {
+    "vertices": ["1", "2", "3"],
+    "arrows": [
+        {"name": "a", "from": "1", "to": "2"},
+        {"name": "b", "from": "2", "to": "3"},
+    ],
+}
 KRONECKER = {
     "vertices": ["1", "2"],
     "arrows": [
@@ -122,12 +129,13 @@ def test_count_fields(capsys, a2_path):
 def test_count_workers_byte_identical(capsys, monkeypatch, a2_path):
     pools = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # The command line imports the pool from concurrent.futures when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     base = ["count", a2_path, "--w", "1,1", "--v", "1,1", "--primes", "2,3,5"]
     rc, serial, _ = run_cli(capsys, base)
     assert rc == 0
@@ -275,3 +283,36 @@ def test_python_m_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def _imports(argv):
+    """Exit status and the modules a fresh `python -m quivergrass.cli` imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "quivergrass.cli", *argv],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, names
+
+
+def test_classify_imports_only_what_it_calls(tmp_path):
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(A3))
+    rc, names = _imports(["classify", str(path)])
+    assert rc == 0
+    assert "quivergrass.quiver" in names
+    unwanted = [f"quivergrass.{m}" for m in
+                ("acceptance", "geomrep", "grassmann", "demazure", "hull", "weyl")]
+    assert not names & {*unwanted, "concurrent.futures.process"}
+
+
+def test_verify_imports_the_battery():
+    rc, names = _imports(["verify", "core"])
+    assert rc == 0
+    assert "quivergrass.acceptance" in names

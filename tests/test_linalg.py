@@ -19,6 +19,7 @@ from quivergrass.linalg import (
     solve_unique,
     subspace_contains,
     subspace_intersect,
+    subspace_sum,
 )
 
 from oracles import textbook_rref
@@ -231,6 +232,24 @@ def test_subspace_intersect_is_the_canonical_meet(case):
     assert meet.cols == a.cols + b.cols - _textbook_rank(a.hstack(b), p)
     assert _inside(a, meet, p)
     assert _inside(b, meet, p)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(field, a, b) with as many rows; b partly inside span(a) half the time."""
+    field = draw(st.sampled_from(FIELDS))
+    a = draw(matrices(field))
+    b = draw(matrices(field, rows=a.rows))
+    if draw(st.booleans()):
+        b = b.hstack(a @ draw(matrices(field, rows=a.cols)))
+    return field, a, b
+
+
+@PROPERTY
+@given(matrix_pairs())
+def test_subspace_sum_is_the_canonical_join(case):
+    field, a, b = case
+    assert subspace_sum(col_space(a), b) == col_space(a.hstack(b))
 
 
 # -- row ownership and the whole space ------------------------------------------
