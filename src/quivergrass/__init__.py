@@ -24,9 +24,9 @@ _EXPORTS = {
     "geomrep": ("ChevalleyReport", "FiniteRealization", "Sl2Report", "chevalley_compare",
                 "fiber_euler", "finite_points", "operator_matrices", "restricted_compat",
                 "verify_sl2"),
-    "grassmann": ("CountPoly", "count_polynomial", "count_submodules", "enumerate_pairs",
-                  "enumerate_submodules", "expected_dimension", "gaussian_binomial",
-                  "graded_submodules", "interpolation_plan", "tilde_count"),
+    "grassmann": ("CountPoly", "count_polynomial", "count_submodules", "enumerate_submodules",
+                  "expected_dimension", "gaussian_binomial", "graded_submodules",
+                  "interpolation_plan", "tilde_count"),
     "hull": ("ExtensionResult", "FramedPoint", "Grading", "InjectiveModel", "arrow_weights",
              "eigen_grading", "extend_to_injective", "framed_point", "identity_framing",
              "induced_automorphism", "injective_hull", "is_stable", "projective_sum",
@@ -41,7 +41,7 @@ _EXPORTS = {
                "socle", "socle_filtration", "sub_generated", "subrep_to_obj", "zero_subrep"),
     "weyl": ("act", "apply_involution", "bruhat_leq", "diagram_involution", "extremal_orbit",
              "is_reduced", "longest_element", "positive_roots", "reduce_word", "weight_census",
-             "weight_multiplicity", "word_length"),
+             "weight_multiplicity"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -35,8 +35,8 @@ Invariant: every basis the recursion stores, and every basis it hands to
 column-echelon basis (`linalg.col_space` form).  The bounds come from
 canonicalizing constructors, and `_cells_between` builds each cell canonical
 by merging two canonical column sets with disjoint pivot rows, with no
-elimination.  `linalg._merge`, `_complement_in` and `subspace_sum` read
-pivots off such bases and give wrong answers on any other spanning set.
+elimination.  `linalg._merge` and `_complement_in` read pivots off such
+bases and give wrong answers on any other spanning set.
 
 Point counts at several primes feed a Lagrange interpolation whose value at
 1 is the Euler characteristic; every interpolation is certified at an extra
@@ -354,29 +354,6 @@ def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
             n *= gaussian_binomial(hi.cols - lo.cols, target[s] - lo.cols, hi.field.p)
         total += n
     return total
-
-
-def enumerate_pairs(v_rep: Rep, u: dict, u_prime: dict, cap: int | None = None) -> list:
-    """Nested submodule pairs (inner, outer) with dims u <= u_prime."""
-    lo = _check_dim_vector(v_rep, u)
-    hi = _check_dim_vector(v_rep, u_prime)
-    for vert in v_rep.quiver.vertices:
-        if lo[vert] > hi[vert]:
-            raise ValidationError("inner dims must be at most the outer dims")
-    cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
-    inner = enumerate_submodules(v_rep, lo, cap)
-    outer = enumerate_submodules(v_rep, hi, cap)
-    if len(inner) * len(outer) > cap:
-        raise CapExceededError(
-            f"pair candidate count {len(inner) * len(outer)} exceeds the cap {cap}",
-            candidates=len(inner) * len(outer),
-        )
-    pairs = []
-    for s in inner:
-        for t in outer:
-            if all(subspace_contains(t.basis(vv), s.basis(vv)) for vv in v_rep.quiver.vertices):
-                pairs.append((s, t))
-    return pairs
 
 
 def tilde_count(v_rep: Rep, v: dict, cap: int | None = None) -> int:

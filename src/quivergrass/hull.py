@@ -20,7 +20,6 @@ homogeneous system is the uniqueness certificate.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import QQ
-from .linalg import Mat, kernel, rank, rref
+from .linalg import Mat, _solve, kernel, rank
 from .palg import Path, algebra, compose, default_truncation, trivial_path
 from .quiver import Quiver
 from .repmod import (
@@ -240,9 +239,10 @@ def _solve_intertwining(v_rep: Rep, target: Rep, twists: dict, proj: dict,
     """Solve {g x_a = twist_a . y_a g for all a; proj g = rhs_proj} for g.
 
     Unknowns are the per-vertex matrices of g (target dim x source dim).
-    One elimination of [system | rhs] decides both failures: fewer pivots
-    than unknowns left of the rhs column means a nonzero homogeneous kernel,
-    checked first; otherwise a pivot in the rhs column means no solution.
+    The rows are built with the rhs as their last column, and `linalg._solve`
+    eliminates them once. A rank below the number of unknowns means a
+    nonzero homogeneous kernel, checked first; otherwise no solution means
+    the system is inconsistent.
     """
     field = v_rep.field
     rows, offsets, total = intertwining_rows(v_rep, target, twists)
@@ -260,13 +260,12 @@ def _solve_intertwining(v_rep: Rep, target: Rep, twists: dict, proj: dict,
                     row[offsets[v] + k * n + j] = x
                 row[total] = field.of(r_p[i][j])
                 rows.append(row)
-    r, pivots = rref(Mat(field, len(rows), total + 1, rows))
-    rank_m = bisect_left(pivots, total)
+    x, rank_m = _solve(Mat(field, len(rows), total + 1, rows), total)
     if rank_m < total:
         raise NonUniqueError("homogeneous intertwining system has a nonzero kernel")
-    if rank_m < len(pivots):
+    if x is None:
         raise NoSolutionError("intertwining system is unsolvable")
-    return maps_from_unknowns([r.a[i][total] for i in range(total)], offsets, v_rep, target)
+    return maps_from_unknowns([row[0] for row in x.a], offsets, v_rep, target)
 
 
 def extend_to_injective(v_rep: Rep, tau: dict, model: InjectiveModel) -> ExtensionResult:

@@ -16,8 +16,14 @@ normalized to 0..p-1, is falsy iff it is zero. `rref` is the one
 elimination, over Q and F_p alike. It touches only nonzero entries: the
 pivot row is scaled in its nonzero columns, and every other row is updated
 in those columns only. Each solve makes exactly one elimination: `kernel`
-eliminates M once, and `solve_right` and `solve_unique` read the solution
-and the rank of A off one elimination of [A | B].
+eliminates M once, and `_solve(ab, n)` eliminates an augmented matrix
+[A | B], A its first n columns, once. `_solve` is the only code that reads
+a rank and a solution off pivots: `solve_right` and `solve_unique` hand it
+`a.hstack(b)`, and `hull` hands it the intertwining system it builds
+already augmented, so that system is never copied. No module outside
+`linalg` calls `rref` or reads a rank or a solution off pivots; the Cartan
+classification in `quiver` pivots on its symmetric form by congruence and
+solves nothing.
 
 Subspace questions go through one kernel, `_residual(w, u) = u - w·u[P]`,
 where P lists the pivot rows of the canonical basis w. Because w is the
@@ -30,11 +36,13 @@ is a·C with C the kernel of `_residual(b, a)`, the coefficient vectors c
 with a·c in span(b). When a and C are canonical, so is a·C: its rows at
 a's pivot rows are C's rows, and column t starts with the leading 1 of a's
 column at C's t-th pivot row, so no further `col_space` pass is needed.
-`subspace_sum(a, b)` eliminates only `_residual(a, b)`, which is zero on
-a's pivot rows, and merges its canonical basis with a by pivot row. A
-canonical basis with as many columns as rows is the identity, the whole
-space, so intersecting with it returns the other basis unchanged, the same
-object, with no elimination.
+`subspace_sum(a, b)` is one elimination of [a | b]; reducing b against a
+first and merging the two bases cost more than it saved. `_merge` joins
+two canonical bases with disjoint pivot rows without eliminating, which is
+how `grassmann._cells_between` builds its cells. A canonical basis with as
+many columns as rows is the identity, the whole space, so intersecting
+with it returns the other basis unchanged, the same object, with no
+elimination.
 """
 
 from __future__ import annotations
@@ -291,30 +299,31 @@ def kernel(m: Mat) -> Mat:
     return Mat(f, n, len(cols), list(map(list, zip(*cols))))
 
 
-def _solve(a: Mat, b: Mat) -> tuple[Mat | None, int]:
-    """One elimination of [A | B]: a solution X of A X = B (or None) and rank A.
+def _solve(ab: Mat, n: int) -> tuple[Mat | None, int]:
+    """One elimination of the augmented matrix [A | B], A its first n columns.
 
-    The rank of A is the number of pivots left of column A.cols; A X = B is
-    solvable iff no pivot lies right of it. Free variables are set to zero.
+    Returns a solution X of A X = B (or None) and rank A. The rank of A is
+    the number of pivots left of column n; A X = B is solvable iff no pivot
+    lies right of it. Free variables are set to zero.
     """
-    r, pivots = rref(a.hstack(b))
-    rank_a = bisect_left(pivots, a.cols)
+    r, pivots = rref(ab)
+    rank_a = bisect_left(pivots, n)
     if rank_a != len(pivots):
         return None, rank_a
-    x = Mat.zeros(a.field, a.cols, b.cols)
+    x = Mat.zeros(ab.field, n, ab.cols - n)
     for i, pc in enumerate(pivots):
-        x.a[pc] = r.a[i][a.cols:]
+        x.a[pc] = r.a[i][n:]
     return x, rank_a
 
 
 def solve_right(a: Mat, b: Mat) -> Mat | None:
     """One solution X of A X = B, or None. Free variables are set to zero."""
-    return _solve(a, b)[0]
+    return _solve(a.hstack(b), a.cols)[0]
 
 
 def solve_unique(a: Mat, b: Mat) -> Mat:
     """The unique solution of A X = B; raises if none or many."""
-    x, rank_a = _solve(a, b)
+    x, rank_a = _solve(a.hstack(b), a.cols)
     if x is None:
         raise NoSolutionError("linear system has no solution")
     if rank_a != a.cols:
@@ -384,12 +393,8 @@ def _merge(a: Mat, b: Mat) -> Mat:
 
 
 def subspace_sum(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of span(a) + span(b); a is a canonical basis.
-
-    Only the residual of b against a is eliminated. Its columns are zero on
-    a's pivot rows, so its canonical basis merges with a by pivot row.
-    """
-    return _merge(a, col_space(_residual(a, b)))
+    """Canonical basis of span(a) + span(b), by one elimination of [a | b]."""
+    return col_space(a.hstack(b))
 
 
 def subspace_intersect(a: Mat, b: Mat) -> Mat:
@@ -413,57 +418,6 @@ def coords_in(w: Mat, b: Mat) -> Mat:
     if not subspace_contains(w, b):
         raise NoSolutionError("columns do not lie in the given subspace")
     return b.take_rows(pivot_rows(w))
-
-
-def char_poly(m: Mat) -> list:
-    """Coefficients of det(tI - M), lowest degree first. Rationals only."""
-    f = m.field
-    if f.char != 0:
-        raise ShapeMismatchError("char_poly requires rational entries")
-    n = m.rows
-    coeffs = [f.zero] * (n + 1)
-    coeffs[n] = f.one
-    mk = Mat.identity(f, n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        tr = f.zero
-        for i in range(n):
-            tr = f.add(tr, mk.a[i][i])
-        ck = f.mul(f.inv(f.of(k)), tr)
-        coeffs[n - k] = f.neg(ck)
-        for i in range(n):
-            mk.a[i][i] = f.sub(mk.a[i][i], ck)
-    return coeffs
-
-
-def det(m: Mat):
-    """Exact determinant by fraction-free-ish elimination through the field."""
-    f = m.field
-    if m.rows != m.cols:
-        raise ShapeMismatchError("determinant of a non-square matrix")
-    n = m.rows
-    a = [list(r) for r in m.a]
-    sign = 1
-    acc = f.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return f.zero
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        piv = a[c][c]
-        acc = f.mul(acc, piv)
-        inv = f.inv(piv)
-        for i in range(c + 1, n):
-            if a[i][c]:
-                coef = f.mul(a[i][c], inv)
-                a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[c])]
-    return acc if sign == 1 else f.neg(acc)
 
 
 def mat_over(field, m: Mat) -> Mat:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import NotFiniteTypeError, ValidationError
 from .fields import QQ
-from .linalg import Mat, rref
+from .linalg import Mat, _residual, col_space, pivot_rows
 from .quiver import Quiver, cartan_matrix, double
 
 
@@ -157,11 +157,12 @@ class PathAlgebra:
 
         prev = self.slice(n - 1)
         prev2 = self.slice(n - 2)
-        # candidate generators: (arrow b, basis class kappa of degree n-1)
+        # candidate generators: (arrow b, basis class kappa of degree n-1);
+        # a block with no candidates is not built
         by_block: dict[tuple[str, str], list[tuple[str, Path]]] = {}
         for a in dq.arrows:
             for (src, dst), blk in prev.blocks.items():
-                if dst != a.src:
+                if dst != a.src or not blk.paths:
                     continue
                 cell = by_block.setdefault((src, a.dst), [])
                 cell.extend((a.name, kappa) for kappa in blk.paths)
@@ -262,35 +263,18 @@ class PathAlgebra:
 def _quotient_by_rows(rows: list[list], ncols: int) -> tuple[list[int], list[list]]:
     """Quotient of F^ncols by the row span.
 
-    Pivots are chosen at the lexicographically latest coordinates so that the
-    earliest coordinates survive as representatives. Returns the representative
-    coordinate indices and, for each coordinate, its expansion over them.
+    Coordinates are reversed before the span is made canonical, so its pivots
+    fall on the lexicographically latest coordinates and the earliest survive
+    as representatives. Returns the representative coordinate indices and,
+    for each coordinate, its expansion over them: the residual of the unit
+    vector against the span, read at the representatives, as
+    `repmod.quotient` reads its projections.
     """
-    if not rows:
-        ident = [
-            [QQ.one if j == i else QQ.zero for j in range(ncols)]
-            for i in range(ncols)
-        ]
-        return list(range(ncols)), ident
-    rev = [list(reversed(r)) for r in rows]
-    r, pivots = rref(Mat.from_rows(QQ, rev, ncols))
-    pivot_orig = [ncols - 1 - c for c in pivots]
-    reps = [i for i in range(ncols) if i not in pivot_orig]
-    rep_pos = {c: i for i, c in enumerate(reps)}
-    exprs: list[list] = []
-    for i in range(ncols):
-        if i in rep_pos:
-            row = [QQ.zero] * len(reps)
-            row[rep_pos[i]] = QQ.one
-            exprs.append(row)
-        else:
-            k = pivot_orig.index(i)
-            row = [QQ.zero] * len(reps)
-            for c in range(ncols):
-                if c in rep_pos and r.a[k][ncols - 1 - c] != QQ.zero:
-                    row[rep_pos[c]] = QQ.neg(r.a[k][ncols - 1 - c])
-            exprs.append(row)
-    return reps, exprs
+    span = col_space(Mat(QQ, len(rows), ncols, [r[::-1] for r in rows]).t())
+    pivots = set(pivot_rows(span))
+    free = [ncols - 1 - i for i in range(ncols) if ncols - 1 - i not in pivots]
+    res = _residual(span, Mat.identity(QQ, ncols)).take_rows(free)
+    return [ncols - 1 - f for f in free], [[r[ncols - 1 - i] for r in res.a] for i in range(ncols)]
 
 
 # -- headline queries --------------------------------------------------------

@@ -23,8 +23,6 @@ from .errors import (
     NotFiniteTypeError,
     ValidationError,
 )
-from .fields import QQ
-from .linalg import Mat, char_poly, det, rank
 
 
 @dataclass(frozen=True)
@@ -156,30 +154,40 @@ def cartan_matrix(q: Quiver) -> CartanData:
         i, j = q.vindex(u), q.vindex(v)
         c[i][j] -= mult
         c[j][i] -= mult
-    mat = Mat(QQ, n, n, [[Fraction(x) for x in row] for row in c])
-    kind = _definiteness_kind(mat)
-    return CartanData(tuple(tuple(int(x) for x in row) for row in c), kind)
+    return CartanData(tuple(map(tuple, c)), _definiteness_kind(c))
 
 
-def _definiteness_kind(c: Mat) -> str:
-    n = c.rows
-    posdef = True
-    for k in range(1, n + 1):
-        minor = det(c.take_rows(range(k)).take_cols(range(k)))
-        if minor <= 0:
-            posdef = False
+def _definiteness_kind(c: list) -> str:
+    """"finite", "affine" or "wild" for a symmetric integer matrix c.
+
+    One symmetric elimination: while some diagonal entry d of what is left
+    is positive, pivot on it and replace the rest by its Schur complement
+    (entry x_ij becomes x_ij - x_ik x_kj / d). Each step is a congruence, so
+    what is left is semidefinite or definite exactly when c is, and c's
+    corank is the remainder's. When no positive diagonal entry is left, the
+    remainder R decides: c is positive definite ("finite") iff R is empty;
+    a symmetric R with no positive diagonal entry is semidefinite iff it is
+    zero, and then c's corank is the size of R. Semidefinite of corank 1 is
+    "affine"; everything else is "wild".
+    """
+    a = [[Fraction(x) for x in row] for row in c]
+    while True:
+        k = next((i for i, row in enumerate(a) if row[i] > 0), None)
+        if k is None:
             break
-    if posdef:
+        pivot_row = a.pop(k)
+        d = pivot_row.pop(k)
+        for row in a:
+            x = row.pop(k)
+            if x:
+                s = x / d
+                for j, y in enumerate(pivot_row):
+                    if y:
+                        row[j] -= s * y
+    if not a:
         return "finite"
-    # Positive semidefinite iff every elementary symmetric function of the
-    # (real) eigenvalues is >= 0; read them off the characteristic polynomial.
-    coeffs = char_poly(c)
-    psd = all(
-        (Fraction(-1) ** (n - deg)) * coeffs[deg] >= 0 for deg in range(n + 1)
-    )
-    if psd and (n - rank(c)) == 1:
-        return "affine"
-    return "wild"
+    semidefinite = not any(map(any, a))
+    return "affine" if semidefinite and len(a) == 1 else "wild"
 
 
 def classify(q: Quiver) -> Classification:

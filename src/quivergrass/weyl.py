@@ -200,10 +200,6 @@ def reduce_word(q: Quiver, word) -> tuple:
     return out
 
 
-def word_length(q: Quiver, word) -> int:
-    return len(reduce_word(q, word))
-
-
 def bruhat_leq(q: Quiver, u, v) -> bool:
     """Bruhat order: u at or below v; v must be reduced."""
     v = tuple(v)

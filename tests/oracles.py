@@ -7,7 +7,7 @@ with these on every case small enough to run them.
 
 import functools
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 from quivergrass.fields import QQ
 from quivergrass.palg import raw_paths
@@ -95,6 +95,55 @@ def textbook_rref(rows, ncols, p=None):
                 a[i] = [norm(x - coef * y) for x, y in zip(a[i], a[r])]
         pivots.append(c)
     return a, pivots
+
+
+# -- definiteness of the Cartan form --------------------------------------------
+
+def cartan_form(q):
+    """2I minus the edge count of the underlying graph, from the arrow list."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    c = [[2 if i == j else 0 for j in range(len(index))] for i in range(len(index))]
+    for a in q.arrows:
+        s, t = index[a.src], index[a.dst]
+        c[s][t] -= 1
+        c[t][s] -= 1
+    return c
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations; no elimination."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def form_kind(c):
+    """"finite", "affine" or "wild" for a symmetric integer matrix, from minors.
+
+    Positive definite iff every leading principal minor is positive
+    (Sylvester's criterion); positive semidefinite iff every principal
+    minor is nonnegative; the corank is n minus the rank `textbook_rref`
+    finds. Semidefinite of corank 1 is affine, anything else not definite
+    is wild.
+    """
+    n = len(c)
+
+    def minor(idx):
+        return leibniz_det([[c[i][j] for j in idx] for i in idx])
+
+    if all(minor(range(k)) > 0 for k in range(1, n + 1)):
+        return "finite"
+    semidefinite = all(
+        minor(idx) >= 0 for k in range(1, n + 1) for idx in combinations(range(n), k)
+    )
+    corank = n - len(textbook_rref(c, n)[1])
+    return "affine" if semidefinite and corank == 1 else "wild"
 
 
 # -- F_p submodules as sets of vectors -----------------------------------------

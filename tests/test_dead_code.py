@@ -1,4 +1,5 @@
-"""Every module-level private helper in the package is used somewhere in it."""
+"""Every module-level private helper in the package is used somewhere in it,
+and so is every public name, unless the allowlist below says why it stays."""
 
 import ast
 from pathlib import Path
@@ -21,16 +22,18 @@ def _references(node: ast.AST) -> set:
     return found
 
 
+def _defined_names(node: ast.stmt) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _private_names(node: ast.stmt) -> list:
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        names = [node.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in _defined_names(node) if n.startswith("_") and not n.startswith("__")]
 
 
 # One entry per top-level statement of every module: (module, statement).
@@ -63,3 +66,47 @@ def test_private_helper_is_referenced(module, name, k):
     assert _used_outside(name, k), (
         f"{module} defines {name}, which nothing else in the package uses"
     )
+
+
+# Public names that nothing in the package uses, each with why it is kept.
+PUBLIC_ALLOWLIST = {
+    "demazure.stabilization_sigma": "the shortest Demazure word whose stage counts are "
+                                    "already stable, which the Demazure tests check",
+    "hull.framed_point": "the paper's framed point of a hull submodule; tests check that "
+                         "Demazure stages give stable ones",
+    "repmod.radical": "the radical, the counterpart of `socle` for reading a module's top",
+    "repmod.rep_from_obj": "reads back a representation that `rep_to_obj` wrote for the CLI",
+    "repmod.socle_filtration": "the socle series; the hull tests certify a truncated "
+                               "injective's Loewy length with it",
+}
+
+
+EXPORTS = next(
+    ast.literal_eval(node.value)
+    for module, node in STATEMENTS
+    if module == "__init__.py" and "_EXPORTS" in _defined_names(node)
+)
+PUBLIC = [
+    (module, name, next(k for k, (m, node) in enumerate(STATEMENTS)
+                        if m == f"{module}.py" and name in _defined_names(node)))
+    for module, names in EXPORTS.items()
+    for name in names
+]
+
+
+def test_the_allowlist_names_exports():
+    assert set(PUBLIC_ALLOWLIST) <= {f"{m}.{n}" for m, n, _ in PUBLIC}
+
+
+@pytest.mark.parametrize(
+    "module, name, k", PUBLIC, ids=[f"{m}.{n}" for m, n, _ in PUBLIC]
+)
+def test_public_name_is_used_or_allowlisted(module, name, k):
+    if f"{module}.{name}" in PUBLIC_ALLOWLIST:
+        assert not _used_outside(name, k), (
+            f"{module}.{name} is used in the package; take it off the allowlist"
+        )
+    else:
+        assert _used_outside(name, k), (
+            f"{module} exports {name}, which nothing else in the package uses"
+        )

@@ -20,7 +20,6 @@ from quivergrass.grassmann import (
     CountPoly,
     count_polynomial,
     count_submodules,
-    enumerate_pairs,
     enumerate_submodules,
     expected_dimension,
     gaussian_binomial,
@@ -460,37 +459,6 @@ def test_leading_coefficient_is_weight_multiplicity_over_a3_census():
     for vec, mult in sorted(weight_census(A3, w).items()):
         v = dict(zip(A3.vertices, vec))
         assert count_polynomial(A3, w, v, [2, 3, 5, 7]).leading == mult, vec
-
-
-# -- pairs ---------------------------------------------------------------------
-
-def test_pair_enumeration_frozen():
-    model = injective_hull(A1, {"1": 2})
-    rep2 = reduce_mod(model.rep, 2)
-    assert len(enumerate_pairs(rep2, {"1": 0}, {"1": 1})) == 3
-    m10 = injective_hull(A2, {"1": 1, "2": 0})
-    r2 = reduce_mod(m10.rep, 2)
-    assert len(enumerate_pairs(r2, {"1": 0, "2": 0}, {"1": 1, "2": 0})) == 1
-
-
-def test_pair_enumeration_diagonal_and_validation():
-    model = injective_hull(A2, {"1": 1, "2": 0})
-    rep2 = reduce_mod(model.rep, 2)
-    diag = enumerate_pairs(rep2, {"1": 1, "2": 0}, {"1": 1, "2": 0})
-    assert len(diag) == 1
-    assert diag[0][0] == diag[0][1]
-    with pytest.raises(ValidationError):
-        enumerate_pairs(rep2, {"1": 1, "2": 0}, {"1": 0, "2": 0})
-
-
-def test_pairs_are_nested():
-    model = injective_hull(A2, {"1": 1, "2": 1})
-    rep2 = reduce_mod(model.rep, 2)
-    pairs = enumerate_pairs(rep2, {"1": 1, "2": 0}, {"1": 1, "2": 1})
-    assert pairs
-    for inner, outer in pairs:
-        for v in rep2.quiver.vertices:
-            assert subspace_contains(outer.basis(v), inner.basis(v))
 
 
 # -- tilde counts --------------------------------------------------------------

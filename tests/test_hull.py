@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import quivergrass.hull as hull
+import quivergrass.linalg as linalg
 from quivergrass.errors import (
     DimensionMismatchError,
     NoSolutionError,
@@ -337,14 +338,25 @@ def test_automorphism_rejects_zero_scale():
 
 @pytest.fixture
 def hull_eliminations(monkeypatch):
+    """Shapes of every `linalg.rref` run while an intertwining solve is open."""
     shapes = []
-    real = hull.rref
+    solving = []
+    real_rref, real_solve = linalg.rref, hull._solve_intertwining
 
-    def counted(m):
-        shapes.append((m.rows, m.cols))
-        return real(m)
+    def counted_rref(m):
+        if solving:
+            shapes.append((m.rows, m.cols))
+        return real_rref(m)
 
-    monkeypatch.setattr(hull, "rref", counted)
+    def counted_solve(*args):
+        solving.append(True)
+        try:
+            return real_solve(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(hull, "_solve_intertwining", counted_solve)
     return shapes
 
 

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quivergrass.palg as palg
 from quivergrass.errors import NotFiniteTypeError
@@ -17,7 +20,7 @@ from quivergrass.palg import (
 )
 from quivergrass.quiver import build_quiver, kronecker_quiver, line_quiver, star_quiver
 
-from oracles import naive_quotient_dims, relation_loops
+from oracles import naive_quotient_dims, relation_loops, textbook_rref
 
 
 def test_raw_path_counts():
@@ -157,3 +160,31 @@ def test_algebra_cache_is_bounded_and_rebuilds_evicted_entries():
     assert palg._algebra.cache_info().currsize == bound
     assert hilbert(q, 5) == dims
     assert algebra(q) is not first
+
+
+@st.composite
+def relation_rows(draw):
+    """(rows, ncols): up to 6 rational rows of width up to 8, mostly zero."""
+    ncols = draw(st.integers(0, 8))
+    nonzero = [Fraction(n, d) for n in (-2, -1, 1, 3) for d in (1, 2)]
+    entry = st.sampled_from([Fraction(0)] * 4 + nonzero)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_rows())
+def test_quotient_by_rows_matches_textbook(case):
+    rows, ncols = case
+    reps, exprs = palg._quotient_by_rows(rows, ncols)
+    _, rev_pivots = textbook_rref([r[::-1] for r in rows], ncols)
+    latest = {ncols - 1 - c for c in rev_pivots}
+    assert reps == [i for i in range(ncols) if i not in latest]
+    assert len(exprs) == ncols
+    rank = len(textbook_rref(rows, ncols)[1])
+    for i, expansion in enumerate(exprs):
+        assert len(expansion) == len(reps)
+        diff = [Fraction(int(j == i)) for j in range(ncols)]
+        for c, x in zip(reps, expansion):
+            diff[c] -= x
+        assert len(textbook_rref(rows + [diff], ncols)[1]) == rank

@@ -19,7 +19,6 @@ from quivergrass.weyl import (
     reduce_word,
     weight_census,
     weight_multiplicity,
-    word_length,
     zero_vector,
 )
 
@@ -136,7 +135,6 @@ def test_reduced_words():
     assert not is_reduced(A2, ["1", "2", "1", "2"])
     assert reduce_word(A2, ["1", "1"]) == ()
     assert reduce_word(A2, ["1", "2", "1", "2"]) == ("2", "1")
-    assert word_length(A2, ["1", "2", "1", "2"]) == 2
 
 
 def test_braid_words_act_identically():
