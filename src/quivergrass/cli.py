@@ -24,7 +24,7 @@ certificate failed (always a bug).
 
 Caps and truncations can also be supplied through a JSON config file
 (``--config``) with keys among {"trunc", "cap", "workers"}; explicit flags
-win over the file.
+win over the file. Flag and key alike must be positive integers.
 
 Each verb imports the library modules it calls when it runs, with
 ``from .module import name``, so an invocation loads only those; only
@@ -111,8 +111,6 @@ def _parse_primes(text: str) -> list:
             out.append(int(part))
         except ValueError:
             raise ValidationError(f"not an integer prime: {part!r}") from None
-    if not out:
-        raise ValidationError("empty prime list")
     return out
 
 
@@ -460,9 +458,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.config_values = _load_config(args.config)
-        workers = getattr(args, "workers", None)
-        if workers is not None and workers < 1:
-            raise ValidationError("--workers must be at least 1")
+        for key in _CONFIG_KEYS:
+            value = getattr(args, key, None)
+            if value is not None and value < 1:
+                raise ValidationError(f"--{key} must be a positive integer")
         return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,9 +31,9 @@ from .errors import (
 )
 from .grassmann import _check_primes, count_submodules
 from .hull import InjectiveModel, injective_hull
-from .linalg import Mat, preimage, subspace_contains, subspace_intersect
+from .linalg import subspace_contains
 from .quiver import Quiver, cartan_matrix
-from .repmod import Subrep, make_subrep, reduce_mod, restrict, zero_subrep
+from .repmod import Subrep, _mapped_into, make_subrep, reduce_mod, restrict, zero_subrep
 from .weyl import (
     act,
     dot_step,
@@ -83,12 +83,8 @@ def extend_step(model: InjectiveModel, u: Subrep, i: str) -> Subrep:
             f"reflecting at vertex {i!r} shortens the element at dims {cur}"
         )
     rep = model.rep
-    new_bases = {v: u.basis(v) for v in rep.quiver.vertices}
-    space = Mat.identity(rep.field, rep.dim(i))
-    for a in rep.quiver.arrows:
-        if a.src == i:
-            space = subspace_intersect(space, preimage(rep.map(a.name), u.basis(a.dst)))
-    new_bases[i] = space
+    new_bases = dict(u.bases)
+    new_bases[i] = _mapped_into(rep, u.bases, i)
     cand = make_subrep(rep, new_bases)
     if cand.dims() == target:
         return cand

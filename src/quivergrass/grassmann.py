@@ -238,7 +238,7 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: 
         for m, t in incoming[s]:
             if t in rest:
                 lo, hi, _ = new[t]
-                hi = subspace_intersect(hi, preimage(m, w))
+                hi = subspace_intersect(hi, preimage([(m, w)]))
                 if hi.cols < target[t]:
                     return None
                 new[t] = (lo, hi, None)
@@ -399,12 +399,6 @@ class CountPoly:
     def leading(self) -> int:
         return self.coeffs[-1]
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 def _next_prime(n: int) -> int:
     m = n + 1
@@ -559,10 +553,9 @@ def graded_submodules(
     Enumeration runs over F_p; the rational eigenvalues must stay distinct
     after reduction.
     """
-    if not is_prime(int(p)):
-        raise ValidationError(f"{p} is not prime")
+    (p,) = _check_primes([p])
     cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
-    rep_p = reduce_mod(model.rep, int(p))
+    rep_p = reduce_mod(model.rep, p)
     fp = rep_p.field
     layers: dict = {}
     for vert in rep_p.quiver.vertices:

@@ -32,12 +32,13 @@ from .errors import (
     ValidationError,
 )
 from .fields import QQ
-from .linalg import Mat, _solve, kernel, rank
+from .linalg import Mat, _solve, kernel, rank, subspace_intersect
 from .palg import Path, algebra, compose, default_truncation, trivial_path
 from .quiver import Quiver
 from .repmod import (
     Rep,
     Subrep,
+    _mapped_into,
     check_closure,
     direct_sum,
     intertwining_rows,
@@ -122,6 +123,8 @@ def _resolve_trunc(q: Quiver, trunc: int | None) -> tuple[int, bool]:
     from .quiver import cartan_matrix
     from .palg import vanishing_bound
 
+    if trunc is not None and trunc < 1:
+        raise ValidationError(f"the truncation must be a positive integer, got {trunc}")
     if cartan_matrix(q).kind == "finite":
         bound = vanishing_bound(q)
         if trunc is None or trunc >= bound:
@@ -295,17 +298,10 @@ class FramedPoint:
 
 def is_stable(x_rep: Rep, t: dict) -> bool:
     """No nonzero arrow-invariant subspace inside the kernel of t."""
-    from .linalg import preimage, subspace_intersect
-
     q = x_rep.quiver
     cur = {v: kernel(t[v]) for v in q.vertices}
     while True:
-        nxt = {}
-        for v in q.vertices:
-            m = cur[v]
-            for a in q.arrows_from(v):
-                m = subspace_intersect(m, preimage(x_rep.map(a.name), cur[a.dst]))
-            nxt[v] = m
+        nxt = {v: subspace_intersect(cur[v], _mapped_into(x_rep, cur, v)) for v in q.vertices}
         if all(nxt[v] == cur[v] for v in q.vertices):
             break
         cur = nxt

@@ -3,9 +3,9 @@
 Matrices are dense lists of rows. A `Mat` adopts the row lists it is
 given, without copying them, and checks their shape on every construction;
 the caller hands over ownership and must not keep mutating those rows.
-Every method that builds a matrix from another's rows (`take_rows`,
-`vstack`, `t`, `hstack`, `rref`) gives the new matrix row lists of its own,
-so no two matrices share a row object. Subspaces are stored as canonical
+Every method that builds a matrix from another's rows (`take_rows`, `t`,
+`hstack`, `rref`) gives the new matrix row lists of its own, so no two
+matrices share a row object. Subspaces are stored as canonical
 column-echelon basis matrices: each basis column has a leading 1 at a pivot
 row, pivot rows strictly increase left to right, and pivot rows are zero in
 every other column. Two subspaces are equal iff their canonical matrices are
@@ -31,18 +31,22 @@ identity on P, a column v of u lies in span(w) iff v = w·v[P], that is iff
 its residual column is zero. The residual is built from the k-row slice u[P]
 and the nonzero entries of w, and has the shape of u, never n x n:
 `subspace_contains(w, u)` builds it row by row and stops at the first
-nonzero row, and `preimage(x, w)` is its kernel. `subspace_intersect(a, b)`
-is a·C with C the kernel of `_residual(b, a)`, the coefficient vectors c
-with a·c in span(b). When a and C are canonical, so is a·C: its rows at
-a's pivot rows are C's rows, and column t starts with the leading 1 of a's
-column at C's t-th pivot row, so no further `col_space` pass is needed.
-`subspace_sum(a, b)` is one elimination of [a | b]; reducing b against a
-first and merging the two bases cost more than it saved. `_merge` joins
-two canonical bases with disjoint pivot rows without eliminating, which is
-how `grassmann._cells_between` builds its cells. A canonical basis with as
-many columns as rows is the identity, the whole space, so intersecting
-with it returns the other basis unchanged, the same object, with no
-elimination.
+nonzero row. `preimage` takes a list of (X, w) pairs over one source and
+stacks the residual rows of every pair; the kernel of the stack is
+{v : X v in span(w) for every pair}, so k pairs cost one elimination, not
+the 2k - 1 of a chain of single preimages and meets. The kernel is
+canonical as built, so the stacked answer equals the chained one.
+`subspace_intersect(a, b)` is a·C with C the kernel of `_residual(b, a)`,
+the coefficient vectors c with a·c in span(b). When a and C are canonical,
+so is a·C: its rows at a's pivot rows are C's rows, and column t starts
+with the leading 1 of a's column at C's t-th pivot row, so no further
+`col_space` pass is needed. `subspace_sum(a, b)` is one elimination of
+[a | b]; reducing b against a first and merging the two bases cost more
+than it saved. `_merge` joins two canonical bases with disjoint pivot rows
+without eliminating, which is how `grassmann._cells_between` builds its
+cells. A canonical basis with as many columns as rows is the identity, the
+whole space, so intersecting with it returns the other basis unchanged, the
+same object, with no elimination.
 """
 
 from __future__ import annotations
@@ -153,13 +157,6 @@ class Mat:
             self.rows,
             self.cols + other.cols,
             [r + s for r, s in zip(self.a, other.a)],
-        )
-
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ShapeMismatchError("vstack col mismatch")
-        return Mat(
-            self.field, self.rows + other.rows, self.cols, [r[:] for r in self.a + other.a]
         )
 
     def col(self, j: int) -> list:
@@ -408,9 +405,16 @@ def subspace_intersect(a: Mat, b: Mat) -> Mat:
     return a @ kernel(_residual(b, a))
 
 
-def preimage(x: Mat, w: Mat) -> Mat:
-    """Canonical basis of {v : X v in span(w)}; w over the target space."""
-    return kernel(_residual(w, x))
+def preimage(pairs) -> Mat:
+    """Canonical basis of {v : X v in span(w) for every pair (X, w)}.
+
+    `pairs` is a nonempty list of (map X, canonical basis w of X's target);
+    the maps share a source. Their residual rows are stacked and the
+    kernel of the stack is taken in one elimination.
+    """
+    x = pairs[0][0]
+    rows = [r for m, w in pairs for r in _residual_rows(w, m)]
+    return kernel(Mat(x.field, len(rows), x.cols, rows))
 
 
 def coords_in(w: Mat, b: Mat) -> Mat:

@@ -111,9 +111,6 @@ class AlgSlice:
     def dim(self) -> int:
         return sum(len(b.paths) for b in self.blocks.values())
 
-    def block_dims(self) -> dict[tuple[str, str], int]:
-        return {k: len(b.paths) for k, b in sorted(self.blocks.items())}
-
 
 class PathAlgebra:
     """Degree-by-degree model of the preprojective algebra of a quiver."""

@@ -74,9 +74,6 @@ class Quiver:
         self.arrow(name)
         return -1
 
-    def zero_vector(self) -> tuple[int, ...]:
-        return (0,) * len(self.vertices)
-
 
 def build_quiver(vertices, arrows) -> Quiver:
     """Validate and freeze a quiver given vertex ids and (name, src, dst) triples."""

@@ -5,6 +5,13 @@ to each arrow (rows indexed by the target, columns by the source). Vertex
 order is the quiver's canonical order throughout. Subspaces of a
 representation are stored per vertex as canonical column-echelon bases, so
 subrepresentation equality is plain data equality.
+
+`_mapped_into` is the one construction of a largest subspace mapped into a
+submodule: at a vertex v, the largest subspace that every arrow out of v
+maps into a given per-vertex basis. The socle, each step of the socle
+series, the Demazure step in `demazure` and the stability test in `hull`
+are all built on it. It hands `linalg.preimage` every outgoing arrow's pair
+at once, so a vertex costs one elimination.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .linalg import (
     preimage,
     rank,
     subspace_contains,
-    subspace_intersect,
     subspace_sum,
 )
 from .quiver import Quiver, quiver_from_obj, quiver_to_obj
@@ -189,52 +195,30 @@ def full_subrep(v_rep: Rep) -> Subrep:
     )
 
 
+def _mapped_into(v_rep: Rep, bases: dict, v: str) -> Mat:
+    """Largest subspace at v that every arrow out of v maps into bases[target].
+
+    The whole space when no arrow leaves v; otherwise one stacked
+    `preimage`, a single elimination however many arrows leave v.
+    """
+    pairs = [(v_rep.map(a.name), bases[a.dst]) for a in v_rep.quiver.arrows_from(v)]
+    if not pairs:
+        return Mat.identity(v_rep.field, v_rep.dim(v))
+    return preimage(pairs)
+
+
 def socle(v_rep: Rep) -> Subrep:
     """Per vertex, the common kernel of all outgoing arrow maps."""
-    q = v_rep.quiver
-    bases = {}
-    for v in q.vertices:
-        outs = q.arrows_from(v)
-        if not outs:
-            bases[v] = Mat.identity(v_rep.field, v_rep.dim(v))
-            continue
-        stacked = v_rep.map(outs[0].name)
-        for a in outs[1:]:
-            stacked = stacked.vstack(v_rep.map(a.name))
-        bases[v] = kernel(stacked)
-    return Subrep(v_rep, bases)
-
-
-def radical(v_rep: Rep) -> Subrep:
-    """Per vertex, the span of all incoming arrow-map images."""
-    q = v_rep.quiver
-    bases = {}
-    for v in q.vertices:
-        acc = Mat.zeros(v_rep.field, v_rep.dim(v), 0)
-        for a in q.arrows_into(v):
-            acc = acc.hstack(v_rep.map(a.name))
-        bases[v] = col_space(acc)
-    return Subrep(v_rep, bases)
-
-
-def _step_preimage(v_rep: Rep, s: Subrep) -> Subrep:
-    """Largest subspace whose image under every arrow lands in s."""
-    q = v_rep.quiver
-    bases = {}
-    for v in q.vertices:
-        cur = Mat.identity(v_rep.field, v_rep.dim(v))
-        for a in q.arrows_from(v):
-            pre = preimage(v_rep.map(a.name), s.bases[a.dst])
-            cur = subspace_intersect(cur, pre)
-        bases[v] = cur
-    return Subrep(v_rep, bases)
+    zero = zero_subrep(v_rep).bases
+    return Subrep(v_rep, {v: _mapped_into(v_rep, zero, v) for v in v_rep.quiver.vertices})
 
 
 def socle_filtration(v_rep: Rep) -> list[Subrep]:
     """Increasing chain 0 = V0 within V1 = socle within ...; stops when stable."""
     chain = [zero_subrep(v_rep)]
     while True:
-        nxt = _step_preimage(v_rep, chain[-1])
+        bases = chain[-1].bases
+        nxt = Subrep(v_rep, {v: _mapped_into(v_rep, bases, v) for v in v_rep.quiver.vertices})
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)

@@ -218,6 +218,28 @@ def test_truncation_exit_code(capsys, a2_path):
     assert "truncation" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["injective", "--socle", "1,1", "--trunc"],
+    ["projective", "--w", "1,1", "--trunc"],
+    ["demazure", "--w", "1,1", "--word", "1", "--trunc"],
+    ["count", "--w", "1,1", "--v", "1,1", "--primes", "2,3,5", "--trunc"],
+    ["count", "--w", "1,1", "--v", "1,1", "--primes", "2,3,5", "--cap"],
+    ["rep-matrices", "--w", "1,0", "--trunc"],
+    ["rep-matrices", "--w", "1,0", "--cap"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_trunc_and_cap_flags_must_be_positive(capsys, a2_path, argv, value):
+    rc, out, err = run_cli(capsys, [argv[0], a2_path, *argv[1:], value])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {argv[-1]} must be a positive integer\n"
+
+
+def test_empty_prime_list_is_rejected_by_the_prime_check(capsys, a2_path):
+    rc, _, err = run_cli(capsys, ["count", a2_path, "--w", "1,1", "--v", "1,1", "--primes", ","])
+    assert rc == 2
+    assert err == "error: at least one prime is required\n"
+
+
 def test_config_file_supplies_cap_and_flags_win(capsys, tmp_path, a2_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"cap": 1}))

@@ -1,5 +1,6 @@
 """Every module-level private helper in the package is used somewhere in it,
-and so is every public name, unless the allowlist below says why it stays."""
+and so is every public name and every public method of a package class,
+unless an allowlist below says why it stays."""
 
 import ast
 from pathlib import Path
@@ -74,7 +75,6 @@ PUBLIC_ALLOWLIST = {
                                     "already stable, which the Demazure tests check",
     "hull.framed_point": "the paper's framed point of a hull submodule; tests check that "
                          "Demazure stages give stable ones",
-    "repmod.radical": "the radical, the counterpart of `socle` for reading a module's top",
     "repmod.rep_from_obj": "reads back a representation that `rep_to_obj` wrote for the CLI",
     "repmod.socle_filtration": "the socle series; the hull tests certify a truncated "
                                "injective's Loewy length with it",
@@ -110,3 +110,42 @@ def test_public_name_is_used_or_allowlisted(module, name, k):
         assert _used_outside(name, k), (
             f"{module} exports {name}, which nothing else in the package uses"
         )
+
+
+# Public methods of package classes: (module, class, method, statement index).
+METHODS = [
+    (module, node.name, item.name, k)
+    for k, (module, node) in enumerate(STATEMENTS)
+    if isinstance(node, ast.ClassDef)
+    for item in node.body
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+]
+
+# Public methods that nothing in the package reads, each with why it is kept.
+METHOD_ALLOWLIST = {
+    "hull.InjectiveModel.socle_subrep": "the framing's socle copy in I(w); tests check that "
+                                        "it is the module's socle, as the paper states",
+    "palg.PathAlgebra.multiply": "the product of the preprojective algebra; tests check its "
+                                 "associativity, which certifies the rewriting normal form",
+}
+
+
+def _method_used(name: str, k: int) -> bool:
+    """Whether the method's name is read anywhere in the package outside its own body."""
+    siblings = [item for item in STATEMENTS[k][1].body if getattr(item, "name", None) != name]
+    return _used_outside(name, k) or any(name in _references(item) for item in siblings)
+
+
+def test_the_method_allowlist_names_methods():
+    assert set(METHOD_ALLOWLIST) <= {f"{m[:-3]}.{c}.{n}" for m, c, n, _ in METHODS}
+
+
+@pytest.mark.parametrize(
+    "module, cls, name, k", METHODS, ids=[f"{m[:-3]}.{c}.{n}" for m, c, n, _ in METHODS]
+)
+def test_public_method_is_used_or_allowlisted(module, cls, name, k):
+    used = _method_used(name, k)
+    if f"{module[:-3]}.{cls}.{name}" in METHOD_ALLOWLIST:
+        assert not used, f"{cls}.{name} is used in the package; take it off the allowlist"
+    else:
+        assert used, f"{module} defines {cls}.{name}, which nothing else in the package reads"

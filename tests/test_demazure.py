@@ -16,7 +16,7 @@ from quivergrass.errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from quivergrass import grassmann
+from quivergrass import grassmann, linalg
 from quivergrass.grassmann import count_submodules, enumerate_submodules
 from quivergrass.hull import framed_point, injective_hull
 from quivergrass.linalg import subspace_contains
@@ -142,6 +142,20 @@ def test_extend_step_rejects_foreign_subspace():
 
     with pytest.raises(ValidationError):
         extend_step(model_a, zero_subrep(model_b.rep), "1")
+
+
+@pytest.mark.parametrize("q, word", [(A3, ("2", "1")), (star_quiver(3), ("0", "1"))],
+                         ids=["A3-middle", "D4-centre"])
+def test_extend_step_eliminates_once_at_a_branching_vertex(monkeypatch, q, word):
+    # However many arrows leave the vertex, the step is one stacked preimage.
+    chain = demazure_module(q, {v: 1 for v in q.vertices}, word)
+    assert len(chain.model.quiver.arrows_from(word[0])) >= 2
+    calls = []
+    kernel = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda m: calls.append(m) or kernel(m))
+    step = extend_step(chain.model, chain.stages[-2], word[0])
+    assert len(calls) == 1
+    assert step.key() == chain.stages[-1].key()
 
 
 def test_word_validation():

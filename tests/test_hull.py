@@ -128,6 +128,16 @@ def test_a1_hull_is_semisimple():
     assert sdims(socle(m.rep)) == {"1": 2}
 
 
+@pytest.mark.parametrize("q", [A3, KR], ids=["finite", "affine"])
+@pytest.mark.parametrize("trunc", [0, -3])
+def test_truncation_below_one_is_rejected(q, trunc):
+    w = {v: 1 for v in q.vertices}
+    with pytest.raises(ValidationError, match="positive integer"):
+        injective_hull(q, w, trunc)
+    with pytest.raises(ValidationError, match="positive integer"):
+        projective_sum(q, w, trunc)
+
+
 def test_double_input_accepted():
     m = vertex_injective(double(A2), "1")
     assert m.rep.dims == {"1": 1, "2": 1}

@@ -71,7 +71,7 @@ def test_matches_naive_span():
     for q, top in cases:
         alg = algebra(q)
         for n in range(2, top + 1):
-            got = {k: v for k, v in alg.slice(n).block_dims().items() if v}
+            got = {k: len(b.paths) for k, b in alg.slice(n).blocks.items() if b.paths}
             assert got == naive_quotient_dims(q, n), (q, n)
 
 

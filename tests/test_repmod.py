@@ -16,7 +16,6 @@ from quivergrass.repmod import (
     make_rep,
     make_subrep,
     quotient,
-    radical,
     radical_filtration,
     reduce_mod,
     rep_from_obj,
@@ -71,16 +70,13 @@ def test_make_rep_validates_shapes():
 def test_zero_maps_always_valid():
     v = semisimple_rep(QQ, A2D, {"1": 3, "2": 1})
     assert sdims(socle(v)) == (3, 1)
-    assert sdims(radical(v)) == (0, 0)
 
 
 def test_socle_and_radical_of_hull_pieces():
     q1 = rep_q1()
     assert sdims(socle(q1)) == (1, 0)
-    assert sdims(radical(q1)) == (1, 0)
     p1 = rep_p1()
     assert sdims(socle(p1)) == (0, 1)
-    assert sdims(radical(p1)) == (0, 1)
 
 
 def test_socle_filtration_chain():
