@@ -24,6 +24,7 @@ from .errors import (
     InternalCheckError,
     NotFiniteRegimeError,
     NotMultiplicityFreeError,
+    TruncationTooSmallError,
     ValidationError,
 )
 from .fields import QQ
@@ -64,6 +65,20 @@ _ALIGNMENT_BUDGET = 1000
 
 # -- realization skeleton ------------------------------------------------------
 
+def _not_finite(model: InjectiveModel, msg: str) -> Exception:
+    """The error for weights without a finite point list in `model`.
+
+    A truncated hull of a Dynkin quiver is the full hull cut short, so
+    raising the truncation is the remedy, as for `demazure_module`;
+    otherwise the framing lies outside the finite regime.
+    """
+    if not model.full and cartan_matrix(model.base).kind == "finite":
+        return TruncationTooSmallError(
+            f"{msg}; the truncation is likely too small", suggested=2 * model.trunc
+        )
+    return NotFiniteRegimeError(msg)
+
+
 @dataclass(frozen=True)
 class WeightStatus:
     """Outcome of the finite-point test at one dimension vector."""
@@ -100,9 +115,10 @@ class FiniteRealization:
         """All points as (dims tuple, Subrep), sorted by weight then basis."""
         bad = [vt for vt, st in self.statuses.items() if not st.finite]
         if bad:
-            raise NotFiniteRegimeError(
+            raise _not_finite(
+                self.model,
                 "no finite point list at dimension vectors "
-                + ", ".join(str(v) for v in sorted(bad))
+                + ", ".join(str(v) for v in sorted(bad)),
             )
         out = []
         for vt in self.weights():
@@ -708,9 +724,10 @@ def chevalley_compare(
     for real, label in ((real_w, "framing"), (real_t, "twisted framing")):
         bad = [vt for vt, st in real.statuses.items() if not st.finite]
         if bad:
-            raise NotFiniteRegimeError(
+            raise _not_finite(
+                real.model,
                 f"{label}: no finite point list at "
-                + ", ".join(str(v) for v in sorted(bad))
+                + ", ".join(str(v) for v in sorted(bad)),
             )
         crowded = [
             vt for vt, st in real.statuses.items() if len(st.points) > 1

@@ -242,28 +242,28 @@ def _solve_intertwining(v_rep: Rep, target: Rep, twists: dict, proj: dict,
     """Solve {g x_a = twist_a . y_a g for all a; proj g = rhs_proj} for g.
 
     Unknowns are the per-vertex matrices of g (target dim x source dim).
-    The rows are built with the rhs as their last column, and `linalg._solve`
-    eliminates them once. A rank below the number of unknowns means a
-    nonzero homogeneous kernel, checked first; otherwise no solution means
-    the system is inconsistent.
+    The sparse rows of `intertwining_rows` are joined by the projection
+    rows, each holding the rhs at column `total`, the one past the
+    unknowns; only nonzero entries are stored, so the system is never
+    dense. `linalg._solve` eliminates it once. A rank below the number of
+    unknowns means a nonzero homogeneous kernel, checked first; otherwise
+    no solution means the system is inconsistent.
     """
     field = v_rep.field
     rows, offsets, total = intertwining_rows(v_rep, target, twists)
-    for row in rows:
-        row.append(field.zero)
     for v in v_rep.quiver.vertices:
         p = proj[v].a
         r_p = rhs_proj[v].a
         n = v_rep.dim(v)
         for i, p_i in enumerate(p):
-            coeffs = [(k, field.of(x)) for k, x in enumerate(p_i) if x]
+            coeffs = [(offsets[v] + k * n, field.of(x)) for k, x in enumerate(p_i) if x]
             for j in range(n):
-                row = [field.zero] * (total + 1)
-                for k, x in coeffs:
-                    row[offsets[v] + k * n + j] = x
-                row[total] = field.of(r_p[i][j])
+                row = {o + j: x for o, x in coeffs}
+                y = field.of(r_p[i][j])
+                if y:
+                    row[total] = y
                 rows.append(row)
-    x, rank_m = _solve(Mat(field, len(rows), total + 1, rows), total)
+    x, rank_m = _solve(field, rows, total, 1)
     if rank_m < total:
         raise NonUniqueError("homogeneous intertwining system has a nonzero kernel")
     if x is None:

@@ -4,7 +4,7 @@ Matrices are dense lists of rows. A `Mat` adopts the row lists it is
 given, without copying them, and checks their shape on every construction;
 the caller hands over ownership and must not keep mutating those rows.
 Every method that builds a matrix from another's rows (`take_rows`, `t`,
-`hstack`, `rref`) gives the new matrix row lists of its own, so no two
+`hstack`) gives the new matrix row lists of its own, so no two
 matrices share a row object. Subspaces are stored as canonical
 column-echelon basis matrices: each basis column has a leading 1 at a pivot
 row, pivot rows strictly increase left to right, and pivot rows are zero in
@@ -12,20 +12,24 @@ every other column. Two subspaces are equal iff their canonical matrices are
 equal, which makes subspace sets and dedup keys cheap.
 
 Entries are tested for zero by truthiness: a Fraction, and a prime-field int
-normalized to 0..p-1, is falsy iff it is zero. `rref` is the one
-elimination, over Q and F_p alike. It touches only nonzero entries: the
-pivot row is scaled in its nonzero columns, and every other row is updated
-in those columns only. Each solve makes exactly one elimination: `kernel`
-eliminates M once, and `_solve(ab, n)` eliminates an augmented matrix
-[A | B], A its first n columns, once. `_solve` is the only code that reads
-a rank and a solution off pivots: `solve_right` and `solve_unique` hand it
-`a.hstack(b)`, and `hull` hands it the intertwining system it builds
-already augmented, so that system is never copied. No module outside
-`linalg` calls `rref` or reads a rank or a solution off pivots; the Cartan
-classification in `quiver` pivots on its symmetric form by congruence and
-solves nothing.
+normalized to 0..p-1, is falsy iff it is zero. `echelon(field, rows)` is the
+one elimination, over Q and F_p alike. It works on sparse rows, each a dict
+{column: nonzero entry}: every incoming row is reduced against a fully
+reduced basis keyed by pivot column, entries that cancel are dropped, and
+the basis it returns is the unique RREF. `col_space`, `kernel` and `_solve`
+read their answers straight off its dict rows, so only nonzero entries are
+ever stored or touched; `rref(m)` is a dense view of it, for `rank`. Each
+solve makes exactly one elimination: `kernel` eliminates M once, and
+`_solve(field, rows, n, k)` eliminates the sparse rows of an augmented
+system [A | B], A its first n columns, once. `_solve` is the only code that
+reads a rank and a solution off pivots: `solve_right` and `solve_unique`
+convert [A | B] to sparse rows once, and `hull` hands it the intertwining
+system it builds already sparse and augmented, so that system is never
+dense. No module outside `linalg` eliminates or reads a rank or a solution
+off pivots; the Cartan classification in `quiver` pivots on its symmetric
+form by congruence and solves nothing.
 
-Subspace questions go through one kernel, `_residual(w, u) = u - w·u[P]`,
+Subspace questions go through one residual, `_residual(w, u) = u - w·u[P]`,
 where P lists the pivot rows of the canonical basis w. Because w is the
 identity on P, a column v of u lies in span(w) iff v = w·v[P], that is iff
 its residual column is zero. The residual is built from the k-row slice u[P]
@@ -50,8 +54,6 @@ same object, with no elimination.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .errors import NonUniqueError, NoSolutionError, ShapeMismatchError
 
@@ -90,10 +92,6 @@ class Mat:
                 raise ShapeMismatchError("cols required for a 0-row matrix")
             cols = len(entries[0])
         return cls(field, rows, cols, entries)
-
-    @classmethod
-    def column(cls, field, vec) -> "Mat":
-        return cls(field, len(vec), 1, [[field.of(v)] for v in vec])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -202,41 +200,71 @@ class Mat:
             )
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Row-reduced echelon form and the pivot column list.
+def _sparse(rows) -> list[dict]:
+    """Dense rows as dict rows {column: nonzero entry}."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
-    Once a pivot row is scaled to a leading 1, its nonzero columns are
-    collected; every other row with a nonzero entry in the pivot column is
-    then updated in those columns only.
+
+def _axpy(row: dict, c, other: dict, add, mul) -> None:
+    """row += c·other in place, dropping every entry that cancels to zero."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = mul(c, y)
+        else:
+            x = add(x, mul(c, y))
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def echelon(field, rows) -> dict:
+    """The reduced row echelon form of sparse rows, as {pivot column: row}.
+
+    A row is a dict {column: nonzero entry}; the rows are adopted and
+    changed in place. Each row in turn is reduced against the basis built
+    so far, which is fully reduced: every basis row is zero at every other
+    pivot column, so each pivot column the row holds is cleared by one
+    subtraction that creates no entry at another pivot. A row left nonempty
+    is scaled to a leading 1 at its least column c, c is cleared from every
+    basis row, and the row joins the basis at c. Entries that cancel are
+    dropped, so no stored entry is zero and none becomes a pivot. Each row
+    keeps its 1 at its pivot, the least column it holds, and the basis is
+    the unique RREF of the rows' span, zero rows dropped.
     """
-    f = m.field
-    one, mul, sub = f.one, f.mul, f.sub
-    nrows, ncols = m.rows, m.cols
-    a = [list(r) for r in m.a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
+    one, add, mul, neg, inv = field.one, field.add, field.mul, field.neg, field.inv
+    basis = {}
+    for r in rows:
+        for p in [c for c in r if c in basis]:
+            _axpy(r, neg(r.pop(p)), basis[p], add, mul)
+        if not r:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        nz = [j for j in range(c, ncols) if prow[j]]
-        if prow[c] != one:
-            s = f.inv(prow[c])
-            for j in nz:
-                prow[j] = mul(s, prow[j])
-        entries = [(j, prow[j]) for j in nz]
-        for i, row in enumerate(a):
-            coef = row[c]
-            if coef and i != r:
-                for j, y in entries:
-                    row[j] = sub(row[j], mul(coef, y))
-        pivots.append(c)
-        r += 1
-    return Mat(f, nrows, ncols, a), pivots
+        c = min(r)
+        lead = r.pop(c)
+        if lead != one:
+            s = inv(lead)
+            for j, x in r.items():
+                r[j] = mul(s, x)
+        for t in basis.values():
+            if c in t:
+                _axpy(t, neg(t.pop(c)), r, add, mul)
+        basis[c] = r
+    for c, r in basis.items():
+        r[c] = one
+    return basis
+
+
+def rref(m: Mat) -> tuple[Mat, list[int]]:
+    """Row-reduced echelon form and the pivot column list: a dense view of `echelon`."""
+    f = m.field
+    basis = echelon(f, _sparse(m.a))
+    pivots = sorted(basis)
+    a = [[f.zero] * m.cols for _ in range(m.rows)]
+    for row, p in zip(a, pivots):
+        for j, x in basis[p].items():
+            row[j] = x
+    return Mat(f, m.rows, m.cols, a), pivots
 
 
 def rank(m: Mat) -> int:
@@ -244,11 +272,23 @@ def rank(m: Mat) -> int:
 
 
 def col_space(m: Mat) -> Mat:
-    """Canonical column-echelon basis of the column span."""
-    r, pivots = rref(m.t())
-    basis_rows = [r.a[i] for i in range(len(pivots))]
-    return Mat(m.field, m.rows, len(pivots), list(map(list, zip(*basis_rows)))) \
-        if basis_rows else Mat(m.field, m.rows, 0, [[] for _ in range(m.rows)])
+    """Canonical column-echelon basis of the column span.
+
+    The columns of m are eliminated as sparse rows, and the basis columns
+    are the rows of their RREF in pivot order.
+    """
+    f = m.field
+    cols = [{} for _ in range(m.cols)]
+    for i, r in enumerate(m.a):
+        for j, x in enumerate(r):
+            if x:
+                cols[j][i] = x
+    basis = echelon(f, cols)
+    out = [[f.zero] * len(basis) for _ in range(m.rows)]
+    for t, p in enumerate(sorted(basis)):
+        for i, x in basis[p].items():
+            out[i][t] = x
+    return Mat(f, m.rows, len(basis), out)
 
 
 def pivot_rows(w: Mat) -> list[int]:
@@ -268,59 +308,60 @@ def pivot_rows(w: Mat) -> list[int]:
     return out
 
 
-def kernel(m: Mat) -> Mat:
-    """Canonical basis of the right null space, as columns.
+def _null_space(f, rows, n: int) -> Mat:
+    """Canonical basis of {v in F^n : r·v = 0 for every sparse row r}, as columns.
 
-    M is eliminated once with its columns reversed. Each free column then
-    carries a 1 above every other nonzero of its basis vector, and that
-    vector is zero in the other free columns, so the basis is canonical as
-    built.
+    The rows are eliminated once with their columns reversed, column j read
+    as n - 1 - j. Each free column then carries a 1 above every other
+    nonzero of its basis vector, and that vector is zero in the other free
+    columns, so the basis is canonical as built.
     """
-    f = m.field
-    n = m.cols
-    r, pivots = rref(Mat(f, m.rows, n, [row[::-1] for row in m.a]))
-    pivot_set = set(pivots)
-    cols = []
-    for fc in reversed(range(n)):
-        if fc in pivot_set:
-            continue
-        v = [f.zero] * n
-        v[n - 1 - fc] = f.one
-        for i, pc in enumerate(pivots):
-            x = r.a[i][fc]
-            if x:
-                v[n - 1 - pc] = f.neg(x)
-        cols.append(v)
-    if not cols:
-        return Mat(f, n, 0, [[] for _ in range(n)])
-    return Mat(f, n, len(cols), list(map(list, zip(*cols))))
+    basis = echelon(f, [{n - 1 - j: x for j, x in r.items()} for r in rows])
+    free = {j: t for t, j in enumerate(j for j in range(n) if n - 1 - j not in basis)}
+    out = [[f.zero] * len(free) for _ in range(n)]
+    for j, t in free.items():
+        out[j][t] = f.one
+    for pc, r in basis.items():
+        row = out[n - 1 - pc]
+        for c, x in r.items():
+            if c != pc:
+                row[free[n - 1 - c]] = f.neg(x)
+    return Mat(f, n, len(free), out)
 
 
-def _solve(ab: Mat, n: int) -> tuple[Mat | None, int]:
-    """One elimination of the augmented matrix [A | B], A its first n columns.
+def kernel(m: Mat) -> Mat:
+    """Canonical basis of the right null space, as columns."""
+    return _null_space(m.field, _sparse(m.a), m.cols)
+
+
+def _solve(f, rows, n: int, k: int) -> tuple[Mat | None, int]:
+    """One elimination of the sparse rows of [A | B], A its first n columns, B k wide.
 
     Returns a solution X of A X = B (or None) and rank A. The rank of A is
     the number of pivots left of column n; A X = B is solvable iff no pivot
     lies right of it. Free variables are set to zero.
     """
-    r, pivots = rref(ab)
-    rank_a = bisect_left(pivots, n)
-    if rank_a != len(pivots):
+    basis = echelon(f, rows)
+    rank_a = sum(p < n for p in basis)
+    if rank_a != len(basis):
         return None, rank_a
-    x = Mat.zeros(ab.field, n, ab.cols - n)
-    for i, pc in enumerate(pivots):
-        x.a[pc] = r.a[i][n:]
-    return x, rank_a
+    x = [[f.zero] * k for _ in range(n)]
+    for p, r in basis.items():
+        xp = x[p]
+        for j, v in r.items():
+            if j >= n:
+                xp[j - n] = v
+    return Mat(f, n, k, x), rank_a
 
 
 def solve_right(a: Mat, b: Mat) -> Mat | None:
     """One solution X of A X = B, or None. Free variables are set to zero."""
-    return _solve(a.hstack(b), a.cols)[0]
+    return _solve(a.field, _sparse(a.hstack(b).a), a.cols, b.cols)[0]
 
 
 def solve_unique(a: Mat, b: Mat) -> Mat:
     """The unique solution of A X = B; raises if none or many."""
-    x, rank_a = _solve(a.hstack(b), a.cols)
+    x, rank_a = _solve(a.field, _sparse(a.hstack(b).a), a.cols, b.cols)
     if x is None:
         raise NoSolutionError("linear system has no solution")
     if rank_a != a.cols:

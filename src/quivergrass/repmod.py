@@ -28,10 +28,10 @@ from .errors import (
 from .fields import PrimeField, QQ, field_from_tag
 from .linalg import (
     Mat,
+    _null_space,
     _residual,
     col_space,
     coords_in,
-    kernel,
     mat_over,
     pivot_rows,
     preimage,
@@ -277,8 +277,10 @@ def intertwining_rows(v_rep: Rep, w_rep: Rep, twists: dict | None = None):
 
     Unknowns are the entries of the per-vertex maps phi[v] (w dim x v dim),
     vertex by vertex in row-major order; z_a is twists[a], 1 when absent.
-    Rows hold field elements of v_rep's field. Returns (rows, offsets, total),
-    where phi[v][r][c] is unknown offsets[v] + r * v_rep.dim(v) + c.
+    Each row is a dict {unknown: coefficient} holding only the nonzero
+    coefficients, field elements of v_rep's field, as `linalg.echelon`
+    takes them. Returns (rows, offsets, total), where phi[v][r][c] is
+    unknown offsets[v] + r * v_rep.dim(v) + c.
     """
     q = v_rep.quiver
     field = v_rep.field
@@ -297,15 +299,14 @@ def intertwining_rows(v_rep: Rep, w_rep: Rep, twists: dict | None = None):
         ns, nt = v_rep.dim(s_), v_rep.dim(t_)
         xcols = [[(k, xv[k][j]) for k in range(nt) if xv[k][j]] for j in range(ns)]
         for i in range(w_rep.dim(t_)):
-            yi = [(k, y if z is None else field.mul(z, y)) for k, y in enumerate(xw[i]) if y]
+            # -z_a y_a[i][k] multiplies phi[s(a)][k][j]. No arrow is a loop, so
+            # these unknowns are never the phi[t(a)] ones of the same row.
+            yi = [(offsets[s_] + k * ns, field.neg(y if z is None else field.mul(z, y)))
+                  for k, y in enumerate(xw[i]) if y]
             base = offsets[t_] + i * nt
             for j in range(ns):
-                row = [field.zero] * total
-                for k, x in xcols[j]:
-                    row[base + k] = x
-                for k, y in yi:
-                    idx = offsets[s_] + k * ns + j
-                    row[idx] = field.sub(row[idx], y)
+                row = {base + k: x for k, x in xcols[j]}
+                row.update((o + j, y) for o, y in yi)
                 rows.append(row)
     return rows, offsets, total
 
@@ -331,7 +332,7 @@ def hom_space(v_rep: Rep, w_rep: Rep) -> list[dict]:
     if v_rep.field is not w_rep.field and v_rep.field != w_rep.field:
         raise ValidationError("hom requires representations over the same field")
     rows, offsets, total = intertwining_rows(v_rep, w_rep)
-    ker = kernel(Mat(v_rep.field, len(rows), total, rows))
+    ker = _null_space(v_rep.field, rows, total)
     return [maps_from_unknowns(ker.col(c), offsets, v_rep, w_rep) for c in range(ker.cols)]
 
 

@@ -38,6 +38,13 @@ def a2_path(tmp_path):
 
 
 @pytest.fixture
+def a3_path(tmp_path):
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(A3))
+    return str(path)
+
+
+@pytest.fixture
 def kronecker_path(tmp_path):
     path = tmp_path / "kronecker.json"
     path.write_text(json.dumps(KRONECKER))
@@ -216,6 +223,16 @@ def test_truncation_exit_code(capsys, a2_path):
     )
     assert rc == 3
     assert "truncation" in err
+
+
+@pytest.mark.parametrize("verb", ["rep-matrices", "chevalley"])
+def test_point_list_truncation_exit_code(capsys, a3_path, verb):
+    # The A3 hull framed at the middle vertex needs length 3; at 2 the weight
+    # (1, 2, 1) has no finite point list.
+    rc, out, err = run_cli(capsys, [verb, a3_path, "--w", "0,1,0", "--trunc", "2"])
+    assert (rc, out) == (3, "")
+    assert err.startswith("limit exceeded: ")
+    assert "(1, 2, 1)" in err and "truncation" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

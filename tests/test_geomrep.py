@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quivergrass.demazure import demazure_module
-from quivergrass.errors import NotFiniteRegimeError, ValidationError
+from quivergrass.errors import NotFiniteRegimeError, TruncationTooSmallError, ValidationError
 from quivergrass.fields import QQ
 from quivergrass.geomrep import (
     _certified_rational_points,
@@ -202,6 +202,15 @@ def test_chevalley_reports():
 def test_chevalley_needs_finite_regime():
     with pytest.raises(NotFiniteRegimeError):
         chevalley_compare(A1, {"1": 2})
+
+
+def test_truncated_dynkin_hull_asks_for_a_longer_truncation():
+    real = finite_points(A3, {"1": 0, "2": 1, "3": 0}, trunc=2)
+    assert not real.model.full and not real.finite
+    for call in (real.point_list, lambda: chevalley_compare(A3, {"1": 0, "2": 1, "3": 0}, 2)):
+        with pytest.raises(TruncationTooSmallError) as err:
+            call()
+        assert err.value.suggested == 4
 
 
 def test_rational_reconstruction_integer_route():

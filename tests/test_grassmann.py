@@ -134,10 +134,10 @@ def test_cells_between_runs_no_elimination(monkeypatch):
     upper = col_space(Mat.from_rows(f5, [[1, 0, 0], [2, 1, 0], [0, 3, 0], [4, 0, 1], [1, 1, 1]]))
     lower = col_space(upper @ Mat.from_rows(f5, [[1], [2], [3]]))
 
-    def no_rref(m):
+    def no_echelon(field, rows):
         raise AssertionError("_cells_between eliminated a matrix")
 
-    monkeypatch.setattr(linalg, "rref", no_rref)
+    monkeypatch.setattr(linalg, "echelon", no_echelon)
     cells = list(grassmann._cells_between(lower, upper, 2, [0], 100))
     assert len(cells) == gaussian_binomial(2, 1, 5) == 6
     monkeypatch.undo()

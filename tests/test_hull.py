@@ -348,26 +348,53 @@ def test_automorphism_rejects_zero_scale():
 
 @pytest.fixture
 def hull_eliminations(monkeypatch):
-    """Shapes of every `linalg.rref` run while an intertwining solve is open."""
-    shapes = []
+    """Every `linalg.echelon` run while an intertwining solve is open.
+
+    Each entry is (width, rows): the rows handed to the kernel, copied
+    before it consumes them, and the width n + k of the `_solve` call that
+    made the elimination (None when no `_solve` call was open).
+    """
+    calls = []
     solving = []
-    real_rref, real_solve = linalg.rref, hull._solve_intertwining
+    widths = []
+    real_echelon, real_solve = linalg.echelon, hull._solve
+    real_solve_intertwining = hull._solve_intertwining
 
-    def counted_rref(m):
+    def counted_echelon(field, rows):
         if solving:
-            shapes.append((m.rows, m.cols))
-        return real_rref(m)
+            rows = list(rows)
+            calls.append((widths[-1] if widths else None, [dict(r) for r in rows]))
+        return real_echelon(field, rows)
 
-    def counted_solve(*args):
+    def counted_solve(field, rows, n, k):
+        widths.append(n + k)
+        try:
+            return real_solve(field, rows, n, k)
+        finally:
+            widths.pop()
+
+    def counted_solve_intertwining(*args):
         solving.append(True)
         try:
-            return real_solve(*args)
+            return real_solve_intertwining(*args)
         finally:
             solving.pop()
 
-    monkeypatch.setattr(linalg, "rref", counted_rref)
-    monkeypatch.setattr(hull, "_solve_intertwining", counted_solve)
-    return shapes
+    monkeypatch.setattr(linalg, "echelon", counted_echelon)
+    monkeypatch.setattr(hull, "_solve", counted_solve)
+    monkeypatch.setattr(hull, "_solve_intertwining", counted_solve_intertwining)
+    return calls
+
+
+def _assert_one_sparse_elimination(calls, unknowns):
+    """One elimination of a system with the unknowns plus the rhs column,
+    handed over as dict rows that store only nonzero entries."""
+    assert [width for width, _ in calls] == [unknowns + 1]
+    rows = calls[0][1]
+    assert all(isinstance(r, dict) for r in rows)
+    assert all(x for r in rows for x in r.values())
+    assert max(j for r in rows for j in r) == unknowns
+    assert min(j for r in rows for j in r) >= 0
 
 
 def test_extension_eliminates_once(hull_eliminations):
@@ -375,13 +402,14 @@ def test_extension_eliminates_once(hull_eliminations):
     res = extend_to_injective(m.rep, m.pi, m)
     assert res.injective
     unknowns = sum(m.rep.dim(v) ** 2 for v in m.quiver.vertices)
-    assert [cols for _, cols in hull_eliminations] == [unknowns + 1]
+    _assert_one_sparse_elimination(hull_eliminations, unknowns)
 
 
 def test_induced_automorphism_eliminates_once(hull_eliminations):
     m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
     induced_automorphism(m, identity_framing(m), 2)
-    assert len(hull_eliminations) == 1
+    unknowns = sum(m.rep.dim(v) ** 2 for v in m.quiver.vertices)
+    _assert_one_sparse_elimination(hull_eliminations, unknowns)
 
 
 def _one_vertex_system(target_dim, proj_rows, rhs_rows):

@@ -2,6 +2,7 @@
 a dense textbook elimination."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from quivergrass.errors import NonUniqueError, NoSolutionError, ShapeMismatchError
 from quivergrass.fields import QQ, PrimeField
+from quivergrass.hull import injective_hull, vertex_injective, vertex_projective
 from quivergrass.linalg import (
     Mat,
+    _solve,
     col_space,
+    echelon,
     kernel,
     preimage,
     rref,
@@ -21,6 +25,8 @@ from quivergrass.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from quivergrass.quiver import double, kronecker_quiver, line_quiver
+from quivergrass.repmod import hom_space, intertwining_rows, make_rep, semisimple_rep
 
 from oracles import textbook_rref
 
@@ -161,6 +167,181 @@ def test_solve_unique_reports_no_solution_before_non_uniqueness():
         solve_unique(a, Mat.from_rows(QQ, [[1], [0]]))
     with pytest.raises(NonUniqueError, match="^linear system has a nontrivial null space$"):
         solve_unique(a, Mat.from_rows(QQ, [[1], [1]]))
+
+
+# -- the sparse kernel on tall, very sparse systems ------------------------------
+
+def _dict_rows(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+@st.composite
+def sparse_augmented(draw):
+    """(field, rows, n, k): [A | B] as dense rows, twice as tall as wide and at
+    most 1 % nonzero. Half the time B is a multiple of one column of A, so the
+    system is consistent."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(20, 48))
+    k = draw(st.integers(1, 2))
+    nrows = 2 * (n + k)
+    budget = nrows * (n + k) // 100
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, n - 1))
+    spots = draw(st.dictionaries(cells, _values(field), max_size=budget // 2))
+    rows = [[spots.get((i, j), field.zero) for j in range(n)] for i in range(nrows)]
+    if draw(st.booleans()):
+        j, c = draw(st.integers(0, n - 1)), draw(_values(field))
+        for r in rows:
+            r += [field.mul(c, r[j])] + [field.zero] * (k - 1)
+    else:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, k - 1))
+        rhs = draw(st.dictionaries(cells, _values(field), max_size=budget // 2))
+        for i, r in enumerate(rows):
+            r += [rhs.get((i, t), field.zero) for t in range(k)]
+    assert sum(map(bool, (x for r in rows for x in r))) <= budget
+    return field, rows, n, k
+
+
+@PROPERTY
+@given(sparse_augmented())
+def test_echelon_of_a_tall_sparse_system_is_the_textbook_rref(case):
+    field, rows, n, k = case
+    want, want_pivots = textbook_rref(rows, n + k, _p(field))
+    basis = echelon(field, _dict_rows(rows))
+    assert sorted(basis) == want_pivots
+    assert [basis[c] for c in want_pivots] == _dict_rows(want[:len(want_pivots)])
+    assert all(x for r in basis.values() for x in r.values())
+    assert rref(Mat(field, len(rows), n + k, rows)) == (Mat(field, len(rows), n + k, want),
+                                                        want_pivots)
+
+
+@PROPERTY
+@given(sparse_augmented())
+def test_solve_on_a_tall_sparse_system_multiplies_back(case):
+    field, rows, n, k = case
+    p = _p(field)
+    pivots = textbook_rref(rows, n + k, p)[1]
+    x, rank_a = _solve(field, _dict_rows(rows), n, k)
+    assert rank_a == sum(c < n for c in pivots)
+    if rank_a != len(pivots):
+        assert x is None
+        return
+    assert (x.rows, x.cols) == (n, k)
+    a = Mat(field, len(rows), n, [r[:n] for r in rows])
+    assert _product(a, x, p) == [r[n:] for r in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_cancelled_entries_are_dropped_and_never_pivots(field):
+    # r + s loses column 1 when r is subtracted, below s's leading column 2;
+    # 2r cancels completely; inserting s after r + s cancels column 2 of it.
+    def row(entries):
+        return {j: field.of(x) for j, x in entries.items() if field.of(x)}
+
+    r, s = {0: 1, 1: 1, 3: 1}, {2: 1, 3: 5}
+    given_rows = [r, {j: 2 * x for j, x in r.items()},
+                  {j: r.get(j, 0) + s.get(j, 0) for j in range(4)}, s]
+    dense = [[field.of(g.get(j, 0)) for j in range(4)] for g in given_rows]
+    want, pivots = textbook_rref(dense, 4, _p(field))
+    assert pivots == [0, 2]
+    for order in permutations(given_rows):
+        basis = echelon(field, [row(g) for g in order])
+        assert sorted(basis) == pivots
+        assert [basis[c] for c in pivots] == _dict_rows(want[:2])
+        assert all(x for b in basis.values() for x in b.values())
+
+
+# -- the intertwining system and hom spaces ---------------------------------------
+
+def _dense_intertwining(v_rep, w_rep, twists):
+    """phi[t] X_a - z_a Y_a phi[s] = 0, entry (i, j) by entry, as dense rows
+    over the unknowns phi[v][r][c] taken vertex by vertex in row-major order."""
+    field = v_rep.field
+    q = v_rep.quiver
+    index, total = {}, 0
+    for v in q.vertices:
+        for r in range(w_rep.dim(v)):
+            for c in range(v_rep.dim(v)):
+                index[v, r, c] = total
+                total += 1
+    rows = []
+    for a in q.arrows:
+        x, y = v_rep.map(a.name).a, w_rep.map(a.name).a
+        z = field.of(twists.get(a.name, 1))
+        for i in range(w_rep.dim(a.dst)):
+            for j in range(v_rep.dim(a.src)):
+                row = [field.zero] * total
+                for k in range(v_rep.dim(a.dst)):
+                    u = index[a.dst, i, k]
+                    row[u] = field.add(row[u], x[k][j])
+                for k in range(w_rep.dim(a.src)):
+                    u = index[a.src, k, j]
+                    row[u] = field.sub(row[u], field.mul(z, y[i][k]))
+                rows.append(row)
+    return rows, total
+
+
+QUIVERS = [double(line_quiver(2)), double(line_quiver(3)), double(kronecker_quiver())]
+
+
+@st.composite
+def rep_pairs(draw):
+    """(v_rep, w_rep, twists): unconstrained representations of one double quiver."""
+    field = draw(st.sampled_from(FIELDS))
+    q = draw(st.sampled_from(QUIVERS))
+
+    def rep():
+        dims = {v: draw(st.integers(0, 3)) for v in q.vertices}
+        entry = st.one_of(st.just(field.zero), _values(field))
+        maps = {a.name: Mat(field, dims[a.dst], dims[a.src],
+                            [[draw(entry) for _ in range(dims[a.src])]
+                             for _ in range(dims[a.dst])])
+                for a in q.arrows}
+        return make_rep(field, q, dims, maps, preprojective=False)
+
+    v_rep, w_rep = rep(), rep()
+    names = [a.name for a in q.arrows]
+    twists = draw(st.dictionaries(st.sampled_from(names), _values(field)))
+    return v_rep, w_rep, twists
+
+
+@PROPERTY
+@given(rep_pairs())
+def test_intertwining_rows_densify_to_the_system_built_by_hand(case):
+    v_rep, w_rep, twists = case
+    rows, offsets, total = intertwining_rows(v_rep, w_rep, twists)
+    want, want_total = _dense_intertwining(v_rep, w_rep, twists)
+    assert total == want_total
+    assert all(x for r in rows for x in r.values())
+    assert [[r.get(j, v_rep.field.zero) for j in range(total)] for r in rows] == want
+
+
+def _hom_cases():
+    a2, a3 = line_quiver(2), line_quiver(3)
+    a2d = double(a2)
+    q1 = make_rep(QQ, a2d, {"1": 1, "2": 1}, {"a1": [[0]], "a1*": [[1]]})
+    s1 = semisimple_rep(QQ, a2d, {"1": 1, "2": 0})
+    s2 = semisimple_rep(QQ, a2d, {"1": 0, "2": 1})
+    hull_a3 = injective_hull(a3, {"1": 1, "2": 1, "3": 1}).rep
+    hull_a2 = injective_hull(a2, {"1": 1, "2": 1}).rep
+    kron = injective_hull(kronecker_quiver(), {"1": 1, "2": 0}, 2).rep
+    return [
+        (s1, q1, 1), (s1, s2, 0), (q1, q1, 1),
+        (hull_a3, hull_a3, 10), (hull_a2, hull_a2, 4), (kron, kron, 1),
+        (vertex_projective(a3, "1"), vertex_injective(a3, "3").rep, 1),
+        (vertex_injective(a3, "1").rep, hull_a3, 3),
+        (hull_a3, vertex_injective(a3, "2").rep, 4),
+    ]
+
+
+@pytest.mark.parametrize("v_rep, w_rep, dim", _hom_cases())
+def test_hom_space_dimensions(v_rep, w_rep, dim):
+    basis = hom_space(v_rep, w_rep)
+    assert len(basis) == dim
+    rows, total = _dense_intertwining(v_rep, w_rep, {})
+    assert dim == total - len(textbook_rref(rows, total)[1])
+    for phi in basis:
+        for a in v_rep.quiver.arrows:
+            assert phi[a.dst] @ v_rep.map(a.name) == w_rep.map(a.name) @ phi[a.src]
 
 
 # -- subspace primitives -------------------------------------------------------

@@ -109,7 +109,7 @@ def test_orbit_maximum_solves_cartan_equation():
         theta = diagram_involution(q)
         tw = apply_involution(q, theta, w)
         c = Mat.from_rows(QQ, [list(r) for r in cartan_matrix(q).matrix])
-        rhs = Mat.column(QQ, [w[x] + tw[x] for x in q.vertices])
+        rhs = Mat.from_rows(QQ, [[w[x] + tw[x]] for x in q.vertices])
         sol = solve_unique(c, rhs)
         vmax = orbit_maximum(q, w)
         assert [vmax[x] for x in q.vertices] == [int(sol.a[i][0]) for i in range(len(q.vertices))]
