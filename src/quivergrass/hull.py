@@ -13,9 +13,16 @@ of the full hull.
 The projective at a vertex is the span of path classes starting there,
 placed at their target vertex, with arrows acting by left concatenation.
 
-Extension maps into these models (and twisted automorphisms of them) are
-found by one combined exact linear solve; the zero kernel of the
-homogeneous system is the uniqueness certificate.
+A module map g from V into a model is fixed by its socle part: the row of
+g at the dual of a basis path beta from v to i in summand k is
+sigma_k X_beta, where sigma_k is g's socle row for summand k and X_beta is
+the action of beta on V (Hom(V, D(e_i Pi)) = Hom(e_i V, k)). Extension maps
+and twisted automorphisms are read off the path basis in this way, with no
+linear system solved. Each answer is then checked exactly: g commutes with
+every arrow and its projection is the one asked for. A map with zero
+projection has an image meeting the socle copy in zero, so the homogeneous
+problem has only the zero solution exactly when the socle of the model is
+its socle copy; that is the uniqueness certificate, checked once per model.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import QQ
-from .linalg import Mat, _solve, kernel, rank, subspace_intersect
+from .linalg import Mat, kernel, rank, subspace_intersect
 from .palg import Path, algebra, compose, default_truncation, trivial_path
 from .quiver import Quiver
 from .repmod import (
@@ -41,11 +48,10 @@ from .repmod import (
     _mapped_into,
     check_closure,
     direct_sum,
-    intertwining_rows,
     is_nilpotent,
     make_rep,
-    maps_from_unknowns,
     restrict,
+    socle,
 )
 
 
@@ -55,11 +61,13 @@ class InjectiveModel:
     labels[v] lists (summand index, path) for each coordinate at vertex v;
     pi is the canonical projection onto the socle copy (it kills every dual
     path of positive length); socle_cols locates the socle coordinates.
+    Whether the socle of rep is exactly the socle copy is checked on first
+    need and kept in a record that every `with_projection` copy shares.
     """
 
     def __init__(self, base: Quiver, w: dict, trunc: int, full: bool,
                  rep: Rep, labels: dict, summands: tuple, pi: dict,
-                 socle_cols: dict):
+                 socle_cols: dict, checks: dict | None = None):
         self.base = base
         self.w = w
         self.trunc = trunc
@@ -69,6 +77,7 @@ class InjectiveModel:
         self.summands = summands
         self.pi = pi
         self.socle_cols = socle_cols
+        self._checks = {} if checks is None else checks
 
     @property
     def quiver(self) -> Quiver:
@@ -98,7 +107,7 @@ class InjectiveModel:
                     raise ValidationError("projection must restrict to the identity on the socle copy")
         return InjectiveModel(
             self.base, self.w, self.trunc, self.full, self.rep,
-            self.labels, self.summands, pi, self.socle_cols,
+            self.labels, self.summands, pi, self.socle_cols, self._checks,
         )
 
 
@@ -237,54 +246,105 @@ class ExtensionResult:
     injective: bool
 
 
-def _solve_intertwining(v_rep: Rep, target: Rep, twists: dict, proj: dict,
-                        rhs_proj: dict) -> dict:
-    """Solve {g x_a = twist_a . y_a g for all a; proj g = rhs_proj} for g.
+def _row_times(field, row: list, m: Mat) -> list:
+    """The row vector row·m, visiting only the nonzero entries of row and m."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * m.cols
+    for x, mr in zip(row, m.a):
+        if x:
+            for j, y in enumerate(mr):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return out
 
-    Unknowns are the per-vertex matrices of g (target dim x source dim).
-    The sparse rows of `intertwining_rows` are joined by the projection
-    rows, each holding the rhs at column `total`, the one past the
-    unknowns; only nonzero entries are stored, so the system is never
-    dense. `linalg._solve` eliminates it once. A rank below the number of
-    unknowns means a nonzero homogeneous kernel, checked first; otherwise
-    no solution means the system is inconsistent.
+
+def _path_map(v_rep: Rep, model: InjectiveModel, sigma: dict) -> dict:
+    """The map g: V -> model whose row at label (k, beta) is sigma_k X_beta.
+
+    sigma[i] holds one row per summand at vertex i, as the model's
+    projection rows do: row r belongs to the summand of the socle
+    coordinate socle_cols[i][r]. X_beta is the product of V's arrow maps
+    along beta, last-applied arrow leftmost, so each row is the row of the
+    path's prefix one arrow shorter times one arrow map, built once.
     """
     field = v_rep.field
-    rows, offsets, total = intertwining_rows(v_rep, target, twists)
-    for v in v_rep.quiver.vertices:
-        p = proj[v].a
-        r_p = rhs_proj[v].a
-        n = v_rep.dim(v)
-        for i, p_i in enumerate(p):
-            coeffs = [(offsets[v] + k * n, field.of(x)) for k, x in enumerate(p_i) if x]
-            for j in range(n):
-                row = {o + j: x for o, x in coeffs}
-                y = field.of(r_p[i][j])
-                if y:
-                    row[total] = y
-                rows.append(row)
-    x, rank_m = _solve(field, rows, total, 1)
-    if rank_m < total:
+    memo = {}
+    for i in model.quiver.vertices:
+        for r, c in enumerate(model.socle_cols[i]):
+            memo[model.labels[i][c][0], ()] = list(sigma[i].a[r])
+
+    def row(k, arrows):
+        out = memo.get((k, arrows))
+        if out is None:
+            out = _row_times(field, row(k, arrows[:-1]), v_rep.map(arrows[-1]))
+            memo[k, arrows] = out
+        return out
+
+    g = {}
+    for v in model.quiver.vertices:
+        rows = [row(k, p.arrows) for k, p in model.labels[v]]
+        g[v] = Mat(field, len(rows), v_rep.dim(v), rows)
+    return g
+
+
+def _map_into(v_rep: Rep, model: InjectiveModel, tau: dict) -> dict:
+    """The unique module map g: V -> model with model.pi·g = tau.
+
+    The socle part sigma of g starts at tau. The trivial path's row of
+    g(sigma) is sigma itself, and the rest of model.pi reads only rows of
+    positive-length paths, so sigma <- sigma + (tau - pi·g(sigma)) adds
+    terms through ever longer paths of V and settles within V's Loewy
+    length; settled means pi·g = tau holds. Raises NonUniqueError when the
+    socle of the model exceeds its socle copy, NoSolutionError when sigma
+    has not settled after total_dim(V) + 1 rounds or g fails to commute with
+    an arrow.
+    """
+    if "socle" not in model._checks:
+        model._checks["socle"] = socle(model.rep) == model.socle_subrep()
+    if not model._checks["socle"]:
         raise NonUniqueError("homogeneous intertwining system has a nonzero kernel")
-    if x is None:
+    q = model.quiver
+    sigma = tau
+    for _ in range(v_rep.total_dim() + 1):
+        g = _path_map(v_rep, model, sigma)
+        miss = {v: tau[v] - model.pi[v] @ g[v] for v in q.vertices}
+        if not any(any(map(any, miss[v].a)) for v in q.vertices):
+            break
+        sigma = {v: sigma[v] + miss[v] for v in q.vertices}
+    else:
         raise NoSolutionError("intertwining system is unsolvable")
-    return maps_from_unknowns([row[0] for row in x.a], offsets, v_rep, target)
+    for a in q.arrows:
+        if (g[a.dst] @ v_rep.map(a.name)).a != (model.rep.map(a.name) @ g[a.src]).a:
+            raise NoSolutionError("intertwining system is unsolvable")
+    return g
 
 
 def extend_to_injective(v_rep: Rep, tau: dict, model: InjectiveModel) -> ExtensionResult:
-    """The unique module map into the model whose socle projection is tau."""
+    """The unique module map into the model whose socle projection is tau.
+
+    V must be nilpotent. An injective map embeds V in the nilpotent model,
+    so the radical filtration runs only when the map found is not injective
+    or none is found; a non-nilpotent V is reported before any other fault.
+    """
+    q = model.quiver
+    try:
+        for v in q.vertices:
+            t = tau[v]
+            if t.rows != model.w.get(v, 0) or t.cols != v_rep.dim(v):
+                raise ValidationError(f"tau shape at vertex {v!r} is wrong")
+        gamma = _map_into(v_rep, model, tau)
+    except Exception:
+        _require_nilpotent(v_rep)
+        raise
+    injective = all(rank(gamma[v]) == v_rep.dim(v) for v in q.vertices)
+    if not injective:
+        _require_nilpotent(v_rep)
+    return ExtensionResult(gamma, injective)
+
+
+def _require_nilpotent(v_rep: Rep) -> None:
     if not is_nilpotent(v_rep):
         raise NotNilpotentError("extension requires a nilpotent representation")
-    q = model.quiver
-    for v in q.vertices:
-        t = tau[v]
-        if t.rows != model.w.get(v, 0) or t.cols != v_rep.dim(v):
-            raise ValidationError(f"tau shape at vertex {v!r} is wrong")
-    gamma = _solve_intertwining(v_rep, model.rep, {}, model.pi, tau)
-    injective = all(
-        rank(gamma[v]) == v_rep.dim(v) for v in q.vertices
-    )
-    return ExtensionResult(gamma, injective)
 
 
 # -- framed points ------------------------------------------------------------
@@ -351,17 +411,24 @@ def identity_framing(model: InjectiveModel) -> dict:
 
 
 def induced_automorphism(model: InjectiveModel, g: dict, z, m: dict | None = None) -> dict:
-    """The unique invertible map with gamma x_a = z^-(m(a)+1) x_a gamma, pi gamma = g pi."""
+    """The unique invertible map with gamma x_a = z^-(m(a)+1) x_a gamma, pi gamma = g pi.
+
+    Such a gamma is a module map into the model from the model with each
+    arrow map scaled by z^(m(a)+1), so it is read off the path basis like
+    any extension.
+    """
     field = model.rep.field
     zq = field.of(z)
     if zq == field.zero:
         raise ValidationError("the scaling parameter must be nonzero")
     weights = arrow_weights(model.base, m)
-    twists = {}
-    for a in model.quiver.arrows:
-        twists[a.name] = _field_pow(field, zq, -(weights[a.name] + 1))
+    rep = model.rep
+    scaled = Rep(field, rep.quiver, rep.dims, {
+        a.name: rep.map(a.name).scale(_field_pow(field, zq, weights[a.name] + 1))
+        for a in rep.quiver.arrows
+    })
     rhs = {v: g[v] @ model.pi[v] for v in model.quiver.vertices}
-    gamma = _solve_intertwining(model.rep, model.rep, twists, model.pi, rhs)
+    gamma = _map_into(scaled, model, rhs)
     for v in model.quiver.vertices:
         if rank(gamma[v]) != model.rep.dim(v):
             raise DimensionMismatchError("induced map is not invertible")
@@ -389,9 +456,12 @@ def eigen_grading(model: InjectiveModel, g: dict, z, m: dict | None = None,
                   gamma: dict | None = None) -> Grading:
     """Split each vertex space into eigenspaces of the induced automorphism.
 
-    Candidate eigenvalues are read off the diagonal framing and the degree
-    ladder; g must be diagonal. Returns per vertex a list of
-    (eigenvalue, echelon basis) pairs sorted by eigenvalue.
+    g must be diagonal. Under the canonical projection the induced
+    automorphism is diagonal on the path basis: the label (k, beta) has
+    eigenvalue g_k z^(sum over the arrows a of beta of m(a) + 1). Each
+    eigenvalue is read off its label and gamma is checked to be exactly that
+    diagonal. Returns per vertex a list of (eigenvalue, echelon basis) pairs
+    sorted by eigenvalue, each basis the unit columns of its labels.
     """
     field = model.rep.field
     if gamma is None:
@@ -410,24 +480,23 @@ def eigen_grading(model: InjectiveModel, g: dict, z, m: dict | None = None,
     zq = field.of(z)
     if zq == field.zero:
         raise ValidationError("the scaling parameter must be nonzero")
-    candidates = set()
-    for v in model.quiver.vertices:
-        for k, p in model.labels[v]:
-            candidates.add(field.mul(diag[k], _field_pow(field, zq, p.length)))
+    weights = arrow_weights(model.base, m)
     out = {}
     for v in model.quiver.vertices:
         n = model.rep.dim(v)
+        cols = {}
+        for c, ((k, p), row) in enumerate(zip(model.labels[v], gamma[v].a)):
+            lam = field.mul(diag[k], _field_pow(field, zq, sum(weights[a] + 1 for a in p.arrows)))
+            if row[c] != lam or any(x for j, x in enumerate(row) if j != c):
+                raise NotDiagonalizableError(
+                    f"the induced automorphism is not diagonal on the path basis at vertex {v!r}"
+                )
+            cols.setdefault(lam, []).append(c)
         spaces = []
-        covered = 0
-        for lam in sorted(candidates, key=Fraction):
-            shifted = gamma[v] - Mat.identity(field, n).scale(lam)
-            es = kernel(shifted)
-            if es.cols:
-                spaces.append((lam, es))
-                covered += es.cols
-        if covered != n:
-            raise NotDiagonalizableError(
-                f"eigenspaces cover {covered} of {n} dimensions at vertex {v!r}"
-            )
+        for lam in sorted(cols, key=Fraction):
+            basis = Mat.zeros(field, n, len(cols[lam]))
+            for t, c in enumerate(cols[lam]):
+                basis.a[c][t] = field.one
+            spaces.append((lam, basis))
         out[v] = tuple(spaces)
-    return Grading(spaces=out, z=zq, weights=arrow_weights(model.base, m))
+    return Grading(spaces=out, z=zq, weights=weights)

@@ -308,15 +308,21 @@ def pivot_rows(w: Mat) -> list[int]:
     return out
 
 
-def _null_space(f, rows, n: int) -> Mat:
-    """Canonical basis of {v in F^n : r·v = 0 for every sparse row r}, as columns.
+def _reversed_rows(rows, n: int) -> list[dict]:
+    """Dense rows of width n as sparse rows with column j read as n - 1 - j."""
+    return [{n - 1 - j: x for j, x in enumerate(r) if x} for r in rows]
 
-    The rows are eliminated once with their columns reversed, column j read
-    as n - 1 - j. Each free column then carries a 1 above every other
-    nonzero of its basis vector, and that vector is zero in the other free
-    columns, so the basis is canonical as built.
+
+def _null_space(f, rows, n: int) -> Mat:
+    """Canonical basis of {v in F^n : r·v = 0 for every row r}, as columns.
+
+    The rows are sparse and arrive with their columns already reversed,
+    column j read as n - 1 - j (`_reversed_rows` makes them from dense
+    rows); they are eliminated once. Each free column then carries a 1
+    above every other nonzero of its basis vector, and that vector is zero
+    in the other free columns, so the basis is canonical as built.
     """
-    basis = echelon(f, [{n - 1 - j: x for j, x in r.items()} for r in rows])
+    basis = echelon(f, rows)
     free = {j: t for t, j in enumerate(j for j in range(n) if n - 1 - j not in basis)}
     out = [[f.zero] * len(free) for _ in range(n)]
     for j, t in free.items():
@@ -331,7 +337,7 @@ def _null_space(f, rows, n: int) -> Mat:
 
 def kernel(m: Mat) -> Mat:
     """Canonical basis of the right null space, as columns."""
-    return _null_space(m.field, _sparse(m.a), m.cols)
+    return _null_space(m.field, _reversed_rows(m.a, m.cols), m.cols)
 
 
 def _solve(f, rows, n: int, k: int) -> tuple[Mat | None, int]:
@@ -450,12 +456,13 @@ def preimage(pairs) -> Mat:
     """Canonical basis of {v : X v in span(w) for every pair (X, w)}.
 
     `pairs` is a nonempty list of (map X, canonical basis w of X's target);
-    the maps share a source. Their residual rows are stacked and the
-    kernel of the stack is taken in one elimination.
+    the maps share a source. Their residual rows are stacked, straight into
+    reversed sparse rows, and the kernel of the stack is taken in one
+    elimination.
     """
     x = pairs[0][0]
-    rows = [r for m, w in pairs for r in _residual_rows(w, m)]
-    return kernel(Mat(x.field, len(rows), x.cols, rows))
+    rows = (r for m, w in pairs for r in _residual_rows(w, m))
+    return _null_space(x.field, _reversed_rows(rows, x.cols), x.cols)
 
 
 def coords_in(w: Mat, b: Mat) -> Mat:

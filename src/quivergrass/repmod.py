@@ -332,7 +332,7 @@ def hom_space(v_rep: Rep, w_rep: Rep) -> list[dict]:
     if v_rep.field is not w_rep.field and v_rep.field != w_rep.field:
         raise ValidationError("hom requires representations over the same field")
     rows, offsets, total = intertwining_rows(v_rep, w_rep)
-    ker = _null_space(v_rep.field, rows, total)
+    ker = _null_space(v_rep.field, [{total - 1 - j: x for j, x in r.items()} for r in rows], total)
     return [maps_from_unknowns(ker.col(c), offsets, v_rep, w_rep) for c in range(ker.cols)]
 
 

@@ -97,6 +97,56 @@ def textbook_rref(rows, ncols, p=None):
     return a, pivots
 
 
+# -- module maps by one dense linear system --------------------------------------
+
+def intertwiner_by_hand(arrows, src, dst, twists, proj, rhs):
+    """The unique G with G_t X_a = z_a Y_a G_s for every arrow and P_v G_v = R_v.
+
+    arrows are (name, source, target); src and dst are (dims, maps) pairs
+    with maps as lists of rows; twists gives z_a (1 when absent); proj and
+    rhs give P_v and R_v per vertex. The unknowns are the entries of every
+    G_v, vertex by vertex, row by row; each equation is written out densely,
+    the right-hand side in one last column, and `textbook_rref` solves it.
+    Returns (G as lists of rows per vertex, or None when the system is
+    inconsistent; whether its homogeneous part has only the zero solution).
+    """
+    (sdims, smaps), (ddims, dmaps) = src, dst
+    offset, total = {}, 0
+    for v in sdims:
+        offset[v] = total
+        total += ddims[v] * sdims[v]
+    rows = []
+    for name, s, t in arrows:
+        x, y, z = smaps[name], dmaps[name], Fraction(twists.get(name, 1))
+        for i in range(ddims[t]):
+            for j in range(sdims[s]):
+                row = [Fraction(0)] * (total + 1)
+                for k in range(sdims[t]):
+                    row[offset[t] + i * sdims[t] + k] += x[k][j]
+                for k in range(ddims[s]):
+                    row[offset[s] + k * sdims[s] + j] -= z * y[i][k]
+                rows.append(row)
+    for v in sdims:
+        for i, prow in enumerate(proj[v]):
+            for j in range(sdims[v]):
+                row = [Fraction(0)] * (total + 1)
+                for k in range(ddims[v]):
+                    row[offset[v] + k * sdims[v] + j] += prow[k]
+                row[total] = Fraction(rhs[v][i][j])
+                rows.append(row)
+    reduced, pivots = textbook_rref(rows, total + 1)
+    unique = sum(c < total for c in pivots) == total
+    if total in pivots:
+        return None, unique
+    value = [Fraction(0)] * total
+    for r, c in enumerate(pivots):
+        value[c] = reduced[r][total]
+    return {
+        v: [value[offset[v] + r * sdims[v]:offset[v] + (r + 1) * sdims[v]] for r in range(ddims[v])]
+        for v in sdims
+    }, unique
+
+
 # -- definiteness of the Cartan form --------------------------------------------
 
 def cartan_form(q):

@@ -123,8 +123,6 @@ METHODS = [
 
 # Public methods that nothing in the package reads, each with why it is kept.
 METHOD_ALLOWLIST = {
-    "hull.InjectiveModel.socle_subrep": "the framing's socle copy in I(w); tests check that "
-                                        "it is the module's socle, as the paper states",
     "palg.PathAlgebra.multiply": "the product of the preprojective algebra; tests check its "
                                  "associativity, which certifies the rewriting normal form",
 }

@@ -3,6 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 import quivergrass.hull as hull
 import quivergrass.linalg as linalg
@@ -36,9 +40,11 @@ from quivergrass.repmod import (
     is_isomorphic,
     make_rep,
     make_subrep,
+    restrict,
     semisimple_rep,
     socle,
     socle_filtration,
+    sub_generated,
 )
 from quivergrass.weyl import orbit_maximum
 
@@ -344,93 +350,264 @@ def test_automorphism_rejects_zero_scale():
         induced_automorphism(m, identity_framing(m), 0)
 
 
-# -- one elimination per intertwining solve ------------------------------------
+# -- maps read off the path basis -------------------------------------------------
 
-@pytest.fixture
-def hull_eliminations(monkeypatch):
-    """Every `linalg.echelon` run while an intertwining solve is open.
-
-    Each entry is (width, rows): the rows handed to the kernel, copied
-    before it consumes them, and the width n + k of the `_solve` call that
-    made the elimination (None when no `_solve` call was open).
-    """
-    calls = []
-    solving = []
-    widths = []
-    real_echelon, real_solve = linalg.echelon, hull._solve
-    real_solve_intertwining = hull._solve_intertwining
-
-    def counted_echelon(field, rows):
-        if solving:
-            rows = list(rows)
-            calls.append((widths[-1] if widths else None, [dict(r) for r in rows]))
-        return real_echelon(field, rows)
-
-    def counted_solve(field, rows, n, k):
-        widths.append(n + k)
-        try:
-            return real_solve(field, rows, n, k)
-        finally:
-            widths.pop()
-
-    def counted_solve_intertwining(*args):
-        solving.append(True)
-        try:
-            return real_solve_intertwining(*args)
-        finally:
-            solving.pop()
-
-    monkeypatch.setattr(linalg, "echelon", counted_echelon)
-    monkeypatch.setattr(hull, "_solve", counted_solve)
-    monkeypatch.setattr(hull, "_solve_intertwining", counted_solve_intertwining)
-    return calls
-
-
-def _assert_one_sparse_elimination(calls, unknowns):
-    """One elimination of a system with the unknowns plus the rhs column,
-    handed over as dict rows that store only nonzero entries."""
-    assert [width for width, _ in calls] == [unknowns + 1]
-    rows = calls[0][1]
-    assert all(isinstance(r, dict) for r in rows)
-    assert all(x for r in rows for x in r.values())
-    assert max(j for r in rows for j in r) == unknowns
-    assert min(j for r in rows for j in r) >= 0
-
-
-def test_extension_eliminates_once(hull_eliminations):
+def test_eigen_grading_reads_arrow_weights():
+    # With m(a1) = 1 the label of a path carries z^(sum of m(a) + 1) over its
+    # arrows, not z^length.
     m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
-    res = extend_to_injective(m.rep, m.pi, m)
-    assert res.injective
-    unknowns = sum(m.rep.dim(v) ** 2 for v in m.quiver.vertices)
-    _assert_one_sparse_elimination(hull_eliminations, unknowns)
+    grading = eigen_grading(m, identity_framing(m), 2, {"a1": 1})
+    spaces = {v: [(lam, b.cols) for lam, b in grading[v]] for v in m.quiver.vertices}
+    assert spaces == {
+        "1": [(1, 1), (4, 1), (8, 1)],
+        "2": [(1, 2), (2, 1), (4, 1)],
+        "3": [(1, 1), (2, 2)],
+    }
+    gam = induced_automorphism(m, identity_framing(m), 2, {"a1": 1})
+    for v in m.quiver.vertices:
+        for lam, basis in grading[v]:
+            assert gam[v] @ basis == basis.scale(lam)
+            assert basis == col_space(basis)
 
 
-def test_induced_automorphism_eliminates_once(hull_eliminations):
-    m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
-    induced_automorphism(m, identity_framing(m), 2)
-    unknowns = sum(m.rep.dim(v) ** 2 for v in m.quiver.vertices)
-    _assert_one_sparse_elimination(hull_eliminations, unknowns)
+def test_eigen_grading_rejects_an_automorphism_off_the_path_diagonal():
+    m = injective_hull(A2, {"1": 1, "2": 1})
+    g = identity_framing(m)
+    gam = induced_automorphism(m, g, 2)
+    gam["1"] = mat([[1, 1], [0, 2]], 2)
+    with pytest.raises(NotDiagonalizableError, match="not diagonal on the path basis"):
+        eigen_grading(m, g, 2, gamma=gam)
 
 
-def _one_vertex_system(target_dim, proj_rows, rhs_rows):
-    """g: k -> k^target_dim on the one-vertex quiver, constrained by proj g = rhs."""
-    dq = double(A1)
-    source = semisimple_rep(QQ, dq, {"1": 1})
-    target = semisimple_rep(QQ, dq, {"1": target_dim})
-    proj = {"1": mat(proj_rows, target_dim)}
-    rhs = {"1": mat(rhs_rows, 1)}
-    return source, target, {}, proj, rhs
-
-
-def test_intertwining_nonzero_kernel_is_reported_before_inconsistency():
-    # g0 = 1 and g0 = 0 contradict each other, and g1 is free.
-    system = _one_vertex_system(2, [[1, 0], [1, 0]], [[1], [0]])
+def test_model_with_a_socle_beyond_its_socle_copy_is_not_unique():
+    # The arrow maps of I(1) replaced by zero: the socle is then the whole
+    # space, and a map from S(2) into the extra socle is invisible to pi.
+    m = vertex_injective(A2, "1")
+    flat = semisimple_rep(QQ, m.quiver, m.rep.dims)
+    fake = hull.InjectiveModel(m.base, m.w, m.trunc, m.full, flat, m.labels, m.summands,
+                               m.pi, m.socle_cols)
+    v_rep = semisimple_rep(QQ, m.quiver, {"1": 1, "2": 1})
+    tau = {"1": mat([[1]], 1), "2": Mat.zeros(QQ, 0, 1)}
     with pytest.raises(NonUniqueError,
                        match="^homogeneous intertwining system has a nonzero kernel$"):
-        hull._solve_intertwining(*system)
+        extend_to_injective(v_rep, tau, fake)
 
 
-def test_intertwining_inconsistency_with_zero_kernel():
-    system = _one_vertex_system(1, [[1], [1]], [[1], [0]])
+def test_truncated_kronecker_hull_does_not_take_a_longer_truncation():
+    # Paths of length 2 and 3 survive in the truncation-4 hull but are zero
+    # in the truncation-2 one, so no module map extends the socle identity.
+    w = {"1": 1, "2": 0}
+    short, long_ = injective_hull(KR, w, 2), injective_hull(KR, w, 4)
     with pytest.raises(NoSolutionError, match="^intertwining system is unsolvable$"):
-        hull._solve_intertwining(*system)
+        extend_to_injective(long_.rep, long_.pi, short)
+    res = extend_to_injective(short.rep, short.pi, long_)
+    assert res.injective
+
+
+def test_socle_certificate_is_checked_once_per_model(monkeypatch):
+    calls = []
+    real = hull.socle
+    monkeypatch.setattr(hull, "socle", lambda rep: calls.append(rep) or real(rep))
+    m = injective_hull(A2, {"1": 1, "2": 1})
+    p1 = vertex_projective(A2, "1")
+    tau = {"1": mat([[0]], 1), "2": mat([[1]], 1)}
+    m2 = m.with_projection({"1": mat([[1, 5]], 2), "2": mat([[0, 1]], 2)})
+    extend_to_injective(p1, tau, m)
+    extend_to_injective(p1, tau, m2)
+    induced_automorphism(m2, identity_framing(m2), 3)
+    m3 = m.with_projection({"1": mat([[1, -1]], 2), "2": mat([[0, 1]], 2)})
+    extend_to_injective(p1, tau, m3)
+    assert calls == [m.rep]
+    injective_hull(A2, {"1": 1, "2": 1})
+    assert calls == [m.rep]
+
+
+def test_extension_and_automorphism_eliminate_no_system(monkeypatch):
+    # Every elimination left is per vertex (the socle certificate and the
+    # ranks of the answer), none over the unknowns of an intertwining system.
+    widths = []
+    real = linalg.echelon
+
+    def counted(field, rows):
+        rows = list(rows)
+        widths.append(max((j + 1 for r in rows for j in r), default=0))
+        return real(field, rows)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
+    m2 = m.with_projection(_ones_off_the_socle(m))
+    assert extend_to_injective(m.rep, m2.pi, m).injective
+    assert extend_to_injective(m.rep, m.pi, m2).injective
+    induced_automorphism(m2, identity_framing(m2), 2, {"a2": 1})
+    eigen_grading(m, identity_framing(m), 3)
+    assert widths
+    assert max(widths) <= max(m.rep.dims.values())
+    assert sum(d * d for d in m.rep.dims.values()) > max(m.rep.dims.values())
+
+
+def _ones_off_the_socle(model):
+    """The admissible projection with every entry off the socle columns 1."""
+    pi = {}
+    for v in model.quiver.vertices:
+        keep = set(model.socle_cols[v])
+        pi[v] = Mat.from_rows(QQ, [[x if c in keep else 1 for c, x in enumerate(row)]
+                                   for row in model.pi[v].a], model.rep.dim(v))
+    return pi
+
+
+def _cyclic_kronecker_rep():
+    dq = double(KR)
+    return make_rep(
+        QQ, dq, {"1": 1, "2": 1},
+        {"a": mat([[1]], 1), "b": mat([[0]], 1),
+         "a*": mat([[0]], 1), "b*": mat([[1]], 1)},
+    )
+
+
+def test_non_nilpotent_rep_with_zero_tau_is_rejected():
+    # g = 0 commutes with every arrow and projects to tau = 0; it is not
+    # injective, so nilpotency is still checked.
+    m = vertex_injective(KR, "1")
+    tau = {"1": Mat.zeros(QQ, 1, 1), "2": Mat.zeros(QQ, 0, 1)}
+    with pytest.raises(NotNilpotentError):
+        extend_to_injective(_cyclic_kronecker_rep(), tau, m)
+
+
+def test_non_nilpotent_rep_is_rejected_before_a_bad_tau_shape():
+    m = vertex_injective(KR, "1")
+    tau = {"1": mat([[1, 0]], 2), "2": Mat.zeros(QQ, 0, 1)}
+    with pytest.raises(NotNilpotentError):
+        extend_to_injective(_cyclic_kronecker_rep(), tau, m)
+    v_rep = semisimple_rep(QQ, m.quiver, {"1": 1, "2": 1})
+    with pytest.raises(ValidationError, match="tau shape"):
+        extend_to_injective(v_rep, tau, m)
+
+
+# -- against the dense intertwining system solved by hand -------------------------
+
+A4 = line_quiver(4)
+Z_VALUES = [Fraction(2), Fraction(3), Fraction(-1, 2)]
+
+
+def lists(m):
+    return [list(r) for r in m.a]
+
+
+def _plain(rep):
+    return dict(rep.dims), {a.name: lists(rep.map(a.name)) for a in rep.quiver.arrows}
+
+
+def _arrows(rep):
+    return [(a.name, a.src, a.dst) for a in rep.quiver.arrows]
+
+
+_HULLS = {}
+
+
+@st.composite
+def _models(draw, hulls):
+    """(model, canonical): a hull drawn from (quiver, truncation) pairs and a
+    framing w of zeros and ones, under its canonical projection or a random
+    admissible one."""
+    q, trunc = draw(st.sampled_from(hulls))
+    w = {v: draw(st.integers(0, 1)) for v in q.vertices}
+    key = (q, tuple(w.values()), trunc)
+    if key not in _HULLS:
+        _HULLS[key] = injective_hull(q, w, trunc)
+    model = _HULLS[key]
+    canonical = draw(st.booleans())
+    if not canonical:
+        small = st.integers(-2, 2).map(Fraction)
+        pi = {}
+        for v in q.vertices:
+            keep = set(model.socle_cols[v])
+            rows = [[x if c in keep else draw(small) for c, x in enumerate(row)]
+                    for row in lists(model.pi[v])]
+            pi[v] = Mat(QQ, len(rows), model.rep.dim(v), rows)
+        model = model.with_projection(pi)
+    return model, canonical
+
+
+@st.composite
+def extension_cases(draw):
+    """(V, tau, model): V nilpotent and satisfying the preprojective relation.
+
+    V is one of: random maps on the original arrows and zero on their
+    reverses; a submodule of the model's hull generated by random vectors;
+    for the Kronecker hull truncated at 2, the hull truncated at 3, whose
+    paths of length 2 need not map into the model at all.
+    """
+    model, _ = draw(_models([(A2, None), (A3, None), (A4, None), (KR, 2), (KR, 3)]))
+    dq = model.quiver
+    small = st.integers(-2, 2).map(Fraction)
+    longer = (model.base, model.trunc) == (KR, 2) and draw(st.booleans())
+    kind = "longer" if longer else draw(st.sampled_from(["one-sided", "submodule"]))
+    if kind == "one-sided":
+        dims = {v: draw(st.integers(0, 2)) for v in dq.vertices}
+        maps = {a.name: [[draw(small) if a.name in dq.base else Fraction(0)
+                          for _ in range(dims[a.src])] for _ in range(dims[a.dst])]
+                for a in dq.arrows}
+        v_rep = make_rep(QQ, dq, dims, maps)
+    elif kind == "longer":
+        v_rep = injective_hull(KR, model.w, 3).rep
+    else:
+        ambient = model.rep
+        vectors = {v: [[draw(small) for _ in range(ambient.dim(v))]]
+                   for v in draw(st.lists(st.sampled_from(dq.vertices), min_size=1,
+                                          max_size=2, unique=True))}
+        v_rep = restrict(ambient, sub_generated(ambient, vectors))
+    tau = {v: Mat(QQ, model.w[v], v_rep.dim(v),
+                  [[draw(small) for _ in range(v_rep.dim(v))] for _ in range(model.w[v])])
+           for v in dq.vertices}
+    return v_rep, tau, model
+
+
+@settings(max_examples=80, deadline=None)
+@given(extension_cases())
+def test_extension_matches_the_system_solved_by_hand(case):
+    v_rep, tau, model = case
+    expected, unique = oracles.intertwiner_by_hand(
+        _arrows(v_rep), _plain(v_rep), _plain(model.rep), {},
+        {v: lists(model.pi[v]) for v in model.quiver.vertices},
+        {v: lists(tau[v]) for v in model.quiver.vertices},
+    )
+    assert unique
+    if expected is None:
+        with pytest.raises(NoSolutionError):
+            extend_to_injective(v_rep, tau, model)
+        return
+    res = extend_to_injective(v_rep, tau, model)
+    assert {v: lists(res.gamma[v]) for v in model.quiver.vertices} == expected
+    assert res.injective == all(linalg.rank(res.gamma[v]) == v_rep.dim(v)
+                                for v in model.quiver.vertices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_models([(A2, None), (A3, None), (KR, 2)]), st.sampled_from(Z_VALUES), st.data())
+def test_induced_automorphism_matches_the_system_solved_by_hand(case, z, data):
+    model, canonical = case
+    dq = model.quiver
+    m = {name: data.draw(st.integers(-1, 2)) for name in dq.base}
+    weights = dict(m)
+    weights.update({name + "*": -k for name, k in m.items()})
+    units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)])
+    g = {v: Mat(QQ, model.w[v], model.w[v],
+                [[data.draw(units) if r == c else Fraction(0) for c in range(model.w[v])]
+                 for r in range(model.w[v])])
+         for v in dq.vertices}
+    pi = {v: lists(model.pi[v]) for v in dq.vertices}
+    rhs = {v: [[sum(g[v].a[r][k] * pi[v][k][c] for k in range(model.w[v]))
+                for c in range(model.rep.dim(v))] for r in range(model.w[v])]
+           for v in dq.vertices}
+    twists = {name: z ** -(k + 1) for name, k in weights.items()}
+    expected, unique = oracles.intertwiner_by_hand(
+        _arrows(model.rep), _plain(model.rep), _plain(model.rep), twists, pi, rhs)
+    assert unique and expected is not None
+    gamma = induced_automorphism(model, g, z, m)
+    assert {v: lists(gamma[v]) for v in dq.vertices} == expected
+    if canonical:
+        grading = eigen_grading(model, g, z, m, gamma=gamma)
+        for v in dq.vertices:
+            assert sum(b.cols for _, b in grading[v]) == model.rep.dim(v)
+            for lam, basis in grading[v]:
+                assert gamma[v] @ basis == basis.scale(lam)
