@@ -21,8 +21,9 @@ and twisted automorphisms are read off the path basis in this way, with no
 linear system solved. Each answer is then checked exactly: g commutes with
 every arrow and its projection is the one asked for. A map with zero
 projection has an image meeting the socle copy in zero, so the homogeneous
-problem has only the zero solution exactly when the socle of the model is
-its socle copy; that is the uniqueness certificate, checked once per model.
+problem has only the zero solution, for every V, exactly when the socle of
+the model is its socle copy; that is the uniqueness certificate, checked
+once per model.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     NonUniqueError,
     NotDiagonalizableError,
     NotNilpotentError,
+    ShapeMismatchError,
     ValidationError,
 )
 from .fields import QQ
@@ -246,18 +248,6 @@ class ExtensionResult:
     injective: bool
 
 
-def _row_times(field, row: list, m: Mat) -> list:
-    """The row vector row·m, visiting only the nonzero entries of row and m."""
-    add, mul = field.add, field.mul
-    out = [field.zero] * m.cols
-    for x, mr in zip(row, m.a):
-        if x:
-            for j, y in enumerate(mr):
-                if y:
-                    out[j] = add(out[j], mul(x, y))
-    return out
-
-
 def _path_map(v_rep: Rep, model: InjectiveModel, sigma: dict) -> dict:
     """The map g: V -> model whose row at label (k, beta) is sigma_k X_beta.
 
@@ -276,7 +266,8 @@ def _path_map(v_rep: Rep, model: InjectiveModel, sigma: dict) -> dict:
     def row(k, arrows):
         out = memo.get((k, arrows))
         if out is None:
-            out = _row_times(field, row(k, arrows[:-1]), v_rep.map(arrows[-1]))
+            prefix = row(k, arrows[:-1])
+            out = (Mat(field, 1, len(prefix), [prefix]) @ v_rep.map(arrows[-1])).a[0]
             memo[k, arrows] = out
         return out
 
@@ -484,6 +475,8 @@ def eigen_grading(model: InjectiveModel, g: dict, z, m: dict | None = None,
     out = {}
     for v in model.quiver.vertices:
         n = model.rep.dim(v)
+        if (gamma[v].rows, gamma[v].cols) != (n, n):
+            raise ShapeMismatchError(f"the automorphism at vertex {v!r} is not {n}x{n}")
         cols = {}
         for c, ((k, p), row) in enumerate(zip(model.labels[v], gamma[v].a)):
             lam = field.mul(diag[k], _field_pow(field, zq, sum(weights[a] + 1 for a in p.arrows)))

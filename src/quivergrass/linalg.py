@@ -22,12 +22,13 @@ ever stored or touched; `rref(m)` is a dense view of it, for `rank`. Each
 solve makes exactly one elimination: `kernel` eliminates M once, and
 `_solve(field, rows, n, k)` eliminates the sparse rows of an augmented
 system [A | B], A its first n columns, once. `_solve` is the only code that
-reads a rank and a solution off pivots: `solve_right` and `solve_unique`
-convert [A | B] to sparse rows once, and `hull` hands it the intertwining
-system it builds already sparse and augmented, so that system is never
-dense. No module outside `linalg` eliminates or reads a rank or a solution
-off pivots; the Cartan classification in `quiver` pivots on its symmetric
-form by congruence and solves nothing.
+reads a rank and a solution off pivots; `solve_right` and `solve_unique`
+convert [A | B] to sparse rows once. `_null_space` takes its rows with
+the columns already reversed, so `kernel` and `preimage` copy each dense
+row once, straight into that form. No module outside `linalg` eliminates
+or reads a rank or a solution off pivots; the Cartan classification in
+`quiver` pivots on its symmetric form by congruence and solves nothing,
+and `hull` reads its module maps off the path basis and solves nothing.
 
 Subspace questions go through one residual, `_residual(w, u) = u - w·u[P]`,
 where P lists the pivot rows of the canonical basis w. Because w is the

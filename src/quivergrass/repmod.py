@@ -272,19 +272,18 @@ def sub_generated(v_rep: Rep, vectors: dict) -> Subrep:
             return Subrep(v_rep, bases)
 
 
-def intertwining_rows(v_rep: Rep, w_rep: Rep, twists: dict | None = None):
-    """The equations phi[t(a)] x_a = z_a y_a phi[s(a)], one row per arrow entry.
+def intertwining_rows(v_rep: Rep, w_rep: Rep):
+    """The equations phi[t(a)] x_a = y_a phi[s(a)], one row per arrow entry.
 
     Unknowns are the entries of the per-vertex maps phi[v] (w dim x v dim),
-    vertex by vertex in row-major order; z_a is twists[a], 1 when absent.
-    Each row is a dict {unknown: coefficient} holding only the nonzero
-    coefficients, field elements of v_rep's field, as `linalg.echelon`
-    takes them. Returns (rows, offsets, total), where phi[v][r][c] is
-    unknown offsets[v] + r * v_rep.dim(v) + c.
+    vertex by vertex in row-major order. Each row is a dict
+    {unknown: coefficient} holding only the nonzero coefficients, field
+    elements of v_rep's field, as `linalg.echelon` takes them. Returns
+    (rows, offsets, total), where phi[v][r][c] is unknown
+    offsets[v] + r * v_rep.dim(v) + c.
     """
     q = v_rep.quiver
     field = v_rep.field
-    twists = twists or {}
     offsets = {}
     total = 0
     for v in q.vertices:
@@ -295,14 +294,12 @@ def intertwining_rows(v_rep: Rep, w_rep: Rep, twists: dict | None = None):
         s_, t_ = a.src, a.dst
         xv = v_rep.map(a.name).a
         xw = w_rep.map(a.name).a
-        z = twists.get(a.name)
         ns, nt = v_rep.dim(s_), v_rep.dim(t_)
         xcols = [[(k, xv[k][j]) for k in range(nt) if xv[k][j]] for j in range(ns)]
         for i in range(w_rep.dim(t_)):
-            # -z_a y_a[i][k] multiplies phi[s(a)][k][j]. No arrow is a loop, so
+            # -y_a[i][k] multiplies phi[s(a)][k][j]. No arrow is a loop, so
             # these unknowns are never the phi[t(a)] ones of the same row.
-            yi = [(offsets[s_] + k * ns, field.neg(y if z is None else field.mul(z, y)))
-                  for k, y in enumerate(xw[i]) if y]
+            yi = [(offsets[s_] + k * ns, field.neg(y)) for k, y in enumerate(xw[i]) if y]
             base = offsets[t_] + i * nt
             for j in range(ns):
                 row = {base + k: x for k, x in xcols[j]}

@@ -17,6 +17,7 @@ from quivergrass.errors import (
     NotDiagonalizableError,
     NotNilpotentError,
     NotSubmoduleError,
+    ShapeMismatchError,
     ValidationError,
 )
 from quivergrass.fields import QQ
@@ -376,6 +377,9 @@ def test_eigen_grading_rejects_an_automorphism_off_the_path_diagonal():
     gam = induced_automorphism(m, g, 2)
     gam["1"] = mat([[1, 1], [0, 2]], 2)
     with pytest.raises(NotDiagonalizableError, match="not diagonal on the path basis"):
+        eigen_grading(m, g, 2, gamma=gam)
+    gam["1"] = Mat.identity(QQ, 1)
+    with pytest.raises(ShapeMismatchError):
         eigen_grading(m, g, 2, gamma=gam)
 
 

@@ -252,8 +252,8 @@ def test_cancelled_entries_are_dropped_and_never_pivots(field):
 
 # -- the intertwining system and hom spaces ---------------------------------------
 
-def _dense_intertwining(v_rep, w_rep, twists):
-    """phi[t] X_a - z_a Y_a phi[s] = 0, entry (i, j) by entry, as dense rows
+def _dense_intertwining(v_rep, w_rep):
+    """phi[t] X_a - Y_a phi[s] = 0, entry (i, j) by entry, as dense rows
     over the unknowns phi[v][r][c] taken vertex by vertex in row-major order."""
     field = v_rep.field
     q = v_rep.quiver
@@ -266,7 +266,6 @@ def _dense_intertwining(v_rep, w_rep, twists):
     rows = []
     for a in q.arrows:
         x, y = v_rep.map(a.name).a, w_rep.map(a.name).a
-        z = field.of(twists.get(a.name, 1))
         for i in range(w_rep.dim(a.dst)):
             for j in range(v_rep.dim(a.src)):
                 row = [field.zero] * total
@@ -275,7 +274,7 @@ def _dense_intertwining(v_rep, w_rep, twists):
                     row[u] = field.add(row[u], x[k][j])
                 for k in range(w_rep.dim(a.src)):
                     u = index[a.src, k, j]
-                    row[u] = field.sub(row[u], field.mul(z, y[i][k]))
+                    row[u] = field.sub(row[u], y[i][k])
                 rows.append(row)
     return rows, total
 
@@ -285,7 +284,7 @@ QUIVERS = [double(line_quiver(2)), double(line_quiver(3)), double(kronecker_quiv
 
 @st.composite
 def rep_pairs(draw):
-    """(v_rep, w_rep, twists): unconstrained representations of one double quiver."""
+    """(v_rep, w_rep): unconstrained representations of one double quiver."""
     field = draw(st.sampled_from(FIELDS))
     q = draw(st.sampled_from(QUIVERS))
 
@@ -298,18 +297,15 @@ def rep_pairs(draw):
                 for a in q.arrows}
         return make_rep(field, q, dims, maps, preprojective=False)
 
-    v_rep, w_rep = rep(), rep()
-    names = [a.name for a in q.arrows]
-    twists = draw(st.dictionaries(st.sampled_from(names), _values(field)))
-    return v_rep, w_rep, twists
+    return rep(), rep()
 
 
 @PROPERTY
 @given(rep_pairs())
 def test_intertwining_rows_densify_to_the_system_built_by_hand(case):
-    v_rep, w_rep, twists = case
-    rows, offsets, total = intertwining_rows(v_rep, w_rep, twists)
-    want, want_total = _dense_intertwining(v_rep, w_rep, twists)
+    v_rep, w_rep = case
+    rows, offsets, total = intertwining_rows(v_rep, w_rep)
+    want, want_total = _dense_intertwining(v_rep, w_rep)
     assert total == want_total
     assert all(x for r in rows for x in r.values())
     assert [[r.get(j, v_rep.field.zero) for j in range(total)] for r in rows] == want
@@ -337,7 +333,7 @@ def _hom_cases():
 def test_hom_space_dimensions(v_rep, w_rep, dim):
     basis = hom_space(v_rep, w_rep)
     assert len(basis) == dim
-    rows, total = _dense_intertwining(v_rep, w_rep, {})
+    rows, total = _dense_intertwining(v_rep, w_rep)
     assert dim == total - len(textbook_rref(rows, total)[1])
     for phi in basis:
         for a in v_rep.quiver.arrows:
