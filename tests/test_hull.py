@@ -446,7 +446,6 @@ def test_extension_and_automorphism_eliminate_no_system(monkeypatch):
     eigen_grading(m, identity_framing(m), 3)
     assert widths
     assert max(widths) <= max(m.rep.dims.values())
-    assert sum(d * d for d in m.rep.dims.values()) > max(m.rep.dims.values())
 
 
 def _ones_off_the_socle(model):
