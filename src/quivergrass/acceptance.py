@@ -366,7 +366,7 @@ def _criterion_duality() -> list:
 # -- criterion 9: unique extension and projection independence -----------------
 
 def _rand_entries(rng, rows, cols, bound=2):
-    return [[Fraction(rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def _rand_mat(rng, rows, cols, bound=2):

@@ -1,10 +1,14 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Rational scalars are fractions.Fraction; prime-field scalars are plain ints
-normalized to 0..p-1, so in both fields an element is falsy iff it is zero.
-Matrix code receives one of these field objects and performs every
-operation through it, so no floating point can enter. Fractions are
-immutable, so zero and one are shared constants rather than fresh objects.
+A rational scalar is a plain int when it is integral and a normalized
+fractions.Fraction only when it is not; every operation of `Rationals`
+returns a Fraction with denominator 1 as its numerator, so integral
+matrices are eliminated in int arithmetic. The two kinds compare and hash
+equal, so matrix keys and subspace equality do not depend on which is
+stored. Prime-field scalars are plain ints normalized to 0..p-1, so in both
+fields an element is falsy iff it is zero. Matrix code receives one of these
+field objects and performs every operation through it, so no floating point
+can enter.
 """
 
 from __future__ import annotations
@@ -29,46 +33,52 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
-
-
 class Rationals:
-    """The field of rational numbers, elements are Fraction."""
+    """The field of rational numbers: ints when integral, else Fractions."""
 
     char = 0
 
-    def of(self, x) -> Fraction:
+    def of(self, x) -> int | Fraction:
         if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            x = Fraction(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, int):
+            return int(x)
         raise ValidationError(f"cannot coerce {x!r} into the rationals")
 
     @property
-    def zero(self) -> Fraction:
-        return _Q_ZERO
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return _Q_ONE
+    def one(self) -> int:
+        return 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        n, d = a.numerator, a.denominator
+        if n == 1:
+            return d
+        if n == -1:
+            return -d
+        return Fraction(d, n)
 
     def format_el(self, a) -> str | int:
         if a.denominator == 1:

@@ -230,8 +230,8 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple:
     return r1 + m1 * t, m1 * m2
 
 
-def _reconstruct_fraction(residue: int, modulus: int) -> Fraction | None:
-    """Smallest-height fraction congruent to the residue, if one exists."""
+def _reconstruct_fraction(residue: int, modulus: int) -> int | Fraction | None:
+    """Smallest-height rational congruent to the residue, as a QQ element, if one exists."""
     bound = math.isqrt(modulus // 2)
     r0, r1 = modulus, residue % modulus
     t0, t1 = 0, 1
@@ -243,7 +243,7 @@ def _reconstruct_fraction(residue: int, modulus: int) -> Fraction | None:
         return None
     if math.gcd(r1, abs(t1)) != 1 or math.gcd(abs(t1), modulus) != 1:
         return None
-    return Fraction(r1, t1)
+    return QQ.of(Fraction(r1, t1))
 
 
 def _rational_lift(rep, v: dict, sig: tuple, aligned: list) -> Subrep | None:

@@ -313,9 +313,11 @@ def _map_into(v_rep: Rep, model: InjectiveModel, tau: dict) -> dict:
 def extend_to_injective(v_rep: Rep, tau: dict, model: InjectiveModel) -> ExtensionResult:
     """The unique module map into the model whose socle projection is tau.
 
-    V must be nilpotent. An injective map embeds V in the nilpotent model,
-    so the radical filtration runs only when the map found is not injective
-    or none is found; a non-nilpotent V is reported before any other fault.
+    V must be nilpotent; a non-nilpotent V is reported before any other
+    fault. The map g is injective iff its kernel K is zero at every vertex.
+    V/K embeds in the nilpotent model, so V is nilpotent iff K is, and the
+    radical filtration runs on K alone when g is not injective; it runs on
+    the whole V only when no map is found.
     """
     q = model.quiver
     try:
@@ -327,9 +329,10 @@ def extend_to_injective(v_rep: Rep, tau: dict, model: InjectiveModel) -> Extensi
     except Exception:
         _require_nilpotent(v_rep)
         raise
-    injective = all(rank(gamma[v]) == v_rep.dim(v) for v in q.vertices)
+    ker = {v: kernel(gamma[v]) for v in q.vertices}
+    injective = not any(k.cols for k in ker.values())
     if not injective:
-        _require_nilpotent(v_rep)
+        _require_nilpotent(restrict(v_rep, Subrep(v_rep, ker)))
     return ExtensionResult(gamma, injective)
 
 

@@ -11,8 +11,9 @@ row, pivot rows strictly increase left to right, and pivot rows are zero in
 every other column. Two subspaces are equal iff their canonical matrices are
 equal, which makes subspace sets and dedup keys cheap.
 
-Entries are tested for zero by truthiness: a Fraction, and a prime-field int
-normalized to 0..p-1, is falsy iff it is zero. `echelon(field, rows)` is the
+Entries are tested for zero by truthiness: a rational (an int when
+integral, else a Fraction) and a prime-field int normalized to 0..p-1 are
+falsy iff zero. `echelon(field, rows)` is the
 one elimination, over Q and F_p alike. It works on sparse rows, each a dict
 {column: nonzero entry}: every incoming row is reduced against a fully
 reduced basis keyed by pivot column, entries that cancel are dropped, and

@@ -245,6 +245,7 @@ def test_fraction_reconstruction_helper():
     assert _reconstruct_fraction(7, 15) == Fraction(-1, 2)
     assert _reconstruct_fraction(0, 15) == 0
     assert _reconstruct_fraction(1, 15) == 1
+    assert type(_reconstruct_fraction(1, 15)) is int
     assert _reconstruct_fraction(3, 7) is None
 
 

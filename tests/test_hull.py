@@ -37,8 +37,10 @@ from quivergrass.hull import (
 from quivergrass.linalg import Mat, col_space
 from quivergrass.quiver import double, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.repmod import (
+    direct_sum,
     full_subrep,
     is_isomorphic,
+    is_nilpotent,
     make_rep,
     make_subrep,
     restrict,
@@ -486,6 +488,19 @@ def test_non_nilpotent_rep_is_rejected_before_a_bad_tau_shape():
         extend_to_injective(v_rep, tau, m)
 
 
+
+def test_non_nilpotent_kernel_of_a_nonzero_map_is_rejected():
+    # V = cyclic ⊕ S_1: the map is the socle inclusion on S_1 and zero on the
+    # cyclic summand, so it is nonzero, its kernel is the cyclic summand, and
+    # the nilpotency test on the kernel alone must still fail.
+    v_rep, _, _ = direct_sum([_cyclic_kronecker_rep(),
+                              semisimple_rep(QQ, double(KR), {"1": 1, "2": 0})])
+    m = vertex_injective(KR, "1")
+    tau = {"1": mat([[0, 1]], 2), "2": Mat.zeros(QQ, 0, 1)}
+    with pytest.raises(NotNilpotentError):
+        extend_to_injective(v_rep, tau, m)
+
+
 # -- against the dense intertwining system solved by hand -------------------------
 
 A4 = line_quiver(4)
@@ -583,6 +598,48 @@ def test_extension_matches_the_system_solved_by_hand(case):
     assert {v: lists(res.gamma[v]) for v in model.quiver.vertices} == expected
     assert res.injective == all(linalg.rank(res.gamma[v]) == v_rep.dim(v)
                                 for v in model.quiver.vertices)
+
+
+@st.composite
+def nilpotency_cases(draw):
+    """(V, tau, model): V = N ⊕ R over doubled A2-A4, N random on the
+    original arrows and zero on their reverses (so nilpotent), R random on
+    every arrow (so often not). tau is random on N and zero on R, so that
+    a map exists iff one exists for N and its kernel holds R, or random on
+    the whole of V."""
+    model, _ = draw(_models([(A2, None), (A3, None), (A4, None)]))
+    dq = model.quiver
+    small = st.integers(-1, 1)
+
+    def random_rep(one_sided):
+        dims = {v: draw(st.integers(0, 2)) for v in dq.vertices}
+        maps = {a.name: [[draw(small) if a.name in dq.base or not one_sided else 0
+                          for _ in range(dims[a.src])] for _ in range(dims[a.dst])]
+                for a in dq.arrows}
+        return make_rep(QQ, dq, dims, maps, preprojective=False)
+
+    n_rep = random_rep(True)
+    v_rep, _, _ = direct_sum([n_rep, random_rep(False)])
+    whole = draw(st.booleans())
+    tau = {v: Mat(QQ, model.w[v], v_rep.dim(v),
+                  [[draw(small) if whole or c < n_rep.dim(v) else 0
+                    for c in range(v_rep.dim(v))] for _ in range(model.w[v])])
+           for v in dq.vertices}
+    return v_rep, tau, model
+
+
+@settings(max_examples=80, deadline=None)
+@given(nilpotency_cases())
+def test_nilpotency_verdict_matches_the_whole_rep(case):
+    v_rep, tau, model = case
+    rejected = False
+    try:
+        extend_to_injective(v_rep, tau, model)
+    except NotNilpotentError:
+        rejected = True
+    except NoSolutionError:
+        pass
+    assert rejected == (not is_nilpotent(v_rep))
 
 
 @settings(max_examples=40, deadline=None)

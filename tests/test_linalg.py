@@ -490,3 +490,108 @@ def test_intersecting_with_the_whole_space_returns_the_other_basis(case):
     whole = Mat.identity(field, w.rows)
     assert subspace_intersect(whole, w) is w
     assert subspace_intersect(w, whole) == w
+
+
+# -- rationals: an integral entry is an int, never a Fraction over 1 -----------------
+
+def _over_q(m):
+    """m with every entry passed through QQ.of."""
+    return Mat.from_rows(QQ, m.a, m.cols)
+
+
+def _textbook_span(vectors, n):
+    """Canonical column basis of the span of vectors in Q^n, as n dense rows."""
+    red, pivots = textbook_rref(vectors, n)
+    basis = red[:len(pivots)]
+    return [[v[i] for v in basis] for i in range(n)]
+
+
+def _textbook_null_vectors(rows, n):
+    """One null vector of the rows per free column of their textbook RREF."""
+    red, pivots = textbook_rref(rows, n)
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, p in zip(red, pivots):
+            v[p] = -r[f]
+        out.append(v)
+    return out
+
+
+def _textbook_meet(a, b):
+    """Canonical basis of span(a) ∩ span(b), from the null space of [a | -b]."""
+    rows = [ra + [-x for x in rb] for ra, rb in zip(a.a, b.a)]
+    coeffs = _textbook_null_vectors(rows, a.cols + b.cols)
+    vectors = [[sum(x * c for x, c in zip(r, v)) for r in a.a] for v in coeffs]
+    return _textbook_span(vectors, a.rows)
+
+
+def _fraction_over_one(values):
+    return [x for x in values if isinstance(x, Fraction) and x.denominator == 1]
+
+
+@st.composite
+def rational_triples(draw):
+    """(a, b, c, s): a and b of one shape, c with a.cols rows, s a scalar, all
+    drawn from NONZERO_Q (which holds Fractions over 1) and passed through QQ.of."""
+    a = _over_q(draw(matrices(QQ)))
+    b = _over_q(draw(matrices(QQ, rows=a.rows, cols=a.cols)))
+    c = _over_q(draw(matrices(QQ, rows=a.cols)))
+    return a, b, c, QQ.of(draw(st.sampled_from(NONZERO_Q)))
+
+
+@PROPERTY
+@given(rational_triples())
+def test_rational_results_hold_integral_entries_as_ints(case):
+    a, b, c, s = case
+    n, k = a.cols, b.cols
+    col_a, col_b = col_space(a), col_space(b)
+    stacked, stacked_pivots = textbook_rref([ra + rb for ra, rb in zip(a.a, b.a)], n + k)
+    solvable = all(p < n for p in stacked_pivots)
+    solution = [[Fraction(0)] * k for _ in range(n)]
+    for r, p in zip(stacked, stacked_pivots):
+        if p < n:
+            solution[p] = r[n:]
+    sol, _ = _solve(QQ, _dict_rows(a.hstack(b).a), n, k)
+    basis = echelon(QQ, _dict_rows(a.a))
+    red, pivots = textbook_rref(a.a, n)
+    pre_null = _textbook_null_vectors([ra + [-y for y in rw] for ra, rw in zip(a.a, col_b.a)],
+                                      n + col_b.cols)
+    checks = [
+        (a @ c, _product(a, c, None)),
+        (a + b, [[x + y for x, y in zip(r, t)] for r, t in zip(a.a, b.a)]),
+        (a - b, [[x - y for x, y in zip(r, t)] for r, t in zip(a.a, b.a)]),
+        (a.scale(s), [[s * x for x in r] for r in a.a]),
+        (col_a, _textbook_span(a.t().a, a.rows)),
+        (kernel(a), _textbook_span(_textbook_null_vectors(a.a, n), n)),
+        (preimage([(a, col_b)]), _textbook_span([v[:n] for v in pre_null], n)),
+        (subspace_sum(col_a, b), _textbook_span(a.t().a + b.t().a, a.rows)),
+        (subspace_intersect(col_a, col_b), _textbook_meet(col_a, col_b)),
+    ]
+    for got, want in checks:
+        assert not _fraction_over_one(x for r in got.a for x in r)
+        assert got.a == want
+    assert (sol is None) == (not solvable)
+    if sol is not None:
+        assert not _fraction_over_one(v for r in sol.a for v in r)
+        assert sol.a == solution
+    assert not _fraction_over_one(v for r in basis.values() for v in r.values())
+    assert [basis[p] for p in pivots] == _dict_rows(red[:len(pivots)])
+
+
+def test_rational_elements_are_ints_when_integral():
+    integral = [QQ.of(x) for x in (3, True, Fraction(4, 2), "6/3", "4/2")]
+    assert integral == [3, 1, 2, 2, 2] and all(type(x) is int for x in integral)
+    assert QQ.of("3/6") == Fraction(1, 2) and type(QQ.of("3/6")) is Fraction
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(Fraction(1, 2))) is int
+    assert QQ.inv(Fraction(-1, 3)) == -3 and QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    half = Fraction(1, 2)
+    for total in (QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.mul(half, 2)):
+        assert total == 1 and type(total) is int
+    assert QQ.format_el(QQ.of(3)) == 3 and QQ.format_el(QQ.of(Fraction(6, 2))) == 3
+    assert QQ.format_el(QQ.of("3/2")) == "3/2"
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
