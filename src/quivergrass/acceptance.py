@@ -51,14 +51,12 @@ from .linalg import (
     mat_over,
     pivot_rows,
     rank,
-    solve_right,
     subspace_contains,
     subspace_intersect,
 )
 from .palg import hilbert, vanishing_bound
 from .quiver import double, kronecker_quiver, line_quiver, star_quiver
 from .repmod import (
-    is_isomorphic,
     is_nilpotent,
     make_rep,
     reduce_mod,
@@ -330,6 +328,26 @@ def _criterion_rank_one_fiber() -> list:
 
 # -- criterion 8: projective/injective duality ---------------------------------
 
+def _is_hull_of(v_rep, model) -> bool:
+    """Whether V is isomorphic to the hull `model.rep`, decided exactly.
+
+    V must have the model's dimensions and a socle of its framing w. Then
+    tau_v, the identity's rows at the pivot rows of V's canonical socle
+    basis, is injective on the socle, and the unique map g: V -> model with
+    pi·g = tau, checked against every arrow, is injective on the socle. A
+    nonzero kernel would meet the socle, so g is injective, and with equal
+    dimensions it is an isomorphism.
+    """
+    if v_rep.dims != model.rep.dims:
+        return False
+    soc = socle(v_rep)
+    if soc.dims() != model.w:
+        return False
+    tau = {v: Mat.identity(v_rep.field, v_rep.dim(v)).take_rows(pivot_rows(soc.basis(v)))
+           for v in v_rep.quiver.vertices}
+    return extend_to_injective(v_rep, tau, model).injective
+
+
 def _criterion_duality() -> list:
     notes: list = []
     q = line_quiver(2)
@@ -338,10 +356,8 @@ def _criterion_duality() -> list:
     for w_tuple in ((1, 0), (0, 1), (1, 1)):
         w = dict(zip(q.vertices, w_tuple))
         tw = apply_involution(q, theta, w)
-        proj = projective_sum(q, w)
-        hull = injective_hull(q, tw).rep
         _expect(
-            is_isomorphic(proj, hull),
+            _is_hull_of(projective_sum(q, w), injective_hull(q, tw)),
             notes,
             f"projective sum at {w_tuple} is not isomorphic to the twisted hull",
         )
@@ -386,10 +402,12 @@ def _rand_invertible(rng, n):
 
 
 def _inv(m: Mat) -> Mat:
-    sol = solve_right(m, Mat.identity(m.field, m.rows))
-    if sol is None:
+    """M^-1, read off the canonical basis of span([M; I]), which is [I; M^-1]."""
+    n = m.rows
+    b = col_space(Mat(m.field, 2 * n, n, m.a + Mat.identity(m.field, n).a))
+    if pivot_rows(b) != list(range(n)):
         raise ValueError("matrix is not invertible")
-    return sol
+    return b.take_rows(range(n, 2 * n))
 
 
 def _random_nilpotent_rep(rng, vertex_count: int):

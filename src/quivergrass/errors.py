@@ -112,7 +112,7 @@ class InterpolationInconsistentError(LimitError):
 
 
 class SearchExhaustedError(LimitError):
-    """Isomorphism test inconclusive within the configured bound."""
+    """A bounded search ended without finding what it looked for."""
 
 
 class InternalCheckError(QuivergrassError):

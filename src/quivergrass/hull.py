@@ -48,7 +48,6 @@ from .repmod import (
     Rep,
     Subrep,
     _mapped_into,
-    check_closure,
     direct_sum,
     is_nilpotent,
     make_rep,
@@ -363,7 +362,6 @@ def is_stable(x_rep: Rep, t: dict) -> bool:
 
 
 def framed_point(u: Subrep, model: InjectiveModel) -> FramedPoint:
-    check_closure(u)
     x = restrict(model.rep, u)
     # re-validate the preprojective relation in the chosen basis
     make_rep(x.field, x.quiver, x.dims, x.maps, preprojective=True)

@@ -17,19 +17,17 @@ falsy iff zero. `echelon(field, rows)` is the
 one elimination, over Q and F_p alike. It works on sparse rows, each a dict
 {column: nonzero entry}: every incoming row is reduced against a fully
 reduced basis keyed by pivot column, entries that cancel are dropped, and
-the basis it returns is the unique RREF. `col_space`, `kernel` and `_solve`
-read their answers straight off its dict rows, so only nonzero entries are
-ever stored or touched; `rref(m)` is a dense view of it, for `rank`. Each
-solve makes exactly one elimination: `kernel` eliminates M once, and
-`_solve(field, rows, n, k)` eliminates the sparse rows of an augmented
-system [A | B], A its first n columns, once. `_solve` is the only code that
-reads a rank and a solution off pivots; `solve_right` and `solve_unique`
-convert [A | B] to sparse rows once. `_null_space` takes its rows with
-the columns already reversed, so `kernel` and `preimage` copy each dense
-row once, straight into that form. No module outside `linalg` eliminates
-or reads a rank or a solution off pivots; the Cartan classification in
-`quiver` pivots on its symmetric form by congruence and solves nothing,
-and `hull` reads its module maps off the path basis and solves nothing.
+the basis it returns is the unique RREF. `col_space` and `kernel` read
+their answers straight off its dict rows, so only nonzero entries are ever
+stored or touched, and `rank` counts its pivots. Each answer costs exactly
+one elimination, and no code reads a solution off pivots: the one matrix
+inverse the package takes, in `acceptance`, is the lower half of the
+canonical basis of span([M; I]), which is [I; M^-1]. `_null_space` takes
+its rows with the columns already reversed, so `kernel` and `preimage`
+copy each dense row once, straight into that form. No module outside
+`linalg` eliminates; the Cartan classification in `quiver` pivots on its
+symmetric form by congruence and solves nothing, and `hull` reads its
+module maps off the path basis and solves nothing.
 
 Subspace questions go through one residual, `_residual(w, u) = u - w·u[P]`,
 where P lists the pivot rows of the canonical basis w. Because w is the
@@ -57,7 +55,7 @@ same object, with no elimination.
 
 from __future__ import annotations
 
-from .errors import NonUniqueError, NoSolutionError, ShapeMismatchError
+from .errors import NoSolutionError, ShapeMismatchError
 
 
 class Mat:
@@ -257,20 +255,8 @@ def echelon(field, rows) -> dict:
     return basis
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Row-reduced echelon form and the pivot column list: a dense view of `echelon`."""
-    f = m.field
-    basis = echelon(f, _sparse(m.a))
-    pivots = sorted(basis)
-    a = [[f.zero] * m.cols for _ in range(m.rows)]
-    for row, p in zip(a, pivots):
-        for j, x in basis[p].items():
-            row[j] = x
-    return Mat(f, m.rows, m.cols, a), pivots
-
-
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(echelon(m.field, _sparse(m.a)))
 
 
 def col_space(m: Mat) -> Mat:
@@ -340,41 +326,6 @@ def _null_space(f, rows, n: int) -> Mat:
 def kernel(m: Mat) -> Mat:
     """Canonical basis of the right null space, as columns."""
     return _null_space(m.field, _reversed_rows(m.a, m.cols), m.cols)
-
-
-def _solve(f, rows, n: int, k: int) -> tuple[Mat | None, int]:
-    """One elimination of the sparse rows of [A | B], A its first n columns, B k wide.
-
-    Returns a solution X of A X = B (or None) and rank A. The rank of A is
-    the number of pivots left of column n; A X = B is solvable iff no pivot
-    lies right of it. Free variables are set to zero.
-    """
-    basis = echelon(f, rows)
-    rank_a = sum(p < n for p in basis)
-    if rank_a != len(basis):
-        return None, rank_a
-    x = [[f.zero] * k for _ in range(n)]
-    for p, r in basis.items():
-        xp = x[p]
-        for j, v in r.items():
-            if j >= n:
-                xp[j - n] = v
-    return Mat(f, n, k, x), rank_a
-
-
-def solve_right(a: Mat, b: Mat) -> Mat | None:
-    """One solution X of A X = B, or None. Free variables are set to zero."""
-    return _solve(a.field, _sparse(a.hstack(b).a), a.cols, b.cols)[0]
-
-
-def solve_unique(a: Mat, b: Mat) -> Mat:
-    """The unique solution of A X = B; raises if none or many."""
-    x, rank_a = _solve(a.field, _sparse(a.hstack(b).a), a.cols, b.cols)
-    if x is None:
-        raise NoSolutionError("linear system has no solution")
-    if rank_a != a.cols:
-        raise NonUniqueError("linear system has a nontrivial null space")
-    return x
 
 
 def _residual_rows(w: Mat, u: Mat):

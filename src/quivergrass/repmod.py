@@ -16,26 +16,20 @@ at once, so a vertex costs one elimination.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     NotSubmoduleError,
     RelationViolatedError,
-    SearchExhaustedError,
     ShapeMismatchError,
     ValidationError,
 )
-from .fields import PrimeField, QQ, field_from_tag
+from .fields import PrimeField, field_from_tag
 from .linalg import (
     Mat,
-    _null_space,
     _residual,
     col_space,
-    coords_in,
     mat_over,
     pivot_rows,
     preimage,
-    rank,
     subspace_contains,
     subspace_sum,
 )
@@ -173,12 +167,19 @@ def make_subrep(v_rep: Rep, bases: dict, validate: bool = True) -> Subrep:
     return s
 
 
-def check_closure(s: Subrep) -> None:
-    q = s.ambient.quiver
-    for a in q.arrows:
+def check_closure(s: Subrep) -> dict:
+    """Check that every arrow maps s into itself.
+
+    Returns {arrow name: the arrow's image of s's basis at its source},
+    each image checked to lie in span(s) at the arrow's target.
+    """
+    images = {}
+    for a in s.ambient.quiver.arrows:
         image = s.ambient.map(a.name) @ s.bases[a.src]
         if not subspace_contains(s.bases[a.dst], image):
             raise NotSubmoduleError(f"subspace is not closed under arrow {a.name!r}")
+        images[a.name] = image
+    return images
 
 
 def zero_subrep(v_rep: Rep) -> Subrep:
@@ -272,120 +273,6 @@ def sub_generated(v_rep: Rep, vectors: dict) -> Subrep:
             return Subrep(v_rep, bases)
 
 
-def intertwining_rows(v_rep: Rep, w_rep: Rep):
-    """The equations phi[t(a)] x_a = y_a phi[s(a)], one row per arrow entry.
-
-    Unknowns are the entries of the per-vertex maps phi[v] (w dim x v dim),
-    vertex by vertex in row-major order. Each row is a dict
-    {unknown: coefficient} holding only the nonzero coefficients, field
-    elements of v_rep's field, as `linalg.echelon` takes them. Returns
-    (rows, offsets, total), where phi[v][r][c] is unknown
-    offsets[v] + r * v_rep.dim(v) + c.
-    """
-    q = v_rep.quiver
-    field = v_rep.field
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += w_rep.dim(v) * v_rep.dim(v)
-    rows = []
-    for a in q.arrows:
-        s_, t_ = a.src, a.dst
-        xv = v_rep.map(a.name).a
-        xw = w_rep.map(a.name).a
-        ns, nt = v_rep.dim(s_), v_rep.dim(t_)
-        xcols = [[(k, xv[k][j]) for k in range(nt) if xv[k][j]] for j in range(ns)]
-        for i in range(w_rep.dim(t_)):
-            # -y_a[i][k] multiplies phi[s(a)][k][j]. No arrow is a loop, so
-            # these unknowns are never the phi[t(a)] ones of the same row.
-            yi = [(offsets[s_] + k * ns, field.neg(y)) for k, y in enumerate(xw[i]) if y]
-            base = offsets[t_] + i * nt
-            for j in range(ns):
-                row = {base + k: x for k, x in xcols[j]}
-                row.update((o + j, y) for o, y in yi)
-                rows.append(row)
-    return rows, offsets, total
-
-
-def maps_from_unknowns(vec: list, offsets: dict, v_rep: Rep, w_rep: Rep) -> dict:
-    """The per-vertex maps phi[v] from values of the unknowns of intertwining_rows."""
-    out = {}
-    for v, o in offsets.items():
-        n = v_rep.dim(v)
-        out[v] = Mat(v_rep.field, w_rep.dim(v), n,
-                     [vec[o + r * n:o + (r + 1) * n] for r in range(w_rep.dim(v))])
-    return out
-
-
-def hom_space(v_rep: Rep, w_rep: Rep) -> list[dict]:
-    """Basis of the space of maps commuting with every arrow.
-
-    Each basis element is a per-vertex matrix dict phi with
-    phi[t(a)] x_a = y_a phi[s(a)] for all arrows a.
-    """
-    if v_rep.quiver != w_rep.quiver:
-        raise ValidationError("hom requires representations of the same quiver")
-    if v_rep.field is not w_rep.field and v_rep.field != w_rep.field:
-        raise ValidationError("hom requires representations over the same field")
-    rows, offsets, total = intertwining_rows(v_rep, w_rep)
-    ker = _null_space(v_rep.field, [{total - 1 - j: x for j, x in r.items()} for r in rows], total)
-    return [maps_from_unknowns(ker.col(c), offsets, v_rep, w_rep) for c in range(ker.cols)]
-
-
-def is_isomorphic(v_rep: Rep, w_rep: Rep, sweep_cap: int = 1_000_000) -> bool:
-    """Decide isomorphism by sweeping the hom space for an invertible element.
-
-    Over the rationals the sweep runs over the integer grid {0..D}^k where D
-    is the total dimension and k the hom-space dimension; a nonzero product
-    of block determinants has degree at most D in each coordinate, so a fully
-    vanishing grid certifies that no invertible map exists. Over a prime
-    field the sweep is exhaustive for hom dimension at most 4. Larger sweeps
-    raise SearchExhausted rather than guess.
-    """
-    if v_rep.dims != w_rep.dims:
-        return False
-    if v_rep.total_dim() == 0:
-        return True
-    basis = hom_space(v_rep, w_rep)
-    k = len(basis)
-    if k == 0:
-        return False
-    field = v_rep.field
-    if isinstance(field, PrimeField):
-        if k > 4 or field.p ** k > sweep_cap:
-            raise SearchExhaustedError(
-                f"isomorphism sweep too large: hom dimension {k} over F_{field.p}"
-            )
-        coeff_range = range(field.p)
-    else:
-        d = v_rep.total_dim()
-        if (d + 1) ** k > sweep_cap:
-            raise SearchExhaustedError(
-                f"isomorphism sweep too large: hom dimension {k}, grid {(d + 1)}^{k}"
-            )
-        coeff_range = range(d + 1)
-    verts = v_rep.quiver.vertices
-    for coeffs in itertools.product(coeff_range, repeat=k):
-        if not any(coeffs):
-            continue
-        ok = True
-        for v in verts:
-            n = v_rep.dim(v)
-            if n == 0:
-                continue
-            acc = Mat.zeros(field, n, n)
-            for ci, phi in zip(coeffs, basis):
-                if ci:
-                    acc = acc + phi[v].scale(field.of(ci))
-            if rank(acc) != n:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def quotient(v_rep: Rep, s: Subrep) -> tuple[Rep, dict]:
     """Quotient representation and the per-vertex projection matrices.
 
@@ -417,15 +304,16 @@ def quotient(v_rep: Rep, s: Subrep) -> tuple[Rep, dict]:
 
 
 def restrict(v_rep: Rep, s: Subrep) -> Rep:
-    """The subrepresentation as a Rep in the echelon coordinates of s."""
-    check_closure(s)
+    """The subrepresentation as a Rep in the echelon coordinates of s.
+
+    `check_closure` hands back each arrow's image, already checked to lie
+    in span(w) for the target basis w, so its coordinates are its rows at
+    w's pivot rows.
+    """
+    images = check_closure(s)
     q = v_rep.quiver
-    dims = s.dims()
-    maps = {}
-    for a in q.arrows:
-        image = v_rep.map(a.name) @ s.bases[a.src]
-        maps[a.name] = coords_in(s.bases[a.dst], image)
-    return Rep(v_rep.field, q, dims, maps)
+    maps = {a.name: images[a.name].take_rows(pivot_rows(s.bases[a.dst])) for a in q.arrows}
+    return Rep(v_rep.field, q, s.dims(), maps)
 
 
 def direct_sum(reps: list[Rep]) -> tuple[Rep, list[dict], list[dict]]:

@@ -1,13 +1,19 @@
 """Full acceptance battery: twelve exact checks, one test per criterion."""
 
+import random
+
 import pytest
 
 from quivergrass.acceptance import (
     CRITERION_NUMBERS,
+    _inv,
+    _rand_invertible,
     format_result,
     run_criterion,
     run_suite,
 )
+from quivergrass.fields import QQ
+from quivergrass.linalg import Mat
 
 
 @pytest.mark.parametrize("number", CRITERION_NUMBERS)
@@ -29,3 +35,16 @@ def test_suite_shape():
 def test_unknown_criterion_number_rejected():
     with pytest.raises(ValueError):
         run_criterion(13)
+
+
+def test_inverse_of_the_random_twists_is_exact():
+    # Criterion 9 twists its representations by these matrices; its
+    # one-sided maps satisfy the relation for any twist, so only this
+    # test checks the inverse.
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        m = _rand_invertible(rng, n)
+        assert _inv(m) @ m == m @ _inv(m) == Mat.identity(QQ, n)
+    with pytest.raises(ValueError):
+        _inv(Mat.from_rows(QQ, [[1, 2], [2, 4]]))

@@ -1,6 +1,6 @@
-"""Every module-level private helper in the package is used somewhere in it,
-and so is every public name and every public method of a package class,
-unless an allowlist below says why it stays."""
+"""Every module-level definition in the package, private or public and
+exported or not, is used somewhere in it, and so is every public method of a
+package class, unless an allowlist below says why it stays."""
 
 import ast
 from pathlib import Path
@@ -75,26 +75,27 @@ PUBLIC_ALLOWLIST = {
                                     "already stable, which the Demazure tests check",
     "hull.framed_point": "the paper's framed point of a hull submodule; tests check that "
                          "Demazure stages give stable ones",
+    "palg.raw_paths": "the unreduced paths of a double quiver, from which `tests/oracles.py` "
+                      "builds its brute-force quotient dimensions",
     "repmod.rep_from_obj": "reads back a representation that `rep_to_obj` wrote for the CLI",
+    "repmod.semisimple_rep": "the representation with every arrow zero, which the tests "
+                             "use as the simplest nilpotent input",
     "repmod.socle_filtration": "the socle series; the hull tests certify a truncated "
                                "injective's Loewy length with it",
 }
 
 
-EXPORTS = next(
-    ast.literal_eval(node.value)
-    for module, node in STATEMENTS
-    if module == "__init__.py" and "_EXPORTS" in _defined_names(node)
-)
+# Every public top-level definition of every module, exported or not:
+# (module, name, statement index).
 PUBLIC = [
-    (module, name, next(k for k, (m, node) in enumerate(STATEMENTS)
-                        if m == f"{module}.py" and name in _defined_names(node)))
-    for module, names in EXPORTS.items()
-    for name in names
+    (module[:-3], name, k)
+    for k, (module, node) in enumerate(STATEMENTS)
+    for name in _defined_names(node)
+    if not name.startswith("_")
 ]
 
 
-def test_the_allowlist_names_exports():
+def test_the_allowlist_names_public_definitions():
     assert set(PUBLIC_ALLOWLIST) <= {f"{m}.{n}" for m, n, _ in PUBLIC}
 
 
@@ -108,7 +109,7 @@ def test_public_name_is_used_or_allowlisted(module, name, k):
         )
     else:
         assert _used_outside(name, k), (
-            f"{module} exports {name}, which nothing else in the package uses"
+            f"{module} defines {name}, which nothing else in the package uses"
         )
 
 

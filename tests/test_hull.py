@@ -1,6 +1,7 @@
 """Tests for injective/projective module construction and extension maps."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ import oracles
 
 import quivergrass.hull as hull
 import quivergrass.linalg as linalg
+from quivergrass.acceptance import _is_hull_of
 from quivergrass.errors import (
-    DimensionMismatchError,
     NoSolutionError,
     NonUniqueError,
     NotDiagonalizableError,
@@ -39,7 +40,6 @@ from quivergrass.quiver import double, kronecker_quiver, line_quiver, star_quive
 from quivergrass.repmod import (
     direct_sum,
     full_subrep,
-    is_isomorphic,
     is_nilpotent,
     make_rep,
     make_subrep,
@@ -49,11 +49,12 @@ from quivergrass.repmod import (
     socle_filtration,
     sub_generated,
 )
-from quivergrass.weyl import orbit_maximum
+from quivergrass.weyl import apply_involution, diagram_involution, orbit_maximum
 
 A1 = line_quiver(1)
 A2 = line_quiver(2)
 A3 = line_quiver(3)
+A4 = line_quiver(4)
 D4 = star_quiver(3)
 KR = kronecker_quiver()
 
@@ -157,16 +158,46 @@ def test_projective_frozen_and_dual_to_injective():
     assert p1.dims == {"1": 1, "2": 1}
     assert p1.map("a1") == mat([[1]], 1)
     assert p1.map("a1*") == mat([[0]], 1)
-    assert is_isomorphic(p1, vertex_injective(A2, "2").rep)
-    assert is_isomorphic(vertex_projective(A2, "2"), vertex_injective(A2, "1").rep)
-    assert is_isomorphic(vertex_projective(A3, "1"), vertex_injective(A3, "3").rep)
+    assert _is_hull_of(p1, vertex_injective(A2, "2"))
+    assert _is_hull_of(vertex_projective(A2, "2"), vertex_injective(A2, "1"))
+    assert _is_hull_of(vertex_projective(A3, "1"), vertex_injective(A3, "3"))
 
 
 def test_projective_sum_matches_hull():
     p = projective_sum(A2, {"1": 1, "2": 1})
     m = injective_hull(A2, {"1": 1, "2": 1})
     assert p.dims == m.rep.dims
-    assert is_isomorphic(p, m.rep)
+    assert _is_hull_of(p, m)
+
+
+# Every nonzero 0/1 framing of A2, A3 and A4, and every vertex framing of D4.
+FRAMINGS = [
+    (label, q, dict(zip(q.vertices, bits)))
+    for label, q in (("A2", A2), ("A3", A3), ("A4", A4))
+    for bits in product((0, 1), repeat=len(q.vertices))
+    if any(bits)
+] + [("D4", D4, {x: int(x == v) for x in D4.vertices}) for v in D4.vertices]
+
+
+@pytest.mark.parametrize(
+    "q, w", [(q, w) for _, q, w in FRAMINGS],
+    ids=[f"{label}-{''.join(map(str, w.values()))}" for label, _, w in FRAMINGS],
+)
+def test_projective_sum_is_the_hull_of_the_twisted_framing(q, w):
+    # P(w) is isomorphic to I(theta w), theta the diagram involution.
+    tw = apply_involution(q, diagram_involution(q), w)
+    assert _is_hull_of(projective_sum(q, w), injective_hull(q, tw))
+
+
+def test_is_hull_of_rejects_the_untwisted_framing_and_other_dimensions():
+    w = {"1": 1, "2": 0, "3": 0}
+    m = injective_hull(A3, w)
+    p = projective_sum(A3, w)
+    assert p.dims == m.rep.dims
+    assert not _is_hull_of(p, m)
+    # The socle of the hull, a proper submodule with the same socle.
+    assert not _is_hull_of(semisimple_rep(QQ, m.quiver, w), m)
+    assert not _is_hull_of(projective_sum(A3, {"1": 1, "2": 1, "3": 1}), m)
 
 
 def test_extension_identity():
@@ -503,7 +534,6 @@ def test_non_nilpotent_kernel_of_a_nonzero_map_is_rejected():
 
 # -- against the dense intertwining system solved by hand -------------------------
 
-A4 = line_quiver(4)
 Z_VALUES = [Fraction(2), Fraction(3), Fraction(-1, 2)]
 
 

@@ -8,25 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergrass.errors import NonUniqueError, NoSolutionError, ShapeMismatchError
+from quivergrass.errors import ShapeMismatchError
 from quivergrass.fields import QQ, PrimeField
-from quivergrass.hull import injective_hull, vertex_injective, vertex_projective
 from quivergrass.linalg import (
     Mat,
-    _solve,
     col_space,
     echelon,
     kernel,
     preimage,
-    rref,
-    solve_right,
-    solve_unique,
+    rank,
     subspace_contains,
     subspace_intersect,
     subspace_sum,
 )
-from quivergrass.quiver import double, kronecker_quiver, line_quiver
-from quivergrass.repmod import hom_space, intertwining_rows, make_rep, semisimple_rep
 
 from oracles import textbook_rref
 
@@ -65,20 +59,6 @@ def matrices(draw, field, rows=None, cols=None):
     return Mat(field, nrows, ncols, entries)
 
 
-@st.composite
-def systems(draw):
-    """(field, A, B): B is A Y for a random Y half the time, else random."""
-    field = draw(st.sampled_from(FIELDS))
-    a = draw(matrices(field))
-    k = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        b = a @ draw(matrices(field, rows=a.cols, cols=k))
-    else:
-        b = Mat(field, a.rows, k, [[draw(st.one_of(st.just(field.zero), _values(field)))
-                                     for _ in range(k)] for _ in range(a.rows)])
-    return field, a, b
-
-
 def _product(a, b, p):
     out = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b.a)]
            for row in a.a]
@@ -108,14 +88,25 @@ def field_matrices(draw):
     return field, draw(matrices(field))
 
 
+def _dense(basis, nrows, ncols, field):
+    """The sparse rows of `echelon` in pivot order as dense rows, padded with
+    zero rows to nrows."""
+    out = [[field.zero] * ncols for _ in range(nrows)]
+    for row, p in zip(out, sorted(basis)):
+        for j, x in basis[p].items():
+            row[j] = x
+    return out
+
+
 @PROPERTY
 @given(field_matrices())
 def test_rref_matches_textbook(fm):
     field, a = fm
-    r, pivots = rref(a)
+    basis = echelon(field, _dict_rows(a.a))
     want, want_pivots = textbook_rref(a.a, a.cols, _p(field))
-    assert pivots == want_pivots
-    assert r.a == want
+    assert sorted(basis) == want_pivots
+    assert _dense(basis, a.rows, a.cols, field) == want
+    assert rank(a) == len(want_pivots)
 
 
 @PROPERTY
@@ -129,44 +120,6 @@ def test_kernel_is_the_canonical_null_space(fm):
     assert _is_canonical(k)
     if k.cols and a.rows:
         assert not any(any(row) for row in _product(a, k, p))
-
-
-@PROPERTY
-@given(systems())
-def test_solve_right_solves_exactly_when_consistent(sys_):
-    field, a, b = sys_
-    p = _p(field)
-    x = solve_right(a, b)
-    consistent = _textbook_rank(a.hstack(b), p) == _textbook_rank(a, p)
-    if not consistent:
-        assert x is None
-        return
-    assert (x.rows, x.cols) == (a.cols, b.cols)
-    assert _product(a, x, p) == [[field.of(e) for e in row] for row in b.a]
-
-
-@PROPERTY
-@given(systems())
-def test_solve_unique_raises_in_order(sys_):
-    field, a, b = sys_
-    p = _p(field)
-    rank_a = _textbook_rank(a, p)
-    if _textbook_rank(a.hstack(b), p) != rank_a:
-        with pytest.raises(NoSolutionError):
-            solve_unique(a, b)
-    elif rank_a != a.cols:
-        with pytest.raises(NonUniqueError):
-            solve_unique(a, b)
-    else:
-        assert solve_unique(a, b) == solve_right(a, b)
-
-
-def test_solve_unique_reports_no_solution_before_non_uniqueness():
-    a = Mat.from_rows(QQ, [[1, 0], [1, 0]])
-    with pytest.raises(NoSolutionError, match="^linear system has no solution$"):
-        solve_unique(a, Mat.from_rows(QQ, [[1], [0]]))
-    with pytest.raises(NonUniqueError, match="^linear system has a nontrivial null space$"):
-        solve_unique(a, Mat.from_rows(QQ, [[1], [1]]))
 
 
 # -- the sparse kernel on tall, very sparse systems ------------------------------
@@ -210,24 +163,8 @@ def test_echelon_of_a_tall_sparse_system_is_the_textbook_rref(case):
     assert sorted(basis) == want_pivots
     assert [basis[c] for c in want_pivots] == _dict_rows(want[:len(want_pivots)])
     assert all(x for r in basis.values() for x in r.values())
-    assert rref(Mat(field, len(rows), n + k, rows)) == (Mat(field, len(rows), n + k, want),
-                                                        want_pivots)
-
-
-@PROPERTY
-@given(sparse_augmented())
-def test_solve_on_a_tall_sparse_system_multiplies_back(case):
-    field, rows, n, k = case
-    p = _p(field)
-    pivots = textbook_rref(rows, n + k, p)[1]
-    x, rank_a = _solve(field, _dict_rows(rows), n, k)
-    assert rank_a == sum(c < n for c in pivots)
-    if rank_a != len(pivots):
-        assert x is None
-        return
-    assert (x.rows, x.cols) == (n, k)
-    a = Mat(field, len(rows), n, [r[:n] for r in rows])
-    assert _product(a, x, p) == [r[n:] for r in rows]
+    assert _dense(basis, len(rows), n + k, field) == want
+    assert rank(Mat(field, len(rows), n + k, rows)) == len(want_pivots)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -248,96 +185,6 @@ def test_cancelled_entries_are_dropped_and_never_pivots(field):
         assert sorted(basis) == pivots
         assert [basis[c] for c in pivots] == _dict_rows(want[:2])
         assert all(x for b in basis.values() for x in b.values())
-
-
-# -- the intertwining system and hom spaces ---------------------------------------
-
-def _dense_intertwining(v_rep, w_rep):
-    """phi[t] X_a - Y_a phi[s] = 0, entry (i, j) by entry, as dense rows
-    over the unknowns phi[v][r][c] taken vertex by vertex in row-major order."""
-    field = v_rep.field
-    q = v_rep.quiver
-    index, total = {}, 0
-    for v in q.vertices:
-        for r in range(w_rep.dim(v)):
-            for c in range(v_rep.dim(v)):
-                index[v, r, c] = total
-                total += 1
-    rows = []
-    for a in q.arrows:
-        x, y = v_rep.map(a.name).a, w_rep.map(a.name).a
-        for i in range(w_rep.dim(a.dst)):
-            for j in range(v_rep.dim(a.src)):
-                row = [field.zero] * total
-                for k in range(v_rep.dim(a.dst)):
-                    u = index[a.dst, i, k]
-                    row[u] = field.add(row[u], x[k][j])
-                for k in range(w_rep.dim(a.src)):
-                    u = index[a.src, k, j]
-                    row[u] = field.sub(row[u], y[i][k])
-                rows.append(row)
-    return rows, total
-
-
-QUIVERS = [double(line_quiver(2)), double(line_quiver(3)), double(kronecker_quiver())]
-
-
-@st.composite
-def rep_pairs(draw):
-    """(v_rep, w_rep): unconstrained representations of one double quiver."""
-    field = draw(st.sampled_from(FIELDS))
-    q = draw(st.sampled_from(QUIVERS))
-
-    def rep():
-        dims = {v: draw(st.integers(0, 3)) for v in q.vertices}
-        entry = st.one_of(st.just(field.zero), _values(field))
-        maps = {a.name: Mat(field, dims[a.dst], dims[a.src],
-                            [[draw(entry) for _ in range(dims[a.src])]
-                             for _ in range(dims[a.dst])])
-                for a in q.arrows}
-        return make_rep(field, q, dims, maps, preprojective=False)
-
-    return rep(), rep()
-
-
-@PROPERTY
-@given(rep_pairs())
-def test_intertwining_rows_densify_to_the_system_built_by_hand(case):
-    v_rep, w_rep = case
-    rows, offsets, total = intertwining_rows(v_rep, w_rep)
-    want, want_total = _dense_intertwining(v_rep, w_rep)
-    assert total == want_total
-    assert all(x for r in rows for x in r.values())
-    assert [[r.get(j, v_rep.field.zero) for j in range(total)] for r in rows] == want
-
-
-def _hom_cases():
-    a2, a3 = line_quiver(2), line_quiver(3)
-    a2d = double(a2)
-    q1 = make_rep(QQ, a2d, {"1": 1, "2": 1}, {"a1": [[0]], "a1*": [[1]]})
-    s1 = semisimple_rep(QQ, a2d, {"1": 1, "2": 0})
-    s2 = semisimple_rep(QQ, a2d, {"1": 0, "2": 1})
-    hull_a3 = injective_hull(a3, {"1": 1, "2": 1, "3": 1}).rep
-    hull_a2 = injective_hull(a2, {"1": 1, "2": 1}).rep
-    kron = injective_hull(kronecker_quiver(), {"1": 1, "2": 0}, 2).rep
-    return [
-        (s1, q1, 1), (s1, s2, 0), (q1, q1, 1),
-        (hull_a3, hull_a3, 10), (hull_a2, hull_a2, 4), (kron, kron, 1),
-        (vertex_projective(a3, "1"), vertex_injective(a3, "3").rep, 1),
-        (vertex_injective(a3, "1").rep, hull_a3, 3),
-        (hull_a3, vertex_injective(a3, "2").rep, 4),
-    ]
-
-
-@pytest.mark.parametrize("v_rep, w_rep, dim", _hom_cases())
-def test_hom_space_dimensions(v_rep, w_rep, dim):
-    basis = hom_space(v_rep, w_rep)
-    assert len(basis) == dim
-    rows, total = _dense_intertwining(v_rep, w_rep)
-    assert dim == total - len(textbook_rref(rows, total)[1])
-    for phi in basis:
-        for a in v_rep.quiver.arrows:
-            assert phi[a.dst] @ v_rep.map(a.name) == w_rep.map(a.name) @ phi[a.src]
 
 
 # -- subspace primitives -------------------------------------------------------
@@ -545,15 +392,8 @@ def rational_triples(draw):
 @given(rational_triples())
 def test_rational_results_hold_integral_entries_as_ints(case):
     a, b, c, s = case
-    n, k = a.cols, b.cols
+    n = a.cols
     col_a, col_b = col_space(a), col_space(b)
-    stacked, stacked_pivots = textbook_rref([ra + rb for ra, rb in zip(a.a, b.a)], n + k)
-    solvable = all(p < n for p in stacked_pivots)
-    solution = [[Fraction(0)] * k for _ in range(n)]
-    for r, p in zip(stacked, stacked_pivots):
-        if p < n:
-            solution[p] = r[n:]
-    sol, _ = _solve(QQ, _dict_rows(a.hstack(b).a), n, k)
     basis = echelon(QQ, _dict_rows(a.a))
     red, pivots = textbook_rref(a.a, n)
     pre_null = _textbook_null_vectors([ra + [-y for y in rw] for ra, rw in zip(a.a, col_b.a)],
@@ -572,10 +412,6 @@ def test_rational_results_hold_integral_entries_as_ints(case):
     for got, want in checks:
         assert not _fraction_over_one(x for r in got.a for x in r)
         assert got.a == want
-    assert (sol is None) == (not solvable)
-    if sol is not None:
-        assert not _fraction_over_one(v for r in sol.a for v in r)
-        assert sol.a == solution
     assert not _fraction_over_one(v for r in basis.values() for v in r.values())
     assert [basis[p] for p in pivots] == _dict_rows(red[:len(pivots)])
 

@@ -1,9 +1,9 @@
 import pytest
 
+from oracles import textbook_rref
+
 import quivergrass.weyl as weyl
 from quivergrass.errors import NotFiniteTypeError, NotReducedError
-from quivergrass.fields import QQ
-from quivergrass.linalg import Mat, solve_unique
 from quivergrass.quiver import cartan_matrix, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.weyl import (
     act,
@@ -108,11 +108,12 @@ def test_orbit_maximum_solves_cartan_equation():
     for q, w in cases:
         theta = diagram_involution(q)
         tw = apply_involution(q, theta, w)
-        c = Mat.from_rows(QQ, [list(r) for r in cartan_matrix(q).matrix])
-        rhs = Mat.from_rows(QQ, [[w[x] + tw[x]] for x in q.vertices])
-        sol = solve_unique(c, rhs)
+        n = len(q.vertices)
+        rows = [list(r) + [w[x] + tw[x]] for r, x in zip(cartan_matrix(q).matrix, q.vertices)]
+        red, pivots = textbook_rref(rows, n + 1)
+        assert pivots == list(range(n))
         vmax = orbit_maximum(q, w)
-        assert [vmax[x] for x in q.vertices] == [int(sol.a[i][0]) for i in range(len(q.vertices))]
+        assert [vmax[x] for x in q.vertices] == [r[n] for r in red]
 
 
 def test_orbit_maximum_values():
