@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .demazure import check_nesting, demazure_module
 from .fields import QQ
@@ -82,8 +82,7 @@ from .weyl import (
 _SEED = 20240817
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     passed: bool

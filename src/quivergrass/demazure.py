@@ -18,7 +18,7 @@ such submodule exists in the truncation, and `demazure_module` reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -47,8 +47,7 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class DemazureChain:
+class DemazureChain(NamedTuple):
     """A word together with the nested submodule stage per suffix length."""
 
     model: InjectiveModel

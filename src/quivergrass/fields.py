@@ -18,18 +18,41 @@ from fractions import Fraction
 from .errors import BadPrimeError, ValidationError
 
 
+# Strong probable-prime tests to the first twelve primes as bases decide
+# primality exactly below _MR_BOUND (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality below about 3.3e24 by deterministic Miller-Rabin.
+
+    Raises ValidationError at or above that bound, where the fixed bases no
+    longer decide it.
+    """
+    if n >= _MR_BOUND:
+        raise ValidationError(
+            f"cannot decide whether {n} is prime: primes must be below {_MR_BOUND}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .demazure import demazure_module
 from .errors import (
@@ -79,8 +79,7 @@ def _not_finite(model: InjectiveModel, msg: str) -> Exception:
     return NotFiniteRegimeError(msg)
 
 
-@dataclass(frozen=True)
-class WeightStatus:
+class WeightStatus(NamedTuple):
     """Outcome of the finite-point test at one dimension vector."""
 
     dims: tuple
@@ -93,13 +92,12 @@ class WeightStatus:
         return self.points is not None
 
 
-@dataclass(frozen=True)
-class FiniteRealization:
+class FiniteRealization(NamedTuple):
     """Per-weight point lists of the hull's submodule strata."""
 
     model: InjectiveModel
     w: dict
-    statuses: dict = field(compare=False)
+    statuses: dict
 
     @property
     def finite(self) -> bool:
@@ -130,8 +128,7 @@ class FiniteRealization:
         return sum(len(st.points or ()) for st in self.statuses.values())
 
 
-@dataclass(frozen=True)
-class VertexOperators:
+class VertexOperators(NamedTuple):
     """Raising, lowering, and torus matrices at one vertex."""
 
     raising: tuple
@@ -139,15 +136,13 @@ class VertexOperators:
     torus: tuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     passed: bool
     details: str = ""
 
 
-@dataclass(frozen=True)
-class Sl2Report:
+class Sl2Report(NamedTuple):
     finite_regime: bool
     items: tuple
     weight_dims: tuple
@@ -159,8 +154,7 @@ class Sl2Report:
         return all(item.passed for item in self.items)
 
 
-@dataclass(frozen=True)
-class ChevalleyReport:
+class ChevalleyReport(NamedTuple):
     items: tuple
     pair_count: int
 

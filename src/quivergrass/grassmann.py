@@ -45,9 +45,9 @@ prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import (
     BadPrimeError,
@@ -112,7 +112,6 @@ def subspace_cells(field: PrimeField, n: int, k: int):
         return
     if k > n:
         return
-    elements = [field.of(x) for x in range(field.p)]
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)
         free = [
@@ -121,7 +120,7 @@ def subspace_cells(field: PrimeField, n: int, k: int):
             for r in range(pivots[j] + 1, n)
             if r not in pivot_set
         ]
-        for vals in product(elements, repeat=len(free)):
+        for vals in product(range(field.p), repeat=len(free)):
             entries = [[field.zero] * k for _ in range(n)]
             for j, pr in enumerate(pivots):
                 entries[pr][j] = field.one
@@ -378,8 +377,7 @@ def tilde_count(v_rep: Rep, v: dict, cap: int | None = None) -> int:
 
 # -- point-count interpolation ------------------------------------------------
 
-@dataclass(frozen=True)
-class CountPoly:
+class CountPoly(NamedTuple):
     """Integer polynomial interpolating submodule counts over prime fields."""
 
     coeffs: tuple  # ascending degree

@@ -28,8 +28,8 @@ once per model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -241,8 +241,7 @@ def projective_sum(q: Quiver, w: dict, trunc: int | None = None) -> Rep:
 
 # -- unique extension ---------------------------------------------------------
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     gamma: dict
     injective: bool
 
@@ -342,8 +341,7 @@ def _require_nilpotent(v_rep: Rep) -> None:
 
 # -- framed points ------------------------------------------------------------
 
-@dataclass
-class FramedPoint:
+class FramedPoint(NamedTuple):
     x: Rep
     t: dict
     stable: bool
@@ -427,8 +425,7 @@ def induced_automorphism(model: InjectiveModel, g: dict, z, m: dict | None = Non
     return gamma
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple):
     """Eigenspace decomposition of a model under an induced automorphism.
 
     spaces maps each vertex to (eigenvalue, echelon basis) pairs sorted by

@@ -18,8 +18,8 @@ that survive elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NotFiniteTypeError, ValidationError
 from .fields import QQ
@@ -27,8 +27,7 @@ from .linalg import Mat, _residual, col_space, pivot_rows
 from .quiver import Quiver, cartan_matrix, double
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     arrows: tuple[str, ...]
     src: str
     dst: str
@@ -80,8 +79,7 @@ def raw_paths(q: Quiver, n: int, src: str | None = None, dst: str | None = None)
     return out
 
 
-@dataclass
-class SliceBlock:
+class SliceBlock(NamedTuple):
     paths: list[Path]
     index: dict[Path, int]
 

@@ -11,9 +11,9 @@ where a bar pair of arrows counts as a single underlying edge.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     AlreadyDoubledError,
@@ -25,15 +25,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     bar: tuple[tuple[str, str], ...] = ()
@@ -130,14 +128,12 @@ def underlying_edges(q: Quiver) -> dict[tuple[str, str], int]:
     return out
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]
     kind: str  # "finite" | "affine" | "wild"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str
     label: str | None
 

@@ -257,6 +257,15 @@ def test_empty_prime_list_is_rejected_by_the_prime_check(capsys, a2_path):
     assert err == "error: at least one prime is required\n"
 
 
+def test_count_takes_a_61_bit_prime_and_refuses_one_past_the_primality_bound(capsys, a2_path):
+    base = ["count", a2_path, "--w", "1,1", "--v", "0,0", "--primes"]
+    obj = run_json(capsys, [*base, str(2**61 - 1)])
+    assert obj["counts"] == [[2**61 - 1, 1], [2**61 + 15, 1]]
+    rc, out, err = run_cli(capsys, [*base, "3317044064679887385961981"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot decide whether 3317044064679887385961981 is prime")
+
+
 def test_config_file_supplies_cap_and_flags_win(capsys, tmp_path, a2_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"cap": 1}))
@@ -340,6 +349,10 @@ def _imports(argv):
     return proc.returncode, names
 
 
+# The standard library's `dataclasses` and what it pulls in at import.
+DATACLASS_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_classify_imports_only_what_it_calls(tmp_path):
     path = tmp_path / "a3.json"
     path.write_text(json.dumps(A3))
@@ -349,9 +362,11 @@ def test_classify_imports_only_what_it_calls(tmp_path):
     unwanted = [f"quivergrass.{m}" for m in
                 ("acceptance", "geomrep", "grassmann", "demazure", "hull", "weyl")]
     assert not names & {*unwanted, "concurrent.futures.process"}
+    assert not names & DATACLASS_IMPORTS
 
 
 def test_verify_imports_the_battery():
     rc, names = _imports(["verify", "core"])
     assert rc == 0
     assert "quivergrass.acceptance" in names
+    assert not names & DATACLASS_IMPORTS

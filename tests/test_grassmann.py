@@ -1,5 +1,6 @@
 """Submodule enumeration, count interpolation, and graded enumeration tests."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -142,6 +143,21 @@ def test_cells_between_runs_no_elimination(monkeypatch):
     assert len(cells) == gaussian_binomial(2, 1, 5) == 6
     monkeypatch.undo()
     assert all(col_space(c) == c for c in cells)
+
+
+def test_a_cell_without_free_entries_at_a_large_prime_stays_small():
+    # The A3 all-ones hull has one submodule at v = (3, 4, 3), a cell with no
+    # free entry, so counting it must not build the field's elements.
+    a3 = line_quiver(3)
+    rep = reduce_mod(injective_hull(a3, {"1": 1, "2": 1, "3": 1}).rep, 1_000_003)
+    tracemalloc.start()
+    try:
+        count = count_submodules(rep, {"1": 3, "2": 4, "3": 3})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < 2**20
 
 
 # -- plain enumeration --------------------------------------------------------
