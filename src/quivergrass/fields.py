@@ -18,27 +18,30 @@ from fractions import Fraction
 from .errors import BadPrimeError, ValidationError
 
 
-# Strong probable-prime tests to the first twelve primes as bases decide
-# primality exactly below _MR_BOUND (Sorenson and Webster 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong probable-prime tests to the first thirteen primes as bases decide
+# primality exactly below _MR_BOUND, the least strong pseudoprime to all of
+# them (Sorenson and Webster 2015); the first twelve, 2..37, are fooled by
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
     """Exact primality below about 3.3e24 by deterministic Miller-Rabin.
 
-    Raises ValidationError at or above that bound, where the fixed bases no
-    longer decide it.
+    A number with a factor among the bases is decided at any size. Any other
+    number at or above the bound raises ValidationError, since the fixed
+    bases no longer decide it.
     """
-    if n >= _MR_BOUND:
-        raise ValidationError(
-            f"cannot decide whether {n} is prime: primes must be below {_MR_BOUND}"
-        )
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    if n >= _MR_BOUND:
+        raise ValidationError(
+            f"cannot decide whether {n} is prime: primes must be below {_MR_BOUND}"
+        )
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
