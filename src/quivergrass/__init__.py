@@ -36,9 +36,9 @@ _EXPORTS = {
                "cartan_matrix", "classify", "double", "kronecker_quiver", "line_quiver",
                "parse_dimvec", "quiver_from_json", "quiver_to_json", "star_quiver"),
     "repmod": ("Rep", "Subrep", "full_subrep", "is_nilpotent", "make_rep", "make_subrep",
-               "quotient", "radical_filtration", "reduce_mod", "reduce_subrep", "rep_from_obj",
-               "rep_to_obj", "restrict", "socle", "socle_filtration", "sub_generated",
-               "subrep_to_obj", "zero_subrep"),
+               "quotient", "radical_filtration", "reduce_mod", "reduce_subrep", "rep_to_obj",
+               "restrict", "socle", "socle_filtration", "sub_generated", "subrep_to_obj",
+               "zero_subrep"),
     "weyl": ("act", "apply_involution", "bruhat_leq", "diagram_involution", "extremal_orbit",
              "is_reduced", "longest_element", "positive_roots", "reduce_word", "weight_census",
              "weight_multiplicity"),

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .demazure import check_nesting, demazure_module
+from .errors import InternalCheckError
 from .fields import QQ
 from .geomrep import (
     _commutator,
@@ -422,6 +423,10 @@ def _random_nilpotent_rep(rng, vertex_count: int):
     plain = make_rep(QQ, dq, dims, maps)
     g = {v: _rand_invertible(rng, dims[v]) for v in dq.vertices}
     g_inv = {v: _inv(g[v]) for v in dq.vertices}
+    # The sample is zero on every bar arrow, so the relation holds for any
+    # g_inv; only this check sees a wrong inverse.
+    if any(g[v] @ g_inv[v] != Mat.identity(QQ, dims[v]) for v in dq.vertices):
+        raise InternalCheckError("a random twist and its computed inverse do not multiply to I")
     twisted = {
         a.name: g[a.dst] @ plain.map(a.name) @ g_inv[a.src] for a in dq.arrows
     }

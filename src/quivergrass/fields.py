@@ -188,10 +188,3 @@ class PrimeField:
 
 QQ = Rationals()
 
-
-def field_from_tag(tag: dict):
-    if tag.get("field") == "Q":
-        return QQ
-    if tag.get("field") == "Fp":
-        return PrimeField(int(tag["p"]))
-    raise ValidationError(f"unknown field tag {tag!r}")

@@ -18,9 +18,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .demazure import demazure_module
+from .demazure import demazure_module, extend_step
 from .errors import (
     BadPrimeError,
+    DimensionMismatchError,
     InternalCheckError,
     NotFiniteRegimeError,
     NotMultiplicityFreeError,
@@ -373,6 +374,27 @@ def _certified_rational_points(rep, v: dict, n: int, primes: list, cap, extra: i
 
 # -- finite-point detection ----------------------------------------------------
 
+def _extremal_points(model: InjectiveModel, orbit: dict) -> dict:
+    """The unique submodule at each extremal weight, by one walk of the orbit.
+
+    The orbit lists each weight with its shortest word in BFS order, and a
+    shortest word is one letter plus its parent's word, so each point is
+    one `extend_step` from its parent's point. A weight whose step misses
+    its dimensions, or whose parent has no point, gets none.
+    """
+    by_word = {word: vt for vt, word in orbit.items()}
+    points = {}
+    for vt, word in orbit.items():
+        if not word:
+            points[vt] = zero_subrep(model.rep)
+        elif by_word[word[1:]] in points:
+            try:
+                points[vt] = extend_step(model, points[by_word[word[1:]]], word[0])
+            except DimensionMismatchError:
+                pass
+    return points
+
+
 def finite_points(
     q: Quiver,
     w: dict,
@@ -384,7 +406,7 @@ def finite_points(
 
     A weight is in the finite regime when its prime-field counts agree across
     all test primes and equal the number of rational points produced by an
-    exact construction: the unique chain endpoint at extremal weights, the
+    exact construction: the unique submodule at extremal weights, the
     empty list at count zero, and certified fraction reconstruction
     otherwise.  Weights failing the test carry a reason instead of a list.
     """
@@ -392,6 +414,7 @@ def finite_points(
     model = injective_hull(q, w, trunc)
     census = weight_census(q, w)
     orbit = extremal_orbit(q, w)
+    points = _extremal_points(model, orbit)
     verts = list(q.vertices)
     reductions = {p: reduce_mod(model.rep, p) for p in plist}
     statuses = {}
@@ -416,16 +439,9 @@ def finite_points(
                     "prime count disagrees with the unique chain endpoint",
                 )
                 continue
-            chain = demazure_module(q, w, orbit[vt], trunc)
-            endpoint = chain.stages[-1]
-            point = make_subrep(
-                model.rep, {x: endpoint.basis(x) for x in verts}
-            )
-            if point.dims() != vdict:
-                raise InternalCheckError(
-                    "chain endpoint dimensions disagree with the weight"
-                )
-            statuses[vt] = WeightStatus(vt, counts, (point,), None)
+            if vt not in points:
+                raise _not_finite(model, "stage dims missed the target")
+            statuses[vt] = WeightStatus(vt, counts, (points[vt],), None)
         elif n == 0:
             statuses[vt] = WeightStatus(vt, counts, (), None)
         else:

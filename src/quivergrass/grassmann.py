@@ -399,9 +399,16 @@ class CountPoly(NamedTuple):
 
 
 def _next_prime(n: int) -> int:
+    """The least prime above n, chosen as a spare (consistency) prime."""
     m = n + 1
-    while not is_prime(m):
-        m += 1
+    try:
+        while not is_prime(m):
+            m += 1
+    except ValidationError:
+        raise ValidationError(
+            f"cannot choose a spare (consistency) prime above {n}: "
+            f"whether {m} is prime cannot be decided; pass one more prime"
+        ) from None
     return m
 
 

@@ -13,6 +13,11 @@ of the full hull.
 The projective at a vertex is the span of path classes starting there,
 placed at their target vertex, with arrows acting by left concatenation.
 
+A hull and a sum of projectives come from one basis, built in one pass:
+coordinates labelled (summand k, path class), the paths ending at the
+summand's vertex for a hull and starting there for a projective. No block
+sum of pieces is formed.
+
 A module map g from V into a model is fixed by its socle part: the row of
 g at the dual of a basis path beta from v to i in summand k is
 sigma_k X_beta, where sigma_k is g's socle row for summand k and X_beta is
@@ -42,13 +47,12 @@ from .errors import (
 )
 from .fields import QQ
 from .linalg import Mat, kernel, rank, subspace_intersect
-from .palg import Path, algebra, compose, default_truncation, trivial_path
-from .quiver import Quiver
+from .palg import Path, algebra, compose, default_truncation, trivial_path, vanishing_bound
+from .quiver import Quiver, cartan_matrix
 from .repmod import (
     Rep,
     Subrep,
     _mapped_into,
-    direct_sum,
     is_nilpotent,
     make_rep,
     restrict,
@@ -87,90 +91,81 @@ class InjectiveModel:
     def socle_subrep(self) -> Subrep:
         from .repmod import make_subrep
 
-        f = self.rep.field
-        bases = {}
-        for v in self.quiver.vertices:
-            m = Mat.zeros(f, self.rep.dim(v), len(self.socle_cols[v]))
-            for j, c in enumerate(self.socle_cols[v]):
-                m.a[c][j] = f.one
-            bases[v] = m
-        return make_subrep(self.rep, bases)
+        return make_subrep(self.rep, {
+            v: Mat.identity(self.rep.field, self.rep.dim(v)).take_cols(self.socle_cols[v])
+            for v in self.quiver.vertices
+        })
 
     def with_projection(self, pi: dict) -> "InjectiveModel":
         for v in self.quiver.vertices:
             p = pi[v]
             if p.rows != self.w.get(v, 0) or p.cols != self.rep.dim(v):
                 raise ValidationError(f"projection shape at vertex {v!r} is wrong")
-            for j, c in enumerate(self.socle_cols[v]):
-                col = [p.a[r][c] for r in range(p.rows)]
-                want = [p.field.one if r == j else p.field.zero for r in range(p.rows)]
-                if col != want:
-                    raise ValidationError("projection must restrict to the identity on the socle copy")
+            if p.take_cols(self.socle_cols[v]) != Mat.identity(p.field, p.rows):
+                raise ValidationError("projection must restrict to the identity on the socle copy")
         return InjectiveModel(
             self.base, self.w, self.trunc, self.full, self.rep,
             self.labels, self.summands, pi, self.socle_cols, self._checks,
         )
 
 
-def _piece_basis(q: Quiver, i: str, trunc: int) -> dict:
-    """Per vertex, the list of path classes ending at i of length < trunc."""
-    alg = algebra(q)
-    out = {v: [] for v in alg.dq.vertices}
-    for n in range(trunc):
-        sl = alg.slice(n)
-        if n >= 2 and sl.dim() == 0 and alg.slice(n - 1).dim() == 0:
-            break
-        for v in alg.dq.vertices:
-            out[v].extend(sl.block(v, i).paths)
-    return out
-
-
 def vertex_injective(q: Quiver, i: str, trunc: int | None = None) -> InjectiveModel:
     return injective_hull(q, {x: (1 if x == i else 0) for x in q.vertices}, trunc)
 
 
-def _resolve_trunc(q: Quiver, trunc: int | None) -> tuple[int, bool]:
-    from .quiver import cartan_matrix
-    from .palg import vanishing_bound
+def vertex_projective(q: Quiver, i: str, trunc: int | None = None) -> Rep:
+    return projective_sum(q, {x: (1 if x == i else 0) for x in q.vertices}, trunc)
 
+
+def _resolve_trunc(q: Quiver, trunc: int | None) -> tuple[int, bool]:
+    """The truncation to use and whether it keeps the whole module."""
     if trunc is not None and trunc < 1:
         raise ValidationError(f"the truncation must be a positive integer, got {trunc}")
     if cartan_matrix(q).kind == "finite":
         bound = vanishing_bound(q)
-        if trunc is None or trunc >= bound:
-            return (trunc if trunc is not None else bound), True
-        return trunc, False
-    if trunc is None:
-        trunc = default_truncation(q)
-    return trunc, False
+        return (bound if trunc is None else trunc), trunc is None or trunc >= bound
+    return (default_truncation(q) if trunc is None else trunc), False
+
+
+def _path_basis(q: Quiver, w: dict, trunc: int | None, ends) -> tuple:
+    """The summand-labelled path basis of a sum of truncated pieces.
+
+    Summand k sits at summands[k], the vertices of w's multiset in vertex
+    order; ends(i, v) is the (source, target) of the path classes of a
+    summand at i that sit at vertex v. labels[v] lists (k, path class) per
+    coordinate at v, summand by summand and by degree; index[v] inverts
+    it. Returns (base, trunc, full, summands, labels, index).
+    """
+    alg = algebra(q)
+    base = alg.base if alg.base is not None else q
+    if any(w.get(v, 0) < 0 for v in base.vertices):
+        raise ValidationError("socle multiplicities must be non-negative")
+    n, full = _resolve_trunc(base, trunc)
+    slices = []
+    for deg in range(n):
+        sl = alg.slice(deg)
+        # past two empty slices in a row every slice is empty
+        if deg >= 2 and sl.dim() == 0 and slices[-1].dim() == 0:
+            break
+        slices.append(sl)
+    summands = tuple(v for v in base.vertices for _ in range(w.get(v, 0)))
+    labels = {
+        v: [(k, p) for k, i in enumerate(summands) for sl in slices
+            for p in sl.block(*ends(i, v)).paths]
+        for v in alg.dq.vertices
+    }
+    index = {v: {lab: pos for pos, lab in enumerate(labels[v])} for v in labels}
+    return base, n, full, summands, labels, index
 
 
 def injective_hull(q: Quiver, w: dict, trunc: int | None = None) -> InjectiveModel:
     """Direct sum of vertex injectives with socle multiplicities w."""
+    base, n, full, summands, labels, index = _path_basis(q, w, trunc, lambda i, v: (v, i))
     alg = algebra(q)
-    dq = alg.dq
-    base = alg.base if alg.base is not None else q
-    for v in base.vertices:
-        if w.get(v, 0) < 0:
-            raise ValidationError("socle multiplicities must be non-negative")
-    n, full = _resolve_trunc(base, trunc)
-    summands = tuple(v for v in base.vertices for _ in range(w.get(v, 0)))
-    piece_cache = {}
-    labels = {v: [] for v in dq.vertices}
-    dims = {v: 0 for v in dq.vertices}
-    for k, i in enumerate(summands):
-        if i not in piece_cache:
-            piece_cache[i] = _piece_basis(base, i, n)
-        for v in dq.vertices:
-            for p in piece_cache[i][v]:
-                labels[v].append((k, p))
-                dims[v] += 1
-    index = {
-        v: {lab: pos for pos, lab in enumerate(labels[v])} for v in dq.vertices
-    }
+    dims = {v: len(labels[v]) for v in labels}
     maps = {}
-    for a in dq.arrows:
-        m = Mat.zeros(QQ, dims[a.dst], dims[a.src])
+    for a in alg.dq.arrows:
+        m = maps[a.name] = Mat.zeros(QQ, dims[a.dst], dims[a.src])
         bpath = Path((a.name,), a.src, a.dst)
         for row, (k, gamma) in enumerate(labels[a.dst]):
             comp = compose(gamma, bpath)
@@ -180,63 +175,30 @@ def injective_hull(q: Quiver, w: dict, trunc: int | None = None) -> InjectiveMod
                 col = index[a.src].get((k, beta))
                 if col is not None:
                     m.a[row][col] = coeff
-        maps[a.name] = m
-    rep = make_rep(QQ, dq, dims, maps, preprojective=True)
-    socle_cols = {v: [] for v in dq.vertices}
+    rep = make_rep(QQ, alg.dq, dims, maps)
+    socle_cols = {v: [] for v in labels}
     for k, i in enumerate(summands):
         socle_cols[i].append(index[i][(k, trivial_path(i))])
-    pi = {}
-    for v in dq.vertices:
-        p = Mat.zeros(QQ, len(socle_cols[v]), dims[v])
-        for r, c in enumerate(socle_cols[v]):
-            p.a[r][c] = QQ.one
-        pi[v] = p
+    pi = {v: Mat.identity(QQ, dims[v]).take_rows(socle_cols[v]) for v in labels}
     wfull = {v: w.get(v, 0) for v in base.vertices}
     return InjectiveModel(base, wfull, n, full, rep, labels, summands, pi, socle_cols)
 
 
-def vertex_projective(q: Quiver, i: str, trunc: int | None = None) -> Rep:
-    """Path classes starting at i, graded by target, arrows acting on the left."""
+def projective_sum(q: Quiver, w: dict, trunc: int | None = None) -> Rep:
+    """Direct sum of vertex projectives with top multiplicities w."""
+    labels, index = _path_basis(q, w, trunc, lambda i, v: (i, v))[4:]
     alg = algebra(q)
-    dq = alg.dq
-    base = alg.base if alg.base is not None else q
-    n, _ = _resolve_trunc(base, trunc)
-    labels = {v: [] for v in dq.vertices}
-    for deg in range(n):
-        sl = alg.slice(deg)
-        if deg >= 2 and sl.dim() == 0 and alg.slice(deg - 1).dim() == 0:
-            break
-        for v in dq.vertices:
-            labels[v].extend(sl.block(i, v).paths)
-    index = {v: {p: pos for pos, p in enumerate(labels[v])} for v in dq.vertices}
-    dims = {v: len(labels[v]) for v in dq.vertices}
+    dims = {v: len(labels[v]) for v in labels}
     maps = {}
-    for a in dq.arrows:
-        m = Mat.zeros(QQ, dims[a.dst], dims[a.src])
-        for col, beta in enumerate(labels[a.src]):
-            target_slice = alg.slice(beta.length + 1)
-            vec = target_slice.lmul.get((a.name, beta))
-            if not vec:
-                continue
+    for a in alg.dq.arrows:
+        m = maps[a.name] = Mat.zeros(QQ, dims[a.dst], dims[a.src])
+        for col, (k, beta) in enumerate(labels[a.src]):
+            vec = alg.slice(beta.length + 1).lmul.get((a.name, beta), {})
             for out_path, coeff in vec.items():
-                row = index[a.dst].get(out_path)
+                row = index[a.dst].get((k, out_path))
                 if row is not None:
                     m.a[row][col] = coeff
-        maps[a.name] = m
-    return make_rep(QQ, dq, dims, maps, preprojective=True)
-
-
-def projective_sum(q: Quiver, w: dict, trunc: int | None = None) -> Rep:
-    alg = algebra(q)
-    base = alg.base if alg.base is not None else q
-    pieces = []
-    for v in base.vertices:
-        pieces.extend([vertex_projective(q, v, trunc)] * w.get(v, 0))
-    if not pieces:
-        dq = alg.dq
-        return make_rep(QQ, dq, {v: 0 for v in dq.vertices}, {}, preprojective=False)
-    total, _, _ = direct_sum(pieces)
-    return total
+    return make_rep(QQ, alg.dq, dims, maps)
 
 
 # -- unique extension ---------------------------------------------------------

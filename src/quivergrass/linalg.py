@@ -157,9 +157,6 @@ class Mat:
             [r + s for r, s in zip(self.a, other.a)],
         )
 
-    def col(self, j: int) -> list:
-        return [self.a[i][j] for i in range(self.rows)]
-
     def take_cols(self, idx) -> "Mat":
         return Mat(
             self.field,

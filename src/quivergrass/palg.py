@@ -58,27 +58,6 @@ def compose(p: Path, q: Path) -> Path | None:
     return Path(p.arrows + q.arrows, q.src, p.dst)
 
 
-def raw_paths(q: Quiver, n: int, src: str | None = None, dst: str | None = None) -> list[Path]:
-    """All length-n paths of q, lexicographic in the arrow-name tuple."""
-    if n < 0:
-        raise ValidationError("path length must be >= 0")
-    verts = [src] if src is not None else list(q.vertices)
-    out: list[Path] = []
-    for v in verts:
-        frontier = [trivial_path(v)]
-        for _ in range(n):
-            frontier = [
-                Path((a.name,) + p.arrows, p.src, a.dst)
-                for p in frontier
-                for a in q.arrows_from(p.dst)
-            ]
-        out.extend(frontier)
-    if dst is not None:
-        out = [p for p in out if p.dst == dst]
-    out.sort(key=lambda p: p.arrows)
-    return out
-
-
 class SliceBlock(NamedTuple):
     paths: list[Path]
     index: dict[Path, int]

@@ -12,6 +12,9 @@ maps into a given per-vertex basis. The socle, each step of the socle
 series, the Demazure step in `demazure` and the stability test in `hull`
 are all built on it. It hands `linalg.preimage` every outgoing arrow's pair
 at once, so a vertex costs one elimination.
+
+There is no block sum of representations: `hull` builds sums of injectives
+and of projectives on one labelled path basis.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .fields import PrimeField, field_from_tag
+from .fields import PrimeField
 from .linalg import (
     Mat,
     _residual,
@@ -33,7 +36,7 @@ from .linalg import (
     subspace_contains,
     subspace_sum,
 )
-from .quiver import Quiver, quiver_from_obj, quiver_to_obj
+from .quiver import Quiver, quiver_to_obj
 
 
 class Rep:
@@ -137,10 +140,6 @@ def make_rep(field, quiver: Quiver, dims: dict, maps: dict, preprojective: bool 
                 f"preprojective relation fails at vertices {sorted(bad)}", residuals=bad
             )
     return rep
-
-
-def semisimple_rep(field, quiver: Quiver, dims: dict) -> Rep:
-    return make_rep(field, quiver, dims, {}, preprojective=False)
 
 
 def make_subrep(v_rep: Rep, bases: dict, validate: bool = True) -> Subrep:
@@ -316,50 +315,6 @@ def restrict(v_rep: Rep, s: Subrep) -> Rep:
     return Rep(v_rep.field, q, s.dims(), maps)
 
 
-def direct_sum(reps: list[Rep]) -> tuple[Rep, list[dict], list[dict]]:
-    """Block sum; also returns per-summand inclusion and projection maps."""
-    if not reps:
-        raise ValidationError("direct sum needs at least one summand")
-    q = reps[0].quiver
-    field = reps[0].field
-    for r in reps[1:]:
-        if r.quiver != q or r.field != field:
-            raise ValidationError("direct sum requires a common quiver and field")
-    dims = {v: sum(r.dim(v) for r in reps) for v in q.vertices}
-    offs = []
-    running = {v: 0 for v in q.vertices}
-    for r in reps:
-        offs.append(dict(running))
-        for v in q.vertices:
-            running[v] += r.dim(v)
-    maps = {}
-    for a in q.arrows:
-        m = Mat.zeros(field, dims[a.dst], dims[a.src])
-        for r, off in zip(reps, offs):
-            block = r.map(a.name)
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    m.a[off[a.dst] + i][off[a.src] + j] = block.a[i][j]
-        maps[a.name] = m
-    total = Rep(field, q, dims, maps)
-    incs = []
-    prjs = []
-    for r, off in zip(reps, offs):
-        inc = {}
-        prj = {}
-        for v in q.vertices:
-            mi = Mat.zeros(field, dims[v], r.dim(v))
-            mp = Mat.zeros(field, r.dim(v), dims[v])
-            for j in range(r.dim(v)):
-                mi.a[off[v] + j][j] = field.one
-                mp.a[j][off[v] + j] = field.one
-            inc[v] = mi
-            prj[v] = mp
-        incs.append(inc)
-        prjs.append(prj)
-    return total, incs, prjs
-
-
 def reduce_mod(v_rep: Rep, p: int) -> Rep:
     """The same matrices over F_p; fails if p divides any denominator."""
     fp = PrimeField(p)
@@ -388,21 +343,6 @@ def rep_to_obj(v_rep: Rep) -> dict:
             for a in v_rep.quiver.arrows
         },
     }
-
-
-def rep_from_obj(obj: dict) -> Rep:
-    field = field_from_tag(obj["field"])
-    q = quiver_from_obj(obj["quiver"])
-    dims = {v: int(n) for v, n in obj["dims"].items()}
-    maps = {
-        name: Mat.from_rows(
-            field,
-            [[field.of(x) for x in row] for row in rows],
-            dims[q.arrow(name).src],
-        )
-        for name, rows in obj["maps"].items()
-    }
-    return make_rep(field, q, dims, maps, preprojective=False)
 
 
 def subrep_to_obj(s: Subrep) -> dict:

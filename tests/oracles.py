@@ -6,12 +6,39 @@ with these on every case small enough to run them.
 """
 
 import functools
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from quivergrass.fields import QQ
-from quivergrass.palg import raw_paths
 from quivergrass.quiver import double
+
+
+RawPath = namedtuple("RawPath", "arrows src dst")
+
+
+def raw_paths(q, n, src=None, dst=None):
+    """All length-n paths of q, lexicographic in the arrow-name tuple.
+
+    A path lists its arrows last-applied first, as in the library.
+    """
+    if n < 0:
+        raise ValueError("path length must be >= 0")
+    verts = [src] if src is not None else list(q.vertices)
+    out = []
+    for v in verts:
+        frontier = [RawPath((), v, v)]
+        for _ in range(n):
+            frontier = [
+                RawPath((a.name,) + p.arrows, p.src, a.dst)
+                for p in frontier
+                for a in q.arrows_from(p.dst)
+            ]
+        out.extend(frontier)
+    if dst is not None:
+        out = [p for p in out if p.dst == dst]
+    out.sort(key=lambda p: p.arrows)
+    return out
 
 
 def relation_loops(dq):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import quivergrass.acceptance as acceptance
 from quivergrass.acceptance import (
     CRITERION_NUMBERS,
     _inv,
@@ -38,9 +39,7 @@ def test_unknown_criterion_number_rejected():
 
 
 def test_inverse_of_the_random_twists_is_exact():
-    # Criterion 9 twists its representations by these matrices; its
-    # one-sided maps satisfy the relation for any twist, so only this
-    # test checks the inverse.
+    # Criterion 9 twists its representations by these matrices.
     rng = random.Random(3)
     for _ in range(200):
         n = rng.randint(0, 5)
@@ -48,3 +47,12 @@ def test_inverse_of_the_random_twists_is_exact():
         assert _inv(m) @ m == m @ _inv(m) == Mat.identity(QQ, n)
     with pytest.raises(ValueError):
         _inv(Mat.from_rows(QQ, [[1, 2], [2, 4]]))
+
+
+def test_criterion_9_fails_on_a_wrong_inverse(monkeypatch):
+    # Its twists are zero on every bar arrow, so the relation holds for any
+    # inverse; only the criterion's own check of g·g^-1 = I catches this.
+    monkeypatch.setattr(acceptance, "_inv", lambda m: Mat.identity(m.field, m.rows))
+    result = run_criterion(9)
+    assert not result.passed
+    assert "do not multiply to I" in result.details

@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from quivergrass.cli import main
-from quivergrass.repmod import rep_from_obj
 
 
 A2 = {"vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1", "to": "2"}]}
@@ -89,12 +88,12 @@ def test_injective_blocks(capsys, a2_path):
     assert set(obj) == {"rep", "socle", "projection", "trunc", "full"}
     assert obj["socle"]["dims"] == {"1": 1, "2": 1}
     assert obj["full"] is True
-    rep = rep_from_obj(obj["rep"])
-    assert rep.dims == {"1": 2, "2": 2}
+    dims = obj["rep"]["dims"]
+    assert dims == {"1": 2, "2": 2}
     for v in ("1", "2"):
         matrix = obj["projection"][v]
         assert len(matrix) == obj["socle"]["dims"][v]
-        assert len(matrix[0]) == rep.dims[v]
+        assert len(matrix[0]) == dims[v]
         cols = obj["socle"]["columns"][v]
         assert len(cols) == obj["socle"]["dims"][v]
         for row, col in enumerate(cols):
@@ -104,7 +103,7 @@ def test_injective_blocks(capsys, a2_path):
 def test_projective_shape(capsys, a2_path):
     obj = run_json(capsys, ["projective", a2_path, "--w", "1,0"])
     assert obj["top"] == {"1": 1, "2": 0}
-    assert rep_from_obj(obj["rep"]).dims == {"1": 1, "2": 1}
+    assert obj["rep"]["dims"] == {"1": 1, "2": 1}
 
 
 def test_demazure_stages(capsys, a2_path):
@@ -264,6 +263,17 @@ def test_count_takes_a_61_bit_prime_and_refuses_one_past_the_primality_bound(cap
     rc, out, err = run_cli(capsys, [*base, "3317044064679887385961981"])
     assert (rc, out) == (2, "")
     assert err.startswith("error: cannot decide whether 3317044064679887385961981 is prime")
+
+
+def test_count_names_the_spare_prime_it_cannot_choose(capsys, a3_path):
+    base = ["count", a3_path, "--w", "1,1,1", "--v", "0,0,0", "--primes"]
+    rc, out, err = run_cli(capsys, [*base, "3317044064679887385961813"])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: cannot choose a spare (consistency) prime above 3317044064679887385961813: "
+        "whether 3317044064679887385961981 is prime cannot be decided; pass one more prime\n"
+    )
+    assert run_json(capsys, [*base, "2,3317044064679887385961813"])["chi"] == 1
 
 
 def test_config_file_supplies_cap_and_flags_win(capsys, tmp_path, a2_path):

@@ -72,16 +72,15 @@ def test_private_helper_is_referenced(module, name, k):
 # Public names that nothing in the package uses, each with why it is kept.
 PUBLIC_ALLOWLIST = {
     "demazure.stabilization_sigma": "the shortest Demazure word whose stage counts are "
-                                    "already stable, which the Demazure tests check",
-    "hull.framed_point": "the paper's framed point of a hull submodule; tests check that "
-                         "Demazure stages give stable ones",
-    "palg.raw_paths": "the unreduced paths of a double quiver, from which `tests/oracles.py` "
-                      "builds its brute-force quotient dimensions",
-    "repmod.rep_from_obj": "reads back a representation that `rep_to_obj` wrote for the CLI",
-    "repmod.semisimple_rep": "the representation with every arrow zero, which the tests "
-                             "use as the simplest nilpotent input",
-    "repmod.socle_filtration": "the socle series; the hull tests certify a truncated "
-                               "injective's Loewy length with it",
+                                    "already stable (ROADMAP item 4); the Demazure tests "
+                                    "check it",
+    "hull.framed_point": "the paper's framed point, Gr_v(I(w)) = L(v, w) stability, under "
+                         "test: Demazure stages give stable points",
+    "hull.vertex_projective": "the projective P(i), the vertex counterpart of "
+                              "`vertex_injective`; tests check P(i) = I(theta i) and "
+                              "that `projective_sum` is the block sum of these",
+    "repmod.socle_filtration": "the socle series, the Loewy-length certificate of a "
+                               "truncated injective that ROADMAP item 1 needs",
 }
 
 
@@ -129,10 +128,23 @@ METHOD_ALLOWLIST = {
 }
 
 
+def _attributes(node: ast.AST) -> set:
+    """Attribute names taken under one node."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+ATTRS = [_attributes(node) for _, node in STATEMENTS]
+
+
 def _method_used(name: str, k: int) -> bool:
-    """Whether the method's name is read anywhere in the package outside its own body."""
+    """Whether the package reads the method as an attribute outside its own body.
+
+    A bare name does not count: a local variable named like the method is
+    no use of it.
+    """
     siblings = [item for item in STATEMENTS[k][1].body if getattr(item, "name", None) != name]
-    return _used_outside(name, k) or any(name in _references(item) for item in siblings)
+    return (any(name in attrs for j, attrs in enumerate(ATTRS) if j != k)
+            or any(name in _attributes(item) for item in siblings))
 
 
 def test_the_method_allowlist_names_methods():

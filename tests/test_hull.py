@@ -38,13 +38,11 @@ from quivergrass.hull import (
 from quivergrass.linalg import Mat, col_space
 from quivergrass.quiver import double, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.repmod import (
-    direct_sum,
     full_subrep,
     is_nilpotent,
     make_rep,
     make_subrep,
     restrict,
-    semisimple_rep,
     socle,
     socle_filtration,
     sub_generated,
@@ -65,6 +63,19 @@ def mat(rows, cols):
 
 def sdims(s):
     return {v: b.cols for v, b in s.bases.items()}
+
+
+def block_sum(dq, reps):
+    """The block-diagonal sum over Q of representations of dq, in order."""
+    dims = {v: sum(r.dim(v) for r in reps) for v in dq.vertices}
+    maps = {a.name: [[0] * dims[a.src] for _ in range(dims[a.dst])] for a in dq.arrows}
+    off = {v: 0 for v in dq.vertices}
+    for r in reps:
+        for a in dq.arrows:
+            for i, row in enumerate(r.map(a.name).a):
+                maps[a.name][off[a.dst] + i][off[a.src]:off[a.src] + len(row)] = row
+        off = {v: off[v] + r.dim(v) for v in dq.vertices}
+    return make_rep(QQ, dq, dims, maps, preprojective=False)
 
 
 def indicator(q, i):
@@ -189,6 +200,30 @@ def test_projective_sum_is_the_hull_of_the_twisted_framing(q, w):
     assert _is_hull_of(projective_sum(q, w), injective_hull(q, tw))
 
 
+SUMS = [(label, q, w, None) for label, q, w in FRAMINGS] + [
+    ("A3", A3, {"1": 0, "2": 0, "3": 0}, None),
+    ("A3", A3, {"1": 2, "2": 0, "3": 1}, 2),
+    ("A4", A4, {"1": 1, "2": 0, "3": 2, "4": 1}, 3),
+    ("D4", D4, {v: 1 for v in D4.vertices}, None),
+    ("D4", D4, {v: 1 for v in D4.vertices}, 2),
+    ("KR", KR, {"1": 0, "2": 0}, 3),
+    ("KR", KR, {"1": 1, "2": 1}, 3),
+    ("KR", KR, {"1": 2, "2": 1}, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "q, w, trunc", [(q, w, t) for _, q, w, t in SUMS],
+    ids=[f"{label}-{''.join(map(str, w.values()))}-{t}" for label, _, w, t in SUMS],
+)
+def test_projective_sum_is_the_block_sum_of_its_vertex_projectives(q, w, trunc):
+    p = projective_sum(q, w, trunc)
+    pieces = [vertex_projective(q, v, trunc) for v in q.vertices for _ in range(w[v])]
+    want = block_sum(p.quiver, pieces)
+    assert p.dims == want.dims
+    assert all(p.map(a.name) == want.map(a.name) for a in p.quiver.arrows)
+
+
 def test_is_hull_of_rejects_the_untwisted_framing_and_other_dimensions():
     w = {"1": 1, "2": 0, "3": 0}
     m = injective_hull(A3, w)
@@ -196,7 +231,7 @@ def test_is_hull_of_rejects_the_untwisted_framing_and_other_dimensions():
     assert p.dims == m.rep.dims
     assert not _is_hull_of(p, m)
     # The socle of the hull, a proper submodule with the same socle.
-    assert not _is_hull_of(semisimple_rep(QQ, m.quiver, w), m)
+    assert not _is_hull_of(make_rep(QQ, m.quiver, w, {}, preprojective=False), m)
     assert not _is_hull_of(projective_sum(A3, {"1": 1, "2": 1, "3": 1}), m)
 
 
@@ -210,7 +245,7 @@ def test_extension_identity():
 
 def test_extension_socle_inclusion():
     m = injective_hull(A2, {"1": 1, "2": 1})
-    v_rep = semisimple_rep(QQ, m.quiver, {"1": 1, "2": 1})
+    v_rep = make_rep(QQ, m.quiver, {"1": 1, "2": 1}, {}, preprojective=False)
     tau = {"1": mat([[1]], 1), "2": mat([[1]], 1)}
     res = extend_to_injective(v_rep, tau, m)
     soc = m.socle_subrep()
@@ -231,7 +266,7 @@ def test_extension_p1_fills_q2():
 
 def test_extension_noninjective_tau_branch():
     m = injective_hull(A2, {"1": 1, "2": 1})
-    v_rep = semisimple_rep(QQ, m.quiver, {"1": 2, "2": 0})
+    v_rep = make_rep(QQ, m.quiver, {"1": 2, "2": 0}, {}, preprojective=False)
     tau = {"1": mat([[1, 1]], 2), "2": Mat.zeros(QQ, 1, 0)}
     res = extend_to_injective(v_rep, tau, m)
     assert not res.injective
@@ -253,7 +288,7 @@ def test_extension_rejects_non_nilpotent():
 
 def test_extension_validates_tau_shape():
     m = injective_hull(A2, {"1": 1, "2": 1})
-    v_rep = semisimple_rep(QQ, m.quiver, {"1": 1, "2": 1})
+    v_rep = make_rep(QQ, m.quiver, {"1": 1, "2": 1}, {}, preprojective=False)
     with pytest.raises(ValidationError):
         extend_to_injective(v_rep, {"1": mat([[1, 0]], 2), "2": mat([[1]], 1)}, m)
 
@@ -306,7 +341,7 @@ def test_framed_point_rejects_non_submodule():
 
 def test_unstable_framed_pair():
     dq = double(A2)
-    x = semisimple_rep(QQ, dq, {"1": 1, "2": 0})
+    x = make_rep(QQ, dq, {"1": 1, "2": 0}, {}, preprojective=False)
     t = {"1": Mat.zeros(QQ, 0, 1), "2": Mat.zeros(QQ, 0, 0)}
     assert not is_stable(x, t)
 
@@ -420,10 +455,10 @@ def test_model_with_a_socle_beyond_its_socle_copy_is_not_unique():
     # The arrow maps of I(1) replaced by zero: the socle is then the whole
     # space, and a map from S(2) into the extra socle is invisible to pi.
     m = vertex_injective(A2, "1")
-    flat = semisimple_rep(QQ, m.quiver, m.rep.dims)
+    flat = make_rep(QQ, m.quiver, m.rep.dims, {}, preprojective=False)
     fake = hull.InjectiveModel(m.base, m.w, m.trunc, m.full, flat, m.labels, m.summands,
                                m.pi, m.socle_cols)
-    v_rep = semisimple_rep(QQ, m.quiver, {"1": 1, "2": 1})
+    v_rep = make_rep(QQ, m.quiver, {"1": 1, "2": 1}, {}, preprojective=False)
     tau = {"1": mat([[1]], 1), "2": Mat.zeros(QQ, 0, 1)}
     with pytest.raises(NonUniqueError,
                        match="^homogeneous intertwining system has a nonzero kernel$"):
@@ -514,7 +549,7 @@ def test_non_nilpotent_rep_is_rejected_before_a_bad_tau_shape():
     tau = {"1": mat([[1, 0]], 2), "2": Mat.zeros(QQ, 0, 1)}
     with pytest.raises(NotNilpotentError):
         extend_to_injective(_cyclic_kronecker_rep(), tau, m)
-    v_rep = semisimple_rep(QQ, m.quiver, {"1": 1, "2": 1})
+    v_rep = make_rep(QQ, m.quiver, {"1": 1, "2": 1}, {}, preprojective=False)
     with pytest.raises(ValidationError, match="tau shape"):
         extend_to_injective(v_rep, tau, m)
 
@@ -524,8 +559,9 @@ def test_non_nilpotent_kernel_of_a_nonzero_map_is_rejected():
     # V = cyclic ⊕ S_1: the map is the socle inclusion on S_1 and zero on the
     # cyclic summand, so it is nonzero, its kernel is the cyclic summand, and
     # the nilpotency test on the kernel alone must still fail.
-    v_rep, _, _ = direct_sum([_cyclic_kronecker_rep(),
-                              semisimple_rep(QQ, double(KR), {"1": 1, "2": 0})])
+    v_rep = block_sum(double(KR), [_cyclic_kronecker_rep(),
+                                   make_rep(QQ, double(KR), {"1": 1, "2": 0}, {},
+                                            preprojective=False)])
     m = vertex_injective(KR, "1")
     tau = {"1": mat([[0, 1]], 2), "2": Mat.zeros(QQ, 0, 1)}
     with pytest.raises(NotNilpotentError):
@@ -649,7 +685,7 @@ def nilpotency_cases(draw):
         return make_rep(QQ, dq, dims, maps, preprojective=False)
 
     n_rep = random_rep(True)
-    v_rep, _, _ = direct_sum([n_rep, random_rep(False)])
+    v_rep = block_sum(dq, [n_rep, random_rep(False)])
     whole = draw(st.booleans())
     tau = {v: Mat(QQ, model.w[v], v_rep.dim(v),
                   [[draw(small) if whole or c < n_rep.dim(v) else 0

@@ -11,16 +11,16 @@ from quivergrass.fields import QQ
 from quivergrass.palg import (
     Path,
     algebra,
+    arrow_path,
     compose,
     default_truncation,
     hilbert,
-    raw_paths,
     trivial_path,
     vanishing_bound,
 )
 from quivergrass.quiver import build_quiver, kronecker_quiver, line_quiver, star_quiver
 
-from oracles import naive_quotient_dims, relation_loops, textbook_rref
+from oracles import naive_quotient_dims, raw_paths, relation_loops, textbook_rref
 
 
 def test_raw_path_counts():
@@ -36,8 +36,8 @@ def test_raw_path_counts():
 
 def test_compose_endpoint_rule():
     dq = algebra(line_quiver(3)).dq
-    a1 = raw_paths(dq, 1, src="1", dst="2")[0]
-    a2 = raw_paths(dq, 1, src="2", dst="3")[0]
+    a1 = arrow_path(dq, "a1")
+    a2 = arrow_path(dq, "a2")
     assert compose(a2, a1) == Path(("a2", "a1"), "1", "3")
     assert compose(a1, a2) is None
     e2 = trivial_path("2")

@@ -9,17 +9,14 @@ from quivergrass.fields import PrimeField, QQ
 from quivergrass.linalg import Mat
 from quivergrass.quiver import double, kronecker_quiver, line_quiver
 from quivergrass.repmod import (
-    direct_sum,
     is_nilpotent,
     make_rep,
     make_subrep,
     quotient,
     radical_filtration,
     reduce_mod,
-    rep_from_obj,
     rep_to_obj,
     restrict,
-    semisimple_rep,
     socle,
     socle_filtration,
     sub_generated,
@@ -66,7 +63,7 @@ def test_make_rep_validates_shapes():
 
 
 def test_zero_maps_always_valid():
-    v = semisimple_rep(QQ, A2D, {"1": 3, "2": 1})
+    v = make_rep(QQ, A2D, {"1": 3, "2": 1}, {}, preprojective=False)
     assert sdims(socle(v)) == (3, 1)
 
 
@@ -88,7 +85,7 @@ def test_socle_filtration_chain():
 
 
 def test_semisimple_filtration_is_two_steps():
-    v = semisimple_rep(QQ, A2D, {"1": 1, "2": 2})
+    v = make_rep(QQ, A2D, {"1": 1, "2": 2}, {}, preprojective=False)
     chain = socle_filtration(v)
     assert [sdims(s) for s in chain] == [(0, 0), (1, 2)]
 
@@ -106,7 +103,7 @@ def test_non_nilpotent_cycle():
 
 
 def test_nilpotent_chain_lengths_agree():
-    for v in (rep_q1(), rep_q11(), semisimple_rep(QQ, A2D, {"1": 2, "2": 0})):
+    for v in (rep_q1(), rep_q11(), make_rep(QQ, A2D, {"1": 2, "2": 0}, {}, preprojective=False)):
         assert is_nilpotent(v)
         assert len(socle_filtration(v)) == len(radical_filtration(v))
 
@@ -170,21 +167,6 @@ def test_restrict_matches_ambient_action():
         assert lhs == rhs
 
 
-def test_direct_sum_blocks():
-    q1 = rep_q1()
-    p1 = rep_p1()
-    total, incs, prjs = direct_sum([q1, p1])
-    assert total.dims == {"1": 2, "2": 2}
-    for vtx in A2D.vertices:
-        assert (prjs[0][vtx] @ incs[0][vtx]) == Mat.identity(QQ, q1.dim(vtx))
-        assert (prjs[1][vtx] @ incs[0][vtx]).is_zero()
-    for a in A2D.arrows:
-        for k, piece in enumerate((q1, p1)):
-            lhs = total.map(a.name) @ incs[k][a.src]
-            rhs = incs[k][a.dst] @ piece.map(a.name)
-            assert lhs == rhs
-
-
 def test_reduce_mod():
     v = rep_q11()
     vp = reduce_mod(v, 2)
@@ -214,7 +196,9 @@ def test_rep_json_roundtrip():
         {"a1": [["1/2"]], "a1*": [[0]]},
         preprojective=False,
     )
-    w = rep_from_obj(rep_to_obj(v))
+    obj = rep_to_obj(v)
+    assert obj["field"] == {"field": "Q"}
+    w = make_rep(QQ, A2D, obj["dims"], obj["maps"], preprojective=False)
     assert w.dims == v.dims
     for a in A2D.arrows:
         assert w.map(a.name) == v.map(a.name)
