@@ -92,18 +92,13 @@ def extend_step(model: InjectiveModel, u: Subrep, i: str) -> Subrep:
     )
 
 
-def demazure_module(
-    q: Quiver, w: dict, word, trunc: int | None = None
-) -> DemazureChain:
-    """Build the submodule chain along a reduced word, last letter first."""
-    base_word = _as_word(q, word)
-    require_reduced(q, base_word)
-    model = injective_hull(q, w, trunc)
+def _walk(model: InjectiveModel, word: tuple) -> DemazureChain:
+    """The chain of a checked reduced word in `model`, last letter first."""
     stages = [zero_subrep(model.rep)]
     targets = [zero_vector(model.base)]
-    length = len(base_word)
+    length = len(word)
     for k in range(1, length + 1):
-        letter = base_word[length - k]
+        letter = word[length - k]
         try:
             nxt = extend_step(model, stages[-1], letter)
         except DimensionMismatchError:
@@ -113,7 +108,7 @@ def demazure_module(
                     suggested=2 * model.trunc,
                 )
             raise
-        expected = act(model.base, base_word[length - k :], w, zero_vector(model.base))
+        expected = act(model.base, word[length - k :], model.w, zero_vector(model.base))
         if nxt.dims() != expected:
             raise DimensionMismatchError(
                 f"stage {k} dims {nxt.dims()} differ from the target {expected}"
@@ -127,10 +122,19 @@ def demazure_module(
         targets.append(expected)
     return DemazureChain(
         model=model,
-        word=base_word,
+        word=word,
         stages=tuple(stages),
         dim_targets=tuple(targets),
     )
+
+
+def demazure_module(
+    q: Quiver, w: dict, word, trunc: int | None = None
+) -> DemazureChain:
+    """Build the submodule chain along a reduced word, last letter first."""
+    base_word = _as_word(q, word)
+    require_reduced(q, base_word)
+    return _walk(injective_hull(q, w, trunc), base_word)
 
 
 def check_nesting(chain1: DemazureChain, chain2: DemazureChain) -> bool:
@@ -156,8 +160,8 @@ def check_nesting(chain1: DemazureChain, chain2: DemazureChain) -> bool:
     )
 
 
-def _stage_counts(model: InjectiveModel, stage: Subrep, v: dict, primes, cap) -> tuple:
-    piece = restrict(model.rep, stage)
+def _stage_counts(stage: Subrep, v: dict, primes, cap) -> tuple:
+    piece = restrict(stage.ambient, stage)
     return tuple(
         count_submodules(reduce_mod(piece, p), v, cap) for p in primes
     )
@@ -182,12 +186,13 @@ def stabilization_sigma(
     """
     plist = _check_primes(primes)
     kind = cartan_matrix(q).kind
+    model = injective_hull(q, w, trunc)
     if kind == "finite":
         word0 = longest_element(q)
-        chain = demazure_module(q, w, word0, trunc)
+        chain = _walk(model, word0)
         length = len(word0)
         counts = [
-            _stage_counts(chain.model, chain.stages[k], v, plist, cap)
+            _stage_counts(chain.stages[k], v, plist, cap)
             for k in range(length + 1)
         ]
         for k in range(length + 1):
@@ -199,10 +204,8 @@ def stabilization_sigma(
                 extended = suffix + (letter,)
                 if not is_reduced(q, extended):
                     continue
-                ext_chain = demazure_module(q, w, extended, trunc)
-                ext_counts = _stage_counts(
-                    ext_chain.model, ext_chain.stages[-1], v, plist, cap
-                )
+                ext_chain = _walk(model, extended)
+                ext_counts = _stage_counts(ext_chain.stages[-1], v, plist, cap)
                 if ext_counts != counts[k]:
                     ok = False
                     break
@@ -217,8 +220,7 @@ def stabilization_sigma(
     def word_counts(word: tuple) -> tuple:
         key = word_matrix(q, word)
         if key not in cache:
-            ch = demazure_module(q, w, word, trunc)
-            cache[key] = _stage_counts(ch.model, ch.stages[-1], v, plist, cap)
+            cache[key] = _stage_counts(_walk(model, word).stages[-1], v, plist, cap)
         return cache[key]
 
     while frontier:

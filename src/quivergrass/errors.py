@@ -74,10 +74,6 @@ class NotFiniteRegimeError(ValidationError):
     pass
 
 
-class NotMultiplicityFreeError(ValidationError):
-    pass
-
-
 class BadPrimeError(ValidationError):
     pass
 

@@ -1,30 +1,32 @@
 """Integer raising/lowering/torus matrices on finite grassmannian point sets.
 
-When every nonempty submodule stratum of a hull truncation is a certified
-finite set of rational points, delta functions on those points carry an exact
-Lie-algebra action: the raising and lowering matrices have a 1 exactly at
-nested point pairs whose dimension vectors differ by one vertex, and the
-torus operator is diagonal with entries given by the framing minus the Cartan
-pairing.  Fiber Euler numbers are interpolated from prime-field counts,
-restriction to a chain stage is compared against extension by zero, and the
-codimension bijection between a framing and its diagram twist swaps raising
-with lowering while negating the torus.
+When every nonempty submodule stratum of a hull truncation is a single
+point, delta functions on those points carry an exact Lie-algebra action: the
+raising and lowering matrices have a 1 exactly at nested point pairs whose
+dimension vectors differ by one vertex, and the torus operator is diagonal
+with entries given by the framing minus the Cartan pairing.  Fiber Euler
+numbers are interpolated from prime-field counts, restriction to a chain stage
+is compared against extension by zero, and the codimension bijection between
+a framing and its diagram twist swaps raising with lowering while negating the
+torus.
+
+Every point is the endpoint of a walk of `extend_step` along the extremal
+orbit: a weight is finite only when it holds that one point, or none.  No
+other weight can be finite.  Gr_v(I(w)) is the lagrangian L(v, w), of pure
+dimension ½((λ,λ) − (μ,μ)), which in finite type is zero exactly on the
+extremal weights W·λ; elsewhere a nonempty stratum is positive-dimensional,
+whatever its count at the test primes.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .demazure import demazure_module, extend_step
+from .demazure import _as_word, _walk, extend_step
 from .errors import (
-    BadPrimeError,
     DimensionMismatchError,
     InternalCheckError,
     NotFiniteRegimeError,
-    NotMultiplicityFreeError,
     TruncationTooSmallError,
     ValidationError,
 )
@@ -35,17 +37,15 @@ from .grassmann import (
     _next_prime,
     count_polynomial,
     count_submodules,
-    enumerate_submodules,
 )
 from .hull import InjectiveModel, injective_hull
-from .linalg import Mat, coords_in, pivot_rows, subspace_contains
+from .linalg import coords_in, subspace_contains
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
     Subrep,
     make_subrep,
     quotient,
     reduce_mod,
-    reduce_subrep,
     restrict,
     zero_subrep,
 )
@@ -58,10 +58,9 @@ from .weyl import (
     diagram_involution,
     dot_step,
     extremal_orbit,
+    require_reduced,
     weight_census,
 )
-
-_ALIGNMENT_BUDGET = 1000
 
 
 # -- realization skeleton ------------------------------------------------------
@@ -212,166 +211,6 @@ def _vertex_operators(q: Quiver, w: dict, points: list) -> dict:
     return out
 
 
-# -- rational point certification ----------------------------------------------
-
-def _echelon_signature(pt: Subrep) -> tuple:
-    verts = pt.ambient.quiver.vertices
-    return tuple((v, tuple(pivot_rows(pt.basis(v)))) for v in verts)
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple:
-    inv = pow(m1, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t, m1 * m2
-
-
-def _reconstruct_fraction(residue: int, modulus: int) -> int | Fraction | None:
-    """Smallest-height rational congruent to the residue, as a QQ element, if one exists."""
-    bound = math.isqrt(modulus // 2)
-    r0, r1 = modulus, residue % modulus
-    t0, t1 = 0, 1
-    while r1 > bound:
-        quo = r0 // r1
-        r0, r1 = r1, r0 - quo * r1
-        t0, t1 = t1, t0 - quo * t1
-    if t1 == 0 or abs(t1) > bound:
-        return None
-    if math.gcd(r1, abs(t1)) != 1 or math.gcd(abs(t1), modulus) != 1:
-        return None
-    return QQ.of(Fraction(r1, t1))
-
-
-def _rational_lift(rep, v: dict, sig: tuple, aligned: list) -> Subrep | None:
-    """Combine aligned prime-field points into one verified rational point."""
-    bases = {}
-    for vertex, pattern in sig:
-        rows = rep.dims[vertex]
-        k = len(pattern)
-        entries = [[QQ.zero for _ in range(k)] for _ in range(rows)]
-        pivot_set = set(pattern)
-        for j, pr in enumerate(pattern):
-            entries[pr][j] = QQ.one
-        for j in range(k):
-            for r in range(pattern[j] + 1, rows):
-                if r in pivot_set:
-                    continue
-                residue, modulus = 0, 1
-                for p, pt in aligned:
-                    res_p = int(pt.basis(vertex).a[r][j])
-                    residue, modulus = _crt_pair(residue, modulus, res_p, p)
-                value = _reconstruct_fraction(residue, modulus)
-                if value is None:
-                    return None
-                entries[r][j] = value
-        bases[vertex] = Mat(QQ, rows, k, entries)
-    try:
-        cand = make_subrep(rep, bases)
-    except ValidationError:
-        return None
-    if cand.dims() != {x: int(v.get(x, 0)) for x in rep.quiver.vertices}:
-        return None
-    return cand
-
-
-def _reduction_bijection(points, rep, v: dict, p: int, n: int, cap, known=None):
-    """True/False certificate at one prime; None when reduction fails there."""
-    try:
-        rep_p = reduce_mod(rep, p)
-    except BadPrimeError:
-        return None
-    if known is None:
-        known = enumerate_submodules(rep_p, v, cap)
-        if len(known) != n:
-            return False
-    keys = {pt.key() for pt in known}
-    seen = set()
-    for r in points:
-        try:
-            rp = reduce_subrep(r, rep_p)
-        except BadPrimeError:
-            return None
-        k = rp.key()
-        if k not in keys or k in seen:
-            return False
-        seen.add(k)
-    return True
-
-
-def _lift_all_from_anchor(rep, v: dict, n: int, anchor: int, primes, mod_points):
-    """Lift every point at the anchor prime to a verified rational point."""
-    found = []
-    for b in mod_points[anchor]:
-        sig = _echelon_signature(b)
-        partner_lists = []
-        budget = 1
-        for p in primes:
-            if p == anchor:
-                continue
-            same = [x for x in mod_points[p] if _echelon_signature(x) == sig]
-            if same:
-                budget *= len(same)
-                partner_lists.append((p, same))
-        if budget > _ALIGNMENT_BUDGET:
-            return None
-        lift = None
-        for combo in itertools.product(*(same for _, same in partner_lists)):
-            aligned = [(anchor, b)] + [
-                (p, pt) for (p, _), pt in zip(partner_lists, combo)
-            ]
-            cand = _rational_lift(rep, v, sig, aligned)
-            if cand is not None:
-                lift = cand
-                break
-        if lift is None:
-            return None
-        found.append(lift)
-    by_key = {pt.key(): pt for pt in found}
-    if len(by_key) != n:
-        return None
-    return tuple(sorted(by_key.values(), key=lambda s: s.key()))
-
-
-def _certified_rational_points(rep, v: dict, n: int, primes: list, cap, extra: int = 4):
-    """The n rational points matching constant prime counts, or None.
-
-    Each point modulo an anchor prime is aligned with same-pivot-pattern
-    points at the other primes (skipping primes where the pattern does not
-    occur), combined by remainder arithmetic, and reconstructed as
-    small-height fractions; a lift is accepted only if it is a genuine
-    submodule of the right dimensions.  The full list is then certified by
-    checking that reductions give a bijection onto the prime-field point
-    sets, replacing primes where a denominator vanishes.
-    """
-    mod_points = {}
-    for p in primes:
-        pts = enumerate_submodules(reduce_mod(rep, p), v, cap)
-        if len(pts) != n:
-            return None
-        mod_points[p] = pts
-    points = None
-    for anchor in primes:
-        points = _lift_all_from_anchor(rep, v, n, anchor, primes, mod_points)
-        if points is not None:
-            break
-    if points is None:
-        return None
-    pending = list(primes)
-    high = max(primes)
-    extras_used = 0
-    while pending:
-        p = pending.pop(0)
-        verdict = _reduction_bijection(points, rep, v, p, n, cap, mod_points.get(p))
-        if verdict is None:
-            if extras_used >= extra:
-                return None
-            extras_used += 1
-            high = _next_prime(high)
-            pending.append(high)
-        elif not verdict:
-            return None
-    return points
-
-
 # -- finite-point detection ----------------------------------------------------
 
 def _extremal_points(model: InjectiveModel, orbit: dict) -> dict:
@@ -405,10 +244,9 @@ def finite_points(
     """Per-weight finite rational point lists of the hull's submodule strata.
 
     A weight is in the finite regime when its prime-field counts agree across
-    all test primes and equal the number of rational points produced by an
-    exact construction: the unique submodule at extremal weights, the
-    empty list at count zero, and certified fraction reconstruction
-    otherwise.  Weights failing the test carry a reason instead of a list.
+    all test primes and are either 1 at an extremal weight, whose one point
+    is the walk endpoint, or 0, with the empty list.  Every other weight
+    carries a reason instead of a list.
     """
     plist = _check_primes(primes)
     model = injective_hull(q, w, trunc)
@@ -445,13 +283,9 @@ def finite_points(
         elif n == 0:
             statuses[vt] = WeightStatus(vt, counts, (), None)
         else:
-            pts = _certified_rational_points(model.rep, vdict, n, plist, cap)
-            if pts is None:
-                statuses[vt] = WeightStatus(
-                    vt, counts, None, "no certified rational point list"
-                )
-            else:
-                statuses[vt] = WeightStatus(vt, counts, pts, None)
+            statuses[vt] = WeightStatus(
+                vt, counts, None, "nonzero count off the extremal orbit"
+            )
     return FiniteRealization(model=model, w=dict(w), statuses=statuses)
 
 
@@ -664,11 +498,11 @@ def restricted_compat(
     subset.  The stage point census is certified against prime-field counts.
     """
     plist = _check_primes(primes)
+    word = _as_word(q, word)
+    require_reduced(q, word)
     real = finite_points(q, w, trunc, plist, cap)
     verts = list(q.vertices)
-    chain = demazure_module(q, w, tuple(word), trunc)
-    stage = chain.stages[-1]
-    hold = make_subrep(real.model.rep, {x: stage.basis(x) for x in verts})
+    hold = _walk(real.model, word).stages[-1]
     inner = restrict(real.model.rep, hold)
 
     amb_points = real.point_list()
@@ -721,8 +555,8 @@ def chevalley_compare(
 
     Under the bijection sending a point to the partner of complementary
     dimension vector, raising and lowering matrices must swap and torus
-    entries must negate.  Only multiplicity-free realizations carry a
-    canonical pairing; anything else is rejected.
+    entries must negate.  Each weight of a finite realization carries at
+    most one point, so the pairing is canonical.
     """
     plist = _check_primes(primes)
     perm = diagram_involution(q)
@@ -738,14 +572,6 @@ def chevalley_compare(
                 real.model,
                 f"{label}: no finite point list at "
                 + ", ".join(str(v) for v in sorted(bad)),
-            )
-        crowded = [
-            vt for vt, st in real.statuses.items() if len(st.points) > 1
-        ]
-        if crowded:
-            raise NotMultiplicityFreeError(
-                f"{label}: more than one point at "
-                + ", ".join(str(v) for v in sorted(crowded))
             )
 
     vmax_w = tuple(real_w.model.rep.dims[x] for x in verts)

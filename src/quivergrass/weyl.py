@@ -62,13 +62,14 @@ def act(q: Quiver, word, w, v) -> dict:
     return cur
 
 
-def extremal_orbit(q: Quiver, w, length_cap: int | None = None) -> dict:
+def extremal_orbit(q: Quiver, w) -> dict:
     """BFS orbit of zero under the dot action: vector tuple -> shortest word.
 
-    Each call returns a fresh dict, copied from `_orbit`'s bounded cache.
+    The orbit is complete in finite type; otherwise the search stops at
+    words of length `_ORBIT_DEFAULT_CAP`. Each call returns a fresh dict,
+    copied from `_orbit`'s bounded cache.
     """
-    if length_cap is None and cartan_matrix(q).kind != "finite":
-        length_cap = _ORBIT_DEFAULT_CAP
+    length_cap = None if cartan_matrix(q).kind == "finite" else _ORBIT_DEFAULT_CAP
     return dict(_orbit(q, _tup(q, w), length_cap))
 
 

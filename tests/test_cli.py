@@ -234,6 +234,18 @@ def test_point_list_truncation_exit_code(capsys, a3_path, verb):
     assert "(1, 2, 1)" in err and "truncation" in err
 
 
+@pytest.mark.parametrize("verb, message", [
+    ("rep-matrices", "(1, 1)"),
+    ("chevalley", "no finite point list"),
+])
+def test_one_prime_gives_no_points_to_a_non_minuscule_framing(capsys, a2_path, verb, message):
+    # The adjoint of A2 has a positive-dimensional stratum at (1, 1); a
+    # single prime's constant count is no reason to list its points.
+    rc, out, err = run_cli(capsys, [verb, a2_path, "--w", "1,1", "--primes", "2"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["injective", "--socle", "1,1", "--trunc"],

@@ -1,15 +1,10 @@
 """Finite point realizations, operator matrices, fibers, and comparisons."""
 
-from fractions import Fraction
-
 import pytest
 
 from quivergrass.demazure import demazure_module
 from quivergrass.errors import NotFiniteRegimeError, TruncationTooSmallError, ValidationError
-from quivergrass.fields import QQ
 from quivergrass.geomrep import (
-    _certified_rational_points,
-    _reconstruct_fraction,
     chevalley_compare,
     fiber_euler,
     finite_points,
@@ -17,14 +12,17 @@ from quivergrass.geomrep import (
     restricted_compat,
     verify_sl2,
 )
+from quivergrass.grassmann import count_submodules, expected_dimension
 from quivergrass.hull import injective_hull
-from quivergrass.linalg import Mat
-from quivergrass.quiver import double, line_quiver
-from quivergrass.repmod import full_subrep, make_rep, reduce_mod, socle, zero_subrep
+from quivergrass.quiver import line_quiver, star_quiver
+from quivergrass.repmod import full_subrep, reduce_mod, socle, zero_subrep
+from quivergrass.weyl import extremal_orbit, weight_census
 
 A1 = line_quiver(1)
 A2 = line_quiver(2)
 A3 = line_quiver(3)
+A4 = line_quiver(4)
+D4 = star_quiver(3)
 W10 = {"1": 1, "2": 0}
 
 
@@ -213,40 +211,61 @@ def test_truncated_dynkin_hull_asks_for_a_longer_truncation():
         assert err.value.suggested == 4
 
 
-def test_rational_reconstruction_integer_route():
-    m = injective_hull(A2, W10)
-    pts = _certified_rational_points(m.rep, {"1": 1, "2": 1}, 1, [2, 3, 5], None)
-    chain = demazure_module(A2, W10, ("2", "1"))
-    assert pts is not None and len(pts) == 1
-    assert pts[0].key() == chain.stages[-1].key()
+def test_one_prime_realizes_no_weight_off_the_orbit():
+    # The adjoint's zero weight (1, 1) counts 5 at p = 2 alone; one prime
+    # must not make its positive-dimensional stratum a point list.
+    real = finite_points(A2, {"1": 1, "2": 1}, primes=(2,))
+    st = real.status((1, 1))
+    assert st.counts == ((2, 5),) and st.points is None
+    assert "off the extremal orbit" in st.reason
+    assert not real.finite
+    with pytest.raises(NotFiniteRegimeError, match=r"\(1, 1\)"):
+        real.point_list()
+    with pytest.raises(NotFiniteRegimeError, match="no finite point list"):
+        chevalley_compare(A2, {"1": 1, "2": 1}, primes=(2,))
 
 
-def test_rational_reconstruction_with_fraction_and_bad_prime():
-    dq = double(line_quiver(2))
-    rep = make_rep(
-        QQ,
-        dq,
-        {"1": 2, "2": 1},
-        {
-            "a1": Mat.from_rows(QQ, [[Fraction(1), Fraction(2)]]),
-            "a1*": Mat.zeros(QQ, 2, 1),
-        },
-    )
-    pts = _certified_rational_points(rep, {"1": 1, "2": 0}, 1, [2, 3, 5], None)
-    assert pts is not None
-    assert pts[0].basis("1").to_lists() == [[Fraction(1)], [Fraction(-1, 2)]]
-    assert (
-        _certified_rational_points(rep, {"1": 1, "2": 0}, 2, [2, 3, 5], None)
-        is None
-    )
+@pytest.mark.parametrize("q, w", [
+    (A2, (1, 1)),
+    (A2, (2, 0)),
+    (A3, (1, 1, 0)),
+    (A3, (1, 1, 1)),
+    (A4, (1, 0, 0, 1)),
+    (D4, (1, 0, 0, 0)),
+], ids=["A2-11", "A2-20", "A3-110", "A3-111", "A4-1001", "D4-centre"])
+def test_full_hull_weights_off_the_orbit_are_positive_dimensional(q, w):
+    # With two test primes no weight off the orbit has a constant count.
+    w = dict(zip(q.vertices, w))
+    model = injective_hull(q, w)
+    orbit = extremal_orbit(q, w)
+    reductions = [reduce_mod(model.rep, p) for p in (2, 3)]
+    off = [vt for vt in weight_census(q, w) if vt not in orbit]
+    assert off
+    for vt in off:
+        v = dict(zip(q.vertices, vt))
+        assert expected_dimension(q, w, v) > 0
+        at_2, at_3 = (count_submodules(rep, v) for rep in reductions)
+        assert at_2 != at_3, vt
 
 
-def test_fraction_reconstruction_helper():
-    assert _reconstruct_fraction(7, 15) == Fraction(-1, 2)
-    assert _reconstruct_fraction(0, 15) == 0
-    assert _reconstruct_fraction(1, 15) == 1
-    assert type(_reconstruct_fraction(1, 15)) is int
-    assert _reconstruct_fraction(3, 7) is None
+def test_truncated_hull_lifts_no_point_off_the_orbit():
+    w = {"1": 1, "2": 1, "3": 1}
+    real = finite_points(A3, w, trunc=1)
+    for vt in ((0, 1, 1), (1, 1, 0), (1, 1, 1)):
+        st = real.status(vt)
+        assert st.counts == ((2, 1), (3, 1), (5, 1))
+        assert st.points is None and "off the extremal orbit" in st.reason
+    with pytest.raises(TruncationTooSmallError) as err:
+        real.point_list()
+    assert err.value.suggested == 2
+
+
+def test_every_point_is_the_demazure_stage_of_its_weight():
+    for q, w in ((A2, W10), (A3, {"1": 0, "2": 1, "3": 0}), (D4, {"0": 0, "1": 1})):
+        orbit = extremal_orbit(q, w)
+        for vt, pt in finite_points(q, w).point_list():
+            stage = demazure_module(q, w, orbit[vt]).stages[-1]
+            assert pt.key() == stage.key(), vt
 
 
 def test_realization_is_deterministic():
