@@ -30,13 +30,14 @@ The cap counts the cells `_cells_between` walks: those of every branching
 slot and, when enumerating, those of each remainder slot.  A remainder
 counted in closed form walks no cell and is not charged.
 
-Invariant: every basis the recursion stores, and every basis it hands to
-`preimage`, `subspace_intersect` or `subspace_contains`, is a canonical
-column-echelon basis (`linalg.col_space` form).  The bounds come from
-canonicalizing constructors, and `_cells_between` builds each cell canonical
-by merging two canonical column sets with disjoint pivot rows, with no
-elimination.  `linalg._merge` and `_complement_in` read pivots off such
-bases and give wrong answers on any other spanning set.
+Invariant: every bound, choice and cell the walk holds is a
+`linalg.Subspace`, canonical by construction: the bounds come from
+`Subspace.whole`, `extend` and `meet_preimage`, and `_cells_between` builds
+each cell by `Subspace.merge` of two canonical column sets with disjoint
+pivot rows, with no elimination.  Arrow maps enter as their
+`sparse_columns`, split once per enumeration.  A leaf becomes a `Mat` only
+where a `Subrep` is built, and `Subspace.to_mat` is the basis `col_space`
+gives, so `Subrep.key()` and the output order do not depend on the walk.
 
 Point counts at several primes feed a Lagrange interpolation whose value at
 1 is the Euler characteristic; every interpolation is certified at an extra
@@ -58,24 +59,13 @@ from .errors import (
 )
 from .fields import PrimeField, is_prime
 from .hull import Grading, InjectiveModel, injective_hull
-from .linalg import (
-    Mat,
-    _merge,
-    col_space,
-    mat_over,
-    pivot_rows,
-    preimage,
-    subspace_contains,
-    subspace_intersect,
-    subspace_sum,
-)
+from .linalg import Subspace, _image, mat_over, sparse_columns
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
     Rep,
     Subrep,
     check_closure,
     is_nilpotent,
-    make_subrep,
     quotient,
     reduce_mod,
 )
@@ -99,64 +89,44 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def subspace_cells(field: PrimeField, n: int, k: int):
-    """Yield every k-dimensional subspace of field^n once, in echelon form.
+def subspace_cells(span: Subspace, k: int):
+    """Yield every k-dimensional subspace of span(span) once, canonical.
 
-    Columns carry their topmost nonzero entry (a 1) at strictly increasing
-    pivot rows; pivot rows are cleared in the other columns and the free
-    entries below range over the field.  This is the same canonical shape
-    column-span reduction produces, so each subspace appears exactly once.
+    A cell takes k of span's columns as pivot columns, in increasing order,
+    and adds to each any combination of the later columns not taken.  Span's
+    columns are zero above their pivots and at each other's, so the result
+    has its leading 1s at the taken columns' pivots and is zero at the other
+    taken pivots: canonical, and each subspace appears exactly once.
     """
-    if k == 0:
-        yield Mat.zeros(field, n, 0)
+    m = len(span.piv)
+    if k < 0 or k > m:
         return
-    if k > n:
-        return
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (r, j)
-            for j in range(k)
-            for r in range(pivots[j] + 1, n)
-            if r not in pivot_set
-        ]
-        for vals in product(range(field.p), repeat=len(free)):
-            entries = [[field.zero] * k for _ in range(n)]
-            for j, pr in enumerate(pivots):
-                entries[pr][j] = field.one
-            for (r, j), x in zip(free, vals):
-                entries[r][j] = x
-            yield Mat(field, n, k, entries)
+    p = span.field.p
+    cols = span.cols
+    for taken in combinations(range(m), k):
+        free = [(t, f) for t, j in enumerate(taken) for f in range(j + 1, m) if f not in taken]
+        piv = tuple(span.piv[j] for j in taken)
+        for vals in product(range(p), repeat=len(free)):
+            out = [cols[j] for j in taken]
+            for (t, f), a in zip(free, vals):
+                if a:
+                    out[t] = [(x + a * y) % p for x, y in zip(out[t], cols[f])]
+            yield Subspace(span.field, span.n, piv, tuple(out))
 
 
-def _complement_in(lower: Mat, upper: Mat) -> Mat:
-    """Columns of `upper` completing a basis of span(lower) to span(upper).
-
-    Both bases are canonical and span(lower) lies in span(upper), so the
-    pivot rows of `lower` are pivot rows of `upper`; the other columns of
-    `upper` have pivot rows distinct from all of lower's, hence complete it.
-    """
-    taken = set(pivot_rows(lower))
-    return upper.take_cols([j for j, r in enumerate(pivot_rows(upper)) if r not in taken])
-
-
-def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
+def _cells_between(lower: Subspace, upper: Subspace, k: int, counter: list, cap: int):
     """Yield the k-dimensional subspaces W with lower <= W <= upper.
 
-    `lower` and `upper` must be canonical bases with span(lower) inside
-    span(upper), and each W comes out as its canonical basis, built by a
-    merge with no elimination.  The columns `comp` of `upper` outside
-    lower's pivot rows P are canonical and zero on P.  For a canonical cell
-    s, comp·s is again canonical: its column t has the leading 1 of comp's
-    column at s's t-th pivot, comp's later columns are zero down to that
-    row, and s is zero at its other pivots.  It is zero on P too, so
-    `linalg._merge(lower, comp·s)` is the canonical basis of W.
+    span(lower) must lie inside span(upper), so lower's pivots are among
+    upper's.  Upper's columns at the other pivots are canonical and zero at
+    lower's pivots, and so is every cell of their span, which
+    `Subspace.merge` joins to lower with no elimination.
     The cap is charged for the whole cell before the first yield.
     """
-    l, m = lower.cols, upper.cols
+    l, m = len(lower.piv), len(upper.piv)
     if k < l or k > m:
         return
-    field = lower.field
+    field = upper.field
     count = gaussian_binomial(m - l, k - l, field.p)
     if counter[0] + count > cap:
         raise CapExceededError(
@@ -164,12 +134,13 @@ def _cells_between(lower: Mat, upper: Mat, k: int, counter: list, cap: int):
             candidates=counter[0] + count,
         )
     counter[0] += count
-    comp = _complement_in(lower, upper)
-    for s in subspace_cells(field, m - l, k - l):
-        yield _merge(lower, comp @ s)
+    comp = [(q, c) for q, c in zip(upper.piv, upper.cols) if q not in lower.piv]
+    span = Subspace(field, upper.n, tuple(q for q, _ in comp), tuple(c for _, c in comp))
+    for s in subspace_cells(span, k - l):
+        yield lower.merge(s)
 
 
-def _slot_cells(slot, lo: Mat, hi: Mat, k: int, counter: list, cap: int):
+def _slot_cells(slot, lo: Subspace, hi: Subspace, k: int, counter: list, cap: int):
     """`_cells_between(lo, hi, k, counter, cap)` at one slot.
 
     A cap overflow is raised again naming the slot and its branching [n k]_p.
@@ -180,7 +151,7 @@ def _slot_cells(slot, lo: Mat, hi: Mat, k: int, counter: list, cap: int):
     except CapExceededError as exc:
         raise CapExceededError(
             f"{exc} at slot {slot!r}, branching "
-            f"[{hi.cols - lo.cols} {k - lo.cols}]_{hi.field.p}",
+            f"[{len(hi.piv) - len(lo.piv)} {k - len(lo.piv)}]_{hi.field.p}",
             candidates=exc.candidates,
             slot=slot,
         ) from None
@@ -194,11 +165,12 @@ def _slot_cells(slot, lo: Mat, hi: Mat, k: int, counter: list, cap: int):
 def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: list, cap: int):
     """Yield (placed, remainder) for every arrow-closed choice at the branched slots.
 
-    `upper` maps each slot, in slot order, to its starting upper bound and
-    `target` to its dimension.  `incoming[s]` and `outgoing[s]` list
-    (map, slot) pairs for the arrows ending and starting at s.  `placed`
-    maps each branched slot to its chosen basis, and `remainder` lists
-    (slot, lo, hi) for the slots left unplaced.
+    `upper` maps each slot, in slot order, to its starting upper bound (a
+    `Subspace`) and `target` to its dimension.  `incoming[s]` and
+    `outgoing[s]` list (map, slot) pairs for the arrows ending and starting
+    at s, each map as its `sparse_columns`.  `placed` maps each branched
+    slot to its chosen `Subspace`, and `remainder` lists (slot, lo, hi) for
+    the slots left unplaced.
 
     Placing a slot moves each unplaced neighbour's bounds: its lower bound
     takes in the image of the choice, its upper bound is cut to the
@@ -219,26 +191,26 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: 
     links = {s: {t for _, t in incoming[s] + outgoing[s]} for s in upper}
     chosen: dict = {}
 
-    def cells(s, lo: Mat, hi: Mat) -> int:
-        if lo.cols and not subspace_contains(hi, lo):
+    def cells(s, lo: Subspace, hi: Subspace) -> int:
+        if lo.piv and not hi.contains(lo):
             return 0
-        return gaussian_binomial(hi.cols - lo.cols, target[s] - lo.cols, hi.field.p)
+        return gaussian_binomial(len(hi.piv) - len(lo.piv), target[s] - len(lo.piv), hi.field.p)
 
-    def place(rest: dict, s, w: Mat) -> dict | None:
+    def place(rest: dict, s, w: Subspace) -> dict | None:
         """The bounds in `rest` once s holds w, or None if a slot has no cell."""
         new = dict(rest)
-        for m, t in outgoing[s]:
+        for xcols, t in outgoing[s]:
             if t in rest:
                 lo, hi, _ = new[t]
-                lo = subspace_sum(lo, m @ w)
-                if lo.cols > target[t]:
+                lo = lo.extend(_image(xcols, lo.n, w.cols))
+                if len(lo.piv) > target[t]:
                     return None  # no cell fits; skip the costlier upper bounds
                 new[t] = (lo, hi, None)
-        for m, t in incoming[s]:
+        for xcols, t in incoming[s]:
             if t in rest:
                 lo, hi, _ = new[t]
-                hi = subspace_intersect(hi, preimage([(m, w)]))
-                if hi.cols < target[t]:
+                hi = hi.meet_preimage(xcols, w)
+                if len(hi.piv) < target[t]:
                     return None
                 new[t] = (lo, hi, None)
         for t, (lo, hi, n) in new.items():
@@ -268,7 +240,7 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: 
 
     start = {}
     for s, hi in upper.items():
-        lo = Mat.zeros(hi.field, hi.rows, 0)
+        lo = Subspace(hi.field, hi.n)
         n = cells(s, lo, hi)
         if not n:
             return
@@ -312,12 +284,13 @@ def _vertex_slots(v_rep: Rep, v: dict) -> tuple:
         raise ValidationError("submodule enumeration requires a prime field")
     target = _check_dim_vector(v_rep, v)
     q = v_rep.quiver
-    upper = {u: Mat.identity(field, v_rep.dim(u)) for u in q.vertices}
+    upper = {u: Subspace.whole(field, v_rep.dim(u)) for u in q.vertices}
     incoming: dict = {u: [] for u in q.vertices}
     outgoing: dict = {u: [] for u in q.vertices}
     for a in q.arrows:
-        incoming[a.dst].append((v_rep.map(a.name), a.src))
-        outgoing[a.src].append((v_rep.map(a.name), a.dst))
+        xcols = sparse_columns(v_rep.map(a.name))
+        incoming[a.dst].append((xcols, a.src))
+        outgoing[a.src].append((xcols, a.dst))
     return upper, incoming, outgoing, target
 
 
@@ -326,7 +299,7 @@ def _submodules(v_rep: Rep, v: dict, cap: int | None):
     slots = _vertex_slots(v_rep, v)
     cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
     for leaf in _expanded(*slots, cap):
-        s = Subrep(v_rep, leaf)
+        s = Subrep(v_rep, {u: b.to_mat() for u, b in leaf.items()})
         check_closure(s)
         yield s
 
@@ -350,7 +323,8 @@ def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
     for _, rest in _leaves(upper, incoming, outgoing, target, [0], cap):
         n = 1
         for s, lo, hi in rest:
-            n *= gaussian_binomial(hi.cols - lo.cols, target[s] - lo.cols, hi.field.p)
+            l = len(lo.piv)
+            n *= gaussian_binomial(len(hi.piv) - l, target[s] - l, hi.field.p)
         total += n
     return total
 
@@ -571,11 +545,11 @@ def graded_submodules(
             if lam_p in seen:
                 raise BadPrimeError(f"grading eigenvalues collide mod {p} at vertex {vert!r}")
             seen.add(lam_p)
-            basis_p = col_space(mat_over(fp, basis))
-            if basis_p.cols != basis.cols:
+            basis_p = Subspace(fp, basis.rows).extend(zip(*mat_over(fp, basis).a))
+            if len(basis_p.piv) != basis.cols:
                 raise BadPrimeError(f"grading layer degenerates mod {p} at vertex {vert!r}")
             entries.append((lam, basis_p))
-        if sum(b.cols for _, b in entries) != rep_p.dim(vert):
+        if sum(len(b.piv) for _, b in entries) != rep_p.dim(vert):
             raise BadPrimeError(f"grading layers do not fill vertex {vert!r} mod {p}")
         layers[vert] = entries
     upper = {
@@ -594,7 +568,8 @@ def graded_submodules(
     incoming: dict = {slot: [] for slot in upper}
     outgoing: dict = {slot: [] for slot in upper}
     for a in rep_p.quiver.arrows:
-        m = rep_p.map(a.name)
+        xcols = sparse_columns(rep_p.map(a.name))
+        n_out = rep_p.dim(a.dst)
         factor = Fraction(grading.z) ** (-(grading.weights[a.name] + 1))
         for k, (lam, basis_p) in enumerate(layers[a.src]):
             lam_out = Fraction(lam) * factor
@@ -603,28 +578,30 @@ def graded_submodules(
                 if Fraction(lam2) == lam_out:
                     k_out = k2
                     break
-            image = m @ basis_p
+            image = Subspace(fp, n_out).extend(_image(xcols, n_out, basis_p.cols))
             if k_out is None:
-                if not image.is_zero():
+                if image.piv:
                     raise BadPrimeError(
                         f"arrow {a.name!r} does not respect the grading mod {p}"
                     )
                 continue
-            if not subspace_contains(layers[a.dst][k_out][1], col_space(image)):
+            if not layers[a.dst][k_out][1].contains(image):
                 raise BadPrimeError(
                     f"arrow {a.name!r} does not respect the grading mod {p}"
                 )
-            incoming[(a.dst, k_out)].append((m, (a.src, k)))
-            outgoing[(a.src, k)].append((m, (a.dst, k_out)))
+            incoming[(a.dst, k_out)].append((xcols, (a.src, k)))
+            outgoing[(a.src, k)].append((xcols, (a.dst, k_out)))
     target = {slot: int((d or {}).get(slot, 0)) for slot in upper}
     out = []
     for leaf in _expanded(upper, incoming, outgoing, target, cap):
-        bases = {}
-        for vert in rep_p.quiver.vertices:
-            b = Mat.zeros(fp, rep_p.dim(vert), 0)
-            for k in range(len(layers[vert])):
-                b = b.hstack(leaf[(vert, k)])
-            bases[vert] = b
-        out.append(make_subrep(rep_p, bases))
+        bases = {
+            vert: Subspace(fp, rep_p.dim(vert)).extend(
+                c for k in range(len(layers[vert])) for c in leaf[(vert, k)].cols
+            ).to_mat()
+            for vert in rep_p.quiver.vertices
+        }
+        s = Subrep(rep_p, bases)
+        check_closure(s)
+        out.append(s)
     out.sort(key=lambda s: s.key())
     return out

@@ -46,14 +46,31 @@ so is a·C: its rows at a's pivot rows are C's rows, and column t starts
 with the leading 1 of a's column at C's t-th pivot row, so no further
 `col_space` pass is needed. `subspace_sum(a, b)` is one elimination of
 [a | b]; reducing b against a first and merging the two bases cost more
-than it saved. `_merge` joins two canonical bases with disjoint pivot rows
-without eliminating, which is how `grassmann._cells_between` builds its
-cells. A canonical basis with as many columns as rows is the identity, the
-whole space, so intersecting with it returns the other basis unchanged, the
-same object, with no elimination.
+than it saved. A canonical basis with as many columns as rows is the
+identity, the whole space, so intersecting with it returns the other basis
+unchanged, the same object, with no elimination. `_projection(w, free)`
+writes the projection along span(w) onto the free rows directly, row f as
+e_f - sum_j w[f, j]·e_{p_j}, for quotients.
+
+Over F_p, submodule enumeration works on `Subspace`, not `Mat`: a pivot
+tuple and basis columns as lists of ints mod p, canonical by construction,
+since only four constructors make one. `extend` reduces each new vector at
+the stored pivots and clears its leading row from the stored columns;
+`meet_preimage` gives {x in span(h) : X·x in span(w)} by one elimination
+of the images of h's columns against w's, carrying their combinations;
+`contains` reads a column's coordinates off the pivots; and `merge` joins
+two bases with disjoint pivot rows without eliminating, which is how
+`grassmann._cells_between` builds its cells. Each sees an arrow map X as
+its `sparse_columns`, the nonzero columns as (column, ((row, entry), ...))
+pairs, taken once per enumeration: hull maps are mostly zero, with at most
+one nonzero per column. `Subspace.to_mat` gives the basis as the `Mat` that
+`col_space` gives for any spanning set. Every other caller (`repmod`,
+`hull`, `demazure`, `geomrep`, `acceptance`) uses the Mat functions above.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .errors import NoSolutionError, ShapeMismatchError
 
@@ -361,31 +378,6 @@ def subspace_contains(w: Mat, u: Mat) -> bool:
     return not any(map(any, _residual_rows(w, u)))
 
 
-def _merge(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of span(a) + span(b), built with no elimination.
-
-    a and b are canonical and b is zero on a's pivot rows P, so b's pivot
-    rows Q are disjoint from P. Clearing a at Q (`_residual(b, a)`)
-    subtracts from a's column j only columns of b whose pivot row lies
-    below a's leading 1 at p_j (a is zero above p_j); they are zero down to
-    that pivot row and on P, so the leading 1 and the zeros on P stay, and
-    each row of Q is left exactly zero because b is the identity on Q. The
-    two column sets, merged in pivot-row order, are then canonical. When
-    either basis is empty the other is returned as is, the same object.
-    """
-    if not b.cols:
-        return a
-    if not a.cols:
-        return b
-    order = [j for _, j in sorted(zip(pivot_rows(a) + pivot_rows(b), range(a.cols + b.cols)))]
-    return Mat(
-        a.field,
-        a.rows,
-        len(order),
-        [[r[j] for j in order] for r in map(list.__add__, _residual_rows(b, a), b.a)],
-    )
-
-
 def subspace_sum(a: Mat, b: Mat) -> Mat:
     """Canonical basis of span(a) + span(b), by one elimination of [a | b]."""
     return col_space(a.hstack(b))
@@ -425,3 +417,205 @@ def coords_in(w: Mat, b: Mat) -> Mat:
 def mat_over(field, m: Mat) -> Mat:
     """Re-coerce a matrix entrywise into another field (e.g. reduce mod p)."""
     return Mat(field, m.rows, m.cols, [[field.of(x) for x in r] for r in m.a])
+
+
+def _projection(w: Mat, free) -> Mat:
+    """Rows f of u - w·u[P] at u = I, for f in `free`: the projection along span(w).
+
+    w is canonical with pivot rows P = (p_j), and no f is a pivot row. Row f
+    is written directly as e_f - sum_j w[f, j]·e_{p_j}.
+    """
+    f = w.field
+    neg = f.neg
+    pivots = pivot_rows(w)
+    out = []
+    for i in free:
+        row = [f.zero] * w.rows
+        row[i] = f.one
+        for pj, x in zip(pivots, w.a[i]):
+            if x:
+                row[pj] = neg(x)
+        out.append(row)
+    return Mat(f, len(out), w.rows, out)
+
+
+# -- subspaces of F_p^n ----------------------------------------------------------
+
+def sparse_columns(m: Mat) -> list:
+    """The nonzero columns of m as (j, ((i, m[i][j]), ...)) pairs, j increasing."""
+    out = []
+    for j in range(m.cols):
+        col = tuple((i, r[j]) for i, r in enumerate(m.a) if r[j])
+        if col:
+            out.append((j, col))
+    return out
+
+
+def _image(xcols, n: int, vectors):
+    """Yield X·v for each vector v, X given by `sparse_columns` with n rows.
+
+    The entries are left unreduced; the `Subspace` constructors reduce them.
+    """
+    for v in vectors:
+        out = [0] * n
+        for j, col in xcols:
+            a = v[j]
+            if a:
+                for i, x in col:
+                    out[i] += a * x
+        yield out
+
+
+class Subspace:
+    """A subspace of F_p^n, held by its canonical column-echelon basis.
+
+    `piv` is the tuple of pivot rows, strictly increasing, and `cols[j]` is
+    the basis column with its leading 1 at piv[j]: a list of n ints in
+    0..p-1, zero above piv[j] and at every other pivot row, the form
+    `col_space` gives. Only the constructors below make one, and each keeps
+    that form, so a Subspace is canonical by construction. No column is
+    changed once a Subspace holds it, so Subspaces share columns freely.
+    """
+
+    __slots__ = ("field", "n", "piv", "cols")
+
+    def __init__(self, field, n: int, piv: tuple = (), cols: tuple = ()):
+        self.field = field
+        self.n = n
+        self.piv = piv
+        self.cols = cols
+
+    @classmethod
+    def whole(cls, field, n: int) -> "Subspace":
+        units = tuple([int(i == j) for i in range(n)] for j in range(n))
+        return cls(field, n, tuple(range(n)), units)
+
+    def extend(self, vectors) -> "Subspace":
+        """span(self) + span(vectors); a vector is a list of n ints, any residues.
+
+        Each vector in turn is reduced at the stored pivots, scaled to a
+        leading 1 at its first nonzero row r, which is no stored pivot, and
+        row r is cleared from the stored columns; it is then inserted in
+        pivot order. The stored columns stay zero at every other pivot, and
+        the new one is zero above r and at every stored pivot, so the result
+        is canonical. When no vector is new, self is returned as is.
+        """
+        p = self.field.p
+        piv, cols = list(self.piv), list(self.cols)
+        for v in vectors:
+            for q, c in zip(piv, cols):
+                a = v[q] % p
+                if a:
+                    v = [x - a * y for x, y in zip(v, c)]
+            for r, a in enumerate(v):
+                if a % p:
+                    break
+            else:
+                continue
+            a = pow(a, p - 2, p)
+            v = [x * a % p for x in v]
+            for t, c in enumerate(cols):
+                b = c[r]
+                if b:
+                    cols[t] = [(x - b * y) % p for x, y in zip(c, v)]
+            t = bisect(piv, r)
+            piv.insert(t, r)
+            cols.insert(t, v)
+        if len(piv) == len(self.piv):
+            return self
+        return Subspace(self.field, self.n, tuple(piv), tuple(cols))
+
+    def meet_preimage(self, xcols, w: "Subspace") -> "Subspace":
+        """{x in span(self) : X·x in span(w)}, X given by `sparse_columns`.
+
+        One elimination. The image X·h_k of each of self's columns, the last
+        column first, is reduced at w's pivots and then against the images
+        kept so far, keyed by leading row, carrying the combination of h's
+        it came from. An image reduced to zero gives a vector of the meet:
+        h_k plus a combination of later columns whose images were kept.
+        Self's columns are zero above their pivots and at each other's, so
+        that vector has its leading 1 at self's k-th pivot and is zero at
+        the other pivots of the meet: the meet is canonical as built. When
+        w is the whole target, self is returned as is.
+        """
+        n = w.n
+        if len(w.piv) == n or not self.piv:
+            return self
+        p = self.field.p
+        wcols = tuple(zip(w.piv, w.cols))
+        kept = {}
+        piv, cols = [], []
+        last = len(self.piv) - 1
+        for k, v in zip(range(last, -1, -1), _image(xcols, n, self.cols[::-1])):
+            carry = self.cols[k]
+            for q, c in wcols:
+                a = v[q] % p
+                if a:
+                    v = [x - a * y for x, y in zip(v, c)]
+            for r in range(n):
+                a = v[r] % p
+                if a:
+                    b = kept.get(r)
+                    if b is None:
+                        a = pow(a, p - 2, p)
+                        kept[r] = ([x * a % p for x in v], [x * a % p for x in carry])
+                        break
+                    c, d = b
+                    v = [x - a * y for x, y in zip(v, c)]
+                    carry = [(x - a * y) % p for x, y in zip(carry, d)]
+            else:
+                piv.append(self.piv[k])
+                cols.append(carry)
+        if len(piv) == len(self.piv):
+            return self
+        return Subspace(self.field, self.n, tuple(piv[::-1]), tuple(cols[::-1]))
+
+    def contains(self, other: "Subspace") -> bool:
+        """Whether span(other) lies inside span(self).
+
+        A vector of span(self) has its first nonzero at a pivot of self, so
+        other's pivots must be among self's; each column of other must then
+        equal its combination of self's columns read off at self's pivots.
+        """
+        if not set(other.piv).issubset(self.piv):
+            return False
+        p = self.field.p
+        for v in other.cols:
+            r = v
+            for q, c in zip(self.piv, self.cols):
+                a = v[q]
+                if a:
+                    r = [(x - a * y) % p for x, y in zip(r, c)]
+            if any(r):
+                return False
+        return True
+
+    def merge(self, other: "Subspace") -> "Subspace":
+        """span(self) + span(other) with no elimination; other is zero at self's pivots.
+
+        Clearing self's columns at other's pivot rows subtracts from a
+        column only columns of other whose pivot lies below its leading 1,
+        which are zero down to that row and at self's pivots, so the leading
+        1 and the zeros at self's pivots stay; the two column sets, merged
+        in pivot order, are canonical.
+        """
+        if not other.piv:
+            return self
+        if not self.piv:
+            return other
+        p = self.field.p
+        cols = []
+        for c in self.cols:
+            for q, d in zip(other.piv, other.cols):
+                a = c[q]
+                if a:
+                    c = [(x - a * y) % p for x, y in zip(c, d)]
+            cols.append(c)
+        merged = sorted(zip(self.piv + other.piv, cols + list(other.cols)))
+        return Subspace(self.field, self.n, tuple(q for q, _ in merged),
+                        tuple(c for _, c in merged))
+
+    def to_mat(self) -> Mat:
+        """The canonical basis as a Mat, equal to `col_space` of any spanning set."""
+        rows = [list(r) for r in zip(*self.cols)] if self.cols else [[] for _ in range(self.n)]
+        return Mat(self.field, self.n, len(self.cols), rows)

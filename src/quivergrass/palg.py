@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import NotFiniteTypeError, ValidationError
 from .fields import QQ
-from .linalg import Mat, _residual, col_space, pivot_rows
+from .linalg import Mat, _projection, col_space, pivot_rows
 from .quiver import Quiver, cartan_matrix, double
 
 
@@ -247,7 +247,7 @@ def _quotient_by_rows(rows: list[list], ncols: int) -> tuple[list[int], list[lis
     span = col_space(Mat(QQ, len(rows), ncols, [r[::-1] for r in rows]).t())
     pivots = set(pivot_rows(span))
     free = [ncols - 1 - i for i in range(ncols) if ncols - 1 - i not in pivots]
-    res = _residual(span, Mat.identity(QQ, ncols)).take_rows(free)
+    res = _projection(span, free)
     return [ncols - 1 - f for f in free], [[r[ncols - 1 - i] for r in res.a] for i in range(ncols)]
 
 

@@ -28,7 +28,7 @@ from .errors import (
 from .fields import PrimeField
 from .linalg import (
     Mat,
-    _residual,
+    _projection,
     col_space,
     mat_over,
     pivot_rows,
@@ -290,7 +290,7 @@ def quotient(v_rep: Rep, s: Subrep) -> tuple[Rep, dict]:
         free = [i for i in range(n) if i not in pivots]
         qdims[v] = len(free)
         # subtract the unique s-component then read the free coordinates
-        projs[v] = _residual(b, Mat.identity(field, n)).take_rows(free)
+        projs[v] = _projection(b, free)
         lift = Mat.zeros(field, n, len(free))
         for j, r in enumerate(free):
             lift.a[r][j] = field.one

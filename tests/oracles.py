@@ -252,8 +252,9 @@ def fp_subspaces(n, k, p):
     return tuple((gens, span) for span, gens in level.items())
 
 
-def brute_submodule_count(rep, d):
-    """Arrow-closed subspaces of dimension vector d of a representation over F_p.
+def _closed_subspaces(rep, d):
+    """Yield each arrow-closed subspace of dimension vector d of a representation
+    over F_p, as a dict {vertex: (spanning vectors, vector set)}.
 
     Reads the matrices as integer rows and tests closure vector by vector
     against explicit vector sets; no quivergrass.linalg routine is involved.
@@ -275,14 +276,55 @@ def brute_submodule_count(rep, d):
 
     def rec(i):
         if i == len(order):
-            return 1
+            yield dict(chosen)
+            return
         v = order[i]
-        total = 0
         for sub in fp_subspaces(rep.dim(v), d.get(v, 0), p):
             chosen[v] = sub
             if closed(v):
-                total += rec(i + 1)
+                yield from rec(i + 1)
         chosen.pop(v, None)
-        return total
 
     return rec(0)
+
+
+def brute_submodule_count(rep, d):
+    """Arrow-closed subspaces of dimension vector d of a representation over F_p."""
+    return sum(1 for _ in _closed_subspaces(rep, d))
+
+
+def span_set(columns, n, p):
+    """Every vector of the span of integer (or rational) columns of length n mod p."""
+    cols = [[_mod(x, p) for x in c] for c in columns]
+    return frozenset(
+        tuple(sum(a * c[i] for a, c in zip(coef, cols)) % p for i in range(n))
+        for coef in product(range(p), repeat=len(cols))
+    )
+
+
+def _mod(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def brute_graded_submodules(rep, layers, d):
+    """The arrow-closed subspaces over F_p that split along eigenspaces with pieces d.
+
+    `layers[v]` lists the eigenspaces at vertex v, each as spanning columns
+    (rationals are reduced mod p), and d maps (v, k) to the dimension of
+    the piece in v's k-th eigenspace. Every arrow-closed subspace of
+    dimension sum_k d[(v, k)] at each v is kept when, at every v, its meet
+    with each eigenspace, a set intersection, has p^d[(v, k)] vectors; the
+    pieces then span it. Returns a set of tuples of vector sets, one per
+    vertex in quiver order.
+    """
+    p = rep.field.p
+    order = list(rep.quiver.vertices)
+    spaces = {v: [span_set(cols, rep.dim(v), p) for cols in layers[v]] for v in order}
+    dims = {v: sum(d.get((v, k), 0) for k in range(len(spaces[v]))) for v in order}
+    return {
+        tuple(sub[v][1] for v in order)
+        for sub in _closed_subspaces(rep, dims)
+        if all(len(sub[v][1] & e) == p ** d.get((v, k), 0)
+               for v in order for k, e in enumerate(spaces[v]))
+    }

@@ -2,7 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,7 @@ from quivergrass.hull import (
     injective_hull,
     projective_sum,
 )
-from quivergrass.linalg import Mat, col_space, subspace_contains, subspace_intersect
+from quivergrass.linalg import Mat, Subspace, col_space, subspace_contains, subspace_intersect
 from quivergrass.quiver import build_quiver, double, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.repmod import (
     Rep,
@@ -53,7 +53,7 @@ from quivergrass.weyl import (
     weight_multiplicity,
 )
 
-from oracles import brute_submodule_count
+from oracles import brute_graded_submodules, brute_submodule_count, span_set
 
 A1 = line_quiver(1)
 A2 = line_quiver(2)
@@ -70,25 +70,32 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(5, 2, 2) == 155
 
 
+def _subspace(m):
+    """span(m) as a Subspace."""
+    return Subspace(m.field, m.rows).extend(zip(*m.a))
+
+
 def test_subspace_cells_complete_and_canonical():
     f3 = PrimeField(3)
-    cells = list(subspace_cells(f3, 3, 1))
+    cells = [c.to_mat() for c in subspace_cells(Subspace.whole(f3, 3), 1)]
     assert len(cells) == gaussian_binomial(3, 1, 3) == 13
     keys = {c.key() for c in cells}
     assert len(keys) == 13
     for c in cells:
         assert col_space(c) == c
-    pair_cells = list(subspace_cells(f3, 4, 2))
+    pair_cells = [c.to_mat() for c in subspace_cells(Subspace.whole(f3, 4), 2)]
     assert len(pair_cells) == gaussian_binomial(4, 2, 3) == 130
     assert len({c.key() for c in pair_cells}) == 130
+    assert all(col_space(c) == c for c in pair_cells)
 
 
 def test_cells_between_yield_canonical_bases():
     f3 = PrimeField(3)
     lower = col_space(Mat.from_rows(f3, [[0], [1], [2], [1]]))
-    upper = Mat.identity(f3, 4)
+    upper = Subspace.whole(f3, 4)
     counter = [0]
-    cells = list(grassmann._cells_between(lower, upper, 2, counter, 100))
+    walk = grassmann._cells_between(_subspace(lower), upper, 2, counter, 100)
+    cells = [c.to_mat() for c in walk]
     assert counter == [gaussian_binomial(3, 1, 3)] == [13]
     assert len({c.key() for c in cells}) == 13
     for c in cells:
@@ -119,7 +126,8 @@ def nested_bounds(draw):
 def test_cells_between_are_every_canonical_subspace_between_the_bounds(case):
     field, lower, upper, k = case
     counter = [0]
-    cells = list(grassmann._cells_between(lower, upper, k, counter, 10**6))
+    walk = grassmann._cells_between(_subspace(lower), _subspace(upper), k, counter, 10**6)
+    cells = [c.to_mat() for c in walk]
     expected = gaussian_binomial(upper.cols - lower.cols, k - lower.cols, field.p)
     assert len(cells) == counter[0] == expected
     assert len({c.key() for c in cells}) == expected
@@ -135,14 +143,18 @@ def test_cells_between_runs_no_elimination(monkeypatch):
     upper = col_space(Mat.from_rows(f5, [[1, 0, 0], [2, 1, 0], [0, 3, 0], [4, 0, 1], [1, 1, 1]]))
     lower = col_space(upper @ Mat.from_rows(f5, [[1], [2], [3]]))
 
-    def no_echelon(field, rows):
+    lower, upper = _subspace(lower), _subspace(upper)
+
+    def no_elimination(*args):
         raise AssertionError("_cells_between eliminated a matrix")
 
-    monkeypatch.setattr(linalg, "echelon", no_echelon)
+    monkeypatch.setattr(linalg, "echelon", no_elimination)
+    monkeypatch.setattr(Subspace, "extend", no_elimination)
+    monkeypatch.setattr(Subspace, "meet_preimage", no_elimination)
     cells = list(grassmann._cells_between(lower, upper, 2, [0], 100))
     assert len(cells) == gaussian_binomial(2, 1, 5) == 6
     monkeypatch.undo()
-    assert all(col_space(c) == c for c in cells)
+    assert all(col_space(c.to_mat()) == c.to_mat() for c in cells)
 
 
 def test_a_cell_without_free_entries_at_a_large_prime_stays_small():
@@ -596,6 +608,27 @@ def test_graded_trivial_action_equals_ungraded():
     plain = enumerate_submodules(rep5, {"1": 1, "2": 1})
     assert [s.key() for s in graded] == [s.key() for s in plain]
     assert len(graded) == 11
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("w", [{"1": 1, "2": 1}, {"1": 2, "2": 1}], ids=["w11", "w21"])
+def test_graded_enumeration_matches_brute_force_for_every_character(w, p):
+    model = injective_hull(A2, w)
+    grading = eigen_grading(model, identity_framing(model), 2)
+    rep_p = reduce_mod(model.rep, p)
+    layers = {v: [list(zip(*b.a)) for _, b in grading[v]] for v in A2.vertices}
+    slots = [(v, k) for v in A2.vertices for k in range(len(layers[v]))]
+    characters = product(*(range(len(layers[v][k]) + 1) for v, k in slots))
+    total = 0
+    for values in characters:
+        d = dict(zip(slots, values))
+        subs = graded_submodules(model, grading, d, p)
+        got = [tuple(span_set(zip(*s.basis(v).a), rep_p.dim(v), p) for v in A2.vertices)
+               for s in subs]
+        assert len(set(got)) == len(got)
+        assert set(got) == brute_graded_submodules(rep_p, layers, d), d
+        total += len(got)
+    assert total > len(slots)
 
 
 def test_graded_rejects_colliding_prime():

@@ -12,11 +12,14 @@ from quivergrass.errors import ShapeMismatchError
 from quivergrass.fields import QQ, PrimeField
 from quivergrass.linalg import (
     Mat,
+    Subspace,
     col_space,
     echelon,
     kernel,
+    pivot_rows,
     preimage,
     rank,
+    sparse_columns,
     subspace_contains,
     subspace_intersect,
     subspace_sum,
@@ -431,3 +434,91 @@ def test_rational_elements_are_ints_when_integral():
     assert QQ.format_el(QQ.of("3/2")) == "3/2"
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
+
+
+# -- the F_p subspace type against the Mat path ---------------------------------
+
+FP_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5)]
+
+
+def _subspace(m):
+    """span(m) as a Subspace, built by span-extend from nothing."""
+    return Subspace(m.field, m.rows).extend(zip(*m.a))
+
+
+def _canonical(s):
+    """s matches `col_space` of its own basis, its pivots and its entries' range."""
+    m = s.to_mat()
+    assert m == col_space(m)
+    assert s.piv == tuple(pivot_rows(m))
+    assert all(0 <= x < s.field.p for c in s.cols for x in c)
+    return m
+
+
+@st.composite
+def fp_column_pairs(draw):
+    """(a, b): two matrices over F_2, F_3 or F_5 on one row count, b in span(a) at times."""
+    field = draw(st.sampled_from(FP_FIELDS))
+    a = draw(matrices(field))
+    if draw(st.booleans()):
+        b = a @ draw(matrices(field, rows=a.cols))
+    else:
+        b = draw(matrices(field, rows=a.rows))
+    return a, b
+
+
+@PROPERTY
+@given(fp_column_pairs())
+def test_span_extend_is_the_column_space_of_the_stack(case):
+    a, b = case
+    s = _subspace(a)
+    assert _canonical(s) == col_space(a)
+    t = s.extend(zip(*b.a))
+    assert _canonical(t) == col_space(a.hstack(b))
+    assert (t is s) == (t.piv == s.piv)
+
+
+@PROPERTY
+@given(fp_column_pairs())
+def test_containment_matches_subspace_contains(case):
+    a, b = case
+    assert _subspace(a).contains(_subspace(b)) == subspace_contains(col_space(a), b)
+
+
+@st.composite
+def fp_map_and_bounds(draw):
+    """(x, hi, w) over F_2, F_3 or F_5: a map, a canonical basis of its source
+    and one of its target, w often meeting the image of hi."""
+    field = draw(st.sampled_from(FP_FIELDS))
+    x = draw(matrices(field))
+    hi = draw(spans_in(field, x.cols))
+    return x, hi, draw(spans_in(field, x.rows, inside=x @ hi if hi.cols else None))
+
+
+@PROPERTY
+@given(fp_map_and_bounds())
+def test_meet_with_a_preimage_matches_the_mat_path(case):
+    x, hi, w = case
+    got = _subspace(hi).meet_preimage(sparse_columns(x), _subspace(w))
+    assert _canonical(got) == subspace_intersect(hi, preimage([(x, w)]))
+
+
+@PROPERTY
+@given(fp_column_pairs(), st.data())
+def test_disjoint_pivot_merge_is_the_column_space_of_the_stack(case, data):
+    a, b = case
+    lower, upper = _subspace(a), _subspace(a.hstack(b))
+    rest = [(q, c) for q, c in zip(upper.piv, upper.cols) if q not in lower.piv]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    rest = [qc for qc, k in zip(rest, keep) if k]
+    other = Subspace(upper.field, upper.n, tuple(q for q, _ in rest), tuple(c for _, c in rest))
+    merged = lower.merge(other)
+    assert _canonical(merged) == col_space(a.hstack(other.to_mat()))
+
+
+def test_whole_space_and_sparse_columns():
+    f5 = PrimeField(5)
+    assert Subspace.whole(f5, 3).to_mat() == Mat.identity(f5, 3)
+    assert Subspace(f5, 2).to_mat() == Mat.zeros(f5, 2, 0)
+    m = Mat.from_rows(f5, [[0, 3, 0], [0, 0, 0], [1, 4, 0]])
+    assert sparse_columns(m) == [(0, ((2, 1),)), (1, ((0, 3), (2, 4)))]
