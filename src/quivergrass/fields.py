@@ -65,6 +65,8 @@ class Rationals:
     char = 0
 
     def of(self, x) -> int | Fraction:
+        if x.__class__ is int:
+            return x
         if isinstance(x, str):
             x = Fraction(x)
         if isinstance(x, Fraction):
@@ -134,6 +136,8 @@ class PrimeField:
         self.char = p
 
     def of(self, x) -> int:
+        if x.__class__ is int:
+            return x % self.p
         if isinstance(x, str):
             x = Fraction(x)
         if isinstance(x, Fraction):

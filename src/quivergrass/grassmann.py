@@ -5,8 +5,10 @@ through Gaussian cells: a slot is a vertex, or a (vertex, layer) pair for a
 graded enumeration.  Placing a slot bounds each unplaced neighbour: an arrow
 out of it bounds the neighbour from below by the image of its choice, an
 arrow into it bounds the neighbour from above by the preimage of its choice.
-So every arrow is imposed once, at whichever end is placed later.  Plain and
-graded enumeration and plain counting all run on it; counting keeps no list.
+So every arrow is imposed once, at whichever end is placed later.  The walk
+folds its choices into one value through a `_Combine`: plain counting folds
+ints and builds nothing per submodule, plain and graded enumeration fold
+lists of slot choices.
 
 Branching rule: at each node, an unplaced slot of target dimension k has
 [dim hi - dim lo, k - dim lo]_p cells between its bounds lo and hi.  A slot
@@ -15,40 +17,57 @@ slot with the fewest cells among those still joined by an arrow to another
 unplaced slot, the first in slot order on ties, so the walk is deterministic.
 (Placing any other slot would move no bound, so it could prune nothing.)
 
-Free-remainder rule: the walk stops once no arrow joins two unplaced slots.
-Every arrow at an unplaced slot then ends at a placed slot and is already
-imposed by the unplaced slot's bounds, and quivers have no loops, so no slot
-constrains itself: the unplaced slots' cells are independent, and any choice
-of one cell per slot is arrow-closed.  `_leaves` yields the placed choices
-with the remainder's bounds.  Enumeration expands the remainder as a product
-of cells and still runs `check_closure` on every submodule it returns.
-Counting adds the product of the remainder's Gaussian binomials and runs no
-closure re-check: by the two rules every arrow is imposed, at its later end
-or at the remainder slot's bound.
+Free-remainder rule: an unplaced slot joined by no arrow to another unplaced
+slot is free.  Every arrow at it ends at a placed slot and is already
+imposed by its bounds, and quivers have no loops, so no slot constrains
+itself: its cells are independent of every other choice, and once free a
+slot stays free with the same bounds.  The walk splits each free slot off
+where it becomes free and multiplies the node's value by the slot's value.
+Counting takes that from the slot's Gaussian binomial and runs no closure
+re-check: by the two rules every arrow is imposed, at its later end or at
+the free slot's bound.  Enumeration lists the free slot's cells and still
+runs `check_closure` on every submodule it returns.
+
+State rule: the subtree below a node depends only on the bounds (lo, hi) of
+the linked slots, the unplaced slots still joined by an arrow.  The branching
+choice reads only their cell counts, placing a slot moves only its unplaced
+neighbours, which are linked, the pruning reads only the bounds it moves,
+and the free slots split off below are fixed by the bounds they carry; the
+choices already placed only label the leaves.  Bounds are canonical, so the
+linked slots with their bounds' `Subspace.key()`s are an exact key.  Each
+walk keeps a memo from that key to the linked slots' value, so a state
+reached again is not walked again.  The memo is local to one walk; nothing
+carries over between walks.  The root is not memoized, since it cannot
+repeat.
 
 The cap counts the cells `_cells_between` walks: those of every branching
-slot and, when enumerating, those of each remainder slot.  A remainder
-counted in closed form walks no cell and is not charged.
+slot and, when enumerating, those of each free slot.  A free slot counted
+in closed form walks no cell, and a state found in the memo walks none, so
+neither is charged.
 
 Invariant: every bound, choice and cell the walk holds is a
 `linalg.Subspace`, canonical by construction: the bounds come from
 `Subspace.whole`, `extend` and `meet_preimage`, and `_cells_between` builds
 each cell by `Subspace.merge` of two canonical column sets with disjoint
 pivot rows, with no elimination.  Arrow maps enter as their
-`sparse_columns`, split once per enumeration.  A leaf becomes a `Mat` only
-where a `Subrep` is built, and `Subspace.to_mat` is the basis `col_space`
-gives, so `Subrep.key()` and the output order do not depend on the walk.
+`sparse_columns`, split once per enumeration; `count_polynomial` splits the
+hull's rational maps once and reduces only their nonzeros at each prime.  A
+leaf becomes a `Mat` only where a `Subrep` is built, and `Subspace.to_mat`
+is the basis `col_space` gives, so `Subrep.key()` and the output order do
+not depend on the walk.
 
-Point counts at several primes feed a Lagrange interpolation whose value at
-1 is the Euler characteristic; every interpolation is certified at an extra
-prime.
+Point counts at several primes feed a Lagrange interpolation, run in
+integers over one common denominator, whose value at 1 is the Euler
+characteristic; every interpolation is certified at an extra prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import NamedTuple
+from math import lcm
+from operator import mul
+from typing import Callable, NamedTuple
 
 from .errors import (
     BadPrimeError,
@@ -162,15 +181,44 @@ def _slot_cells(slot, lo: Subspace, hi: Subspace, k: int, counter: list, cap: in
 
 # -- submodule enumeration ----------------------------------------------------
 
-def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: list, cap: int):
-    """Yield (placed, remainder) for every arrow-closed choice at the branched slots.
+class _Combine(NamedTuple):
+    """How `_leaves` folds the walk into one value.
+
+    A value stands for a set of choices of one cell per slot, and is falsy
+    exactly when that set is empty.  `unit` is the set holding the empty
+    choice; `free(s, n, cells)` is the value of a free slot with n cells,
+    which `cells` yields lazily (walking them charges the cap); `times` is
+    the product of two values on disjoint slots; `branch(s, pairs)` is the
+    union over the (cell, value) pairs of s taking that cell.
+    """
+
+    unit: object
+    free: Callable
+    times: Callable
+    branch: Callable
+
+
+# Counting: each value is the number of choices, a free slot counted in
+# closed form from its n cells.
+_COUNT = _Combine(1, lambda s, n, cells: n, mul, lambda s, pairs: sum(v for _, v in pairs))
+
+# Enumeration: each value lists its choices as tuples of (slot, cell) pairs.
+_LIST = _Combine(
+    [()],
+    lambda s, n, cells: [((s, w),) for w in cells],
+    lambda a, b: [x + y for x in a for y in b],
+    lambda s, pairs: [((s, w),) + x for w, v in pairs for x in v],
+)
+
+
+def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
+            combine: _Combine):
+    """Every arrow-closed choice of slot subspaces, folded by `combine`.
 
     `upper` maps each slot, in slot order, to its starting upper bound (a
     `Subspace`) and `target` to its dimension.  `incoming[s]` and
     `outgoing[s]` list (map, slot) pairs for the arrows ending and starting
-    at s, each map as its `sparse_columns`.  `placed` maps each branched
-    slot to its chosen `Subspace`, and `remainder` lists (slot, lo, hi) for
-    the slots left unplaced.
+    at s, each map as its `sparse_columns`.
 
     Placing a slot moves each unplaced neighbour's bounds: its lower bound
     takes in the image of the choice, its upper bound is cut to the
@@ -179,17 +227,20 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: 
     slot has no cell between its bounds is pruned; otherwise the walk
     branches on the slot with the fewest cells among those joined by an
     arrow to another unplaced slot, the first in slot order on ties.
-    Free-remainder rule: when no arrow joins two unplaced slots the walk
-    stops.  Every arrow at a remainder slot then ends at a placed slot and
-    is imposed by the remainder slot's bounds, and no slot constrains itself
-    (quivers have no loops), so the remainder's cells are independent, each
-    slot has at least one, and every product of them is arrow-closed: a
-    count needs no closure re-check.  `counter` and `cap` are charged for
-    the cells of every branching slot.
+    Free-remainder rule: an unplaced slot joined to no other unplaced slot
+    is free.  Every arrow at it ends at a placed slot and is imposed by its
+    bounds, and no slot constrains itself (quivers have no loops), so its
+    cells are independent of every other choice and each is arrow-closed:
+    the node's value is the free slots' values times that of the linked
+    slots.  State rule: the linked slots' bounds fix their value, which is
+    kept in a memo local to this call, keyed by those bounds.  `cap` is
+    charged for the cells walked: those of every branching slot, and those
+    of the free slots that `combine` walks.
     """
     # The walk's state maps each unplaced slot to (lo, hi, its cell count).
     links = {s: {t for _, t in incoming[s] + outgoing[s]} for s in upper}
-    chosen: dict = {}
+    memo: dict = {}
+    counter = [0]
 
     def cells(s, lo: Subspace, hi: Subspace) -> int:
         if lo.piv and not hi.contains(lo):
@@ -221,51 +272,51 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, counter: 
                 new[t] = (lo, hi, n)
         return new
 
-    def rec(bounds: dict):
-        best = None
-        for s, (_, _, n) in bounds.items():
-            if (best is None or n < bounds[best][2]) and any(t in bounds for t in links[s]):
-                best = s
-        if best is None:
-            yield dict(chosen), [(s, lo, hi) for s, (lo, hi, _) in bounds.items()]
-            return
-        lo, hi, _ = bounds[best]
-        rest = {t: b for t, b in bounds.items() if t != best}
-        for w in _slot_cells(best, lo, hi, target[best], counter, cap):
-            new = place(rest, best, w)
-            if new is not None:
-                chosen[best] = w
-                yield from rec(new)
-        chosen.pop(best, None)
+    def linked_value(linked: dict):
+        # `linked` is the calling node's own dict; the branching slot leaves it.
+        if not linked:
+            return combine.unit
+        best = min(linked, key=lambda s: linked[s][2])
+        lo, hi, _ = linked.pop(best)
+        pairs = (
+            (w, value(new))
+            for w in _slot_cells(best, lo, hi, target[best], counter, cap)
+            if (new := place(linked, best, w)) is not None
+        )
+        return combine.branch(best, pairs)
+
+    def value(bounds: dict, root: bool = False):
+        linked = {s: b for s, b in bounds.items() if not links[s].isdisjoint(bounds)}
+        free = [(s, b) for s, b in bounds.items() if s not in linked]
+        if root or not linked:
+            val = linked_value(linked)
+        else:
+            key = tuple((s, lo.key(), hi.key()) for s, (lo, hi, _) in linked.items())
+            val = memo.get(key)
+            if val is None:
+                val = memo[key] = linked_value(linked)
+        if val:
+            for s, (lo, hi, n) in free:
+                val = combine.times(val, combine.free(
+                    s, n, _slot_cells(s, lo, hi, target[s], counter, cap)))
+        return val
 
     start = {}
     for s, hi in upper.items():
         lo = Subspace(hi.field, hi.n)
         n = cells(s, lo, hi)
         if not n:
-            return
+            return combine.branch(s, ())
         start[s] = (lo, hi, n)
-    yield from rec(start)
+    return value(start, root=True)
 
 
-def _expanded(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int):
-    """Yield {slot: basis} for every arrow-closed choice of slot subspaces.
-
-    Each remainder from `_leaves` is expanded as a product of its slots'
-    cells, and the cap is charged for those cells too.
-    """
-    counter = [0]
-    for placed, rest in _leaves(upper, incoming, outgoing, target, counter, cap):
-        slots = [s for s, _, _ in rest]
-        cells = [list(_slot_cells(s, lo, hi, target[s], counter, cap)) for s, lo, hi in rest]
-        for combo in product(*cells):
-            leaf = dict(placed)
-            leaf.update(zip(slots, combo))
-            yield leaf
+def _expanded(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int) -> list:
+    """{slot: cell} for every arrow-closed choice of slot subspaces."""
+    return [dict(leaf) for leaf in _leaves(upper, incoming, outgoing, target, cap, _LIST)]
 
 
-def _check_dim_vector(v_rep: Rep, v: dict) -> dict:
-    q = v_rep.quiver
+def _check_dim_vector(q: Quiver, v: dict) -> dict:
     out = {}
     for key, val in (v or {}).items():
         if key not in q.vertices:
@@ -277,29 +328,47 @@ def _check_dim_vector(v_rep: Rep, v: dict) -> dict:
     return out
 
 
-def _vertex_slots(v_rep: Rep, v: dict) -> tuple:
-    """(upper, incoming, outgoing, target) of `_leaves`, one slot per vertex."""
-    field = v_rep.field
-    if not isinstance(field, PrimeField):
-        raise ValidationError("submodule enumeration requires a prime field")
-    target = _check_dim_vector(v_rep, v)
-    q = v_rep.quiver
-    upper = {u: Subspace.whole(field, v_rep.dim(u)) for u in q.vertices}
+def _slots(field: PrimeField, q: Quiver, dims: dict, xcols: dict, v: dict) -> tuple:
+    """(upper, incoming, outgoing, target) of `_leaves`, one slot per vertex.
+
+    `xcols` maps each arrow to its matrix over `field` as `sparse_columns`.
+    """
+    target = _check_dim_vector(q, v)
+    upper = {u: Subspace.whole(field, dims[u]) for u in q.vertices}
     incoming: dict = {u: [] for u in q.vertices}
     outgoing: dict = {u: [] for u in q.vertices}
     for a in q.arrows:
-        xcols = sparse_columns(v_rep.map(a.name))
-        incoming[a.dst].append((xcols, a.src))
-        outgoing[a.src].append((xcols, a.dst))
+        incoming[a.dst].append((xcols[a.name], a.src))
+        outgoing[a.src].append((xcols[a.name], a.dst))
     return upper, incoming, outgoing, target
+
+
+def _columns_mod(fp: PrimeField, xcols: list) -> list:
+    """`sparse_columns` over Q reduced into F_p, dropping the entries that vanish."""
+    out = []
+    for j, col in xcols:
+        col = tuple((i, y) for i, x in col if (y := fp.of(x)))
+        if col:
+            out.append((j, col))
+    return out
+
+
+def _vertex_slots(v_rep: Rep, v: dict) -> tuple:
+    """`_slots` of a representation over a prime field."""
+    if not isinstance(v_rep.field, PrimeField):
+        raise ValidationError("submodule enumeration requires a prime field")
+    xcols = {a.name: sparse_columns(v_rep.map(a.name)) for a in v_rep.quiver.arrows}
+    return _slots(v_rep.field, v_rep.quiver, v_rep.dims, xcols, v)
+
+
+def _cap(cap: int | None) -> int:
+    return DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
 
 
 def _submodules(v_rep: Rep, v: dict, cap: int | None):
     """Yield each submodule of dims v as a closure-checked Subrep."""
-    slots = _vertex_slots(v_rep, v)
-    cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
-    for leaf in _expanded(*slots, cap):
-        s = Subrep(v_rep, {u: b.to_mat() for u, b in leaf.items()})
+    for leaf in _expanded(*_vertex_slots(v_rep, v), _cap(cap)):
+        s = Subrep(v_rep, {u: leaf[u].to_mat() for u in v_rep.quiver.vertices})
         check_closure(s)
         yield s
 
@@ -314,24 +383,15 @@ def enumerate_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> list:
 def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
     """Number of arrow-closed subspaces of dims v, counted without a list.
 
-    Each free remainder adds the product of its Gaussian binomials; no
-    submodule is built and no closure is re-checked (see the module docstring).
+    Each free slot adds its Gaussian binomial as a factor; no submodule is
+    built and no closure is re-checked (see the module docstring).
     """
-    upper, incoming, outgoing, target = _vertex_slots(v_rep, v)
-    cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
-    total = 0
-    for _, rest in _leaves(upper, incoming, outgoing, target, [0], cap):
-        n = 1
-        for s, lo, hi in rest:
-            l = len(lo.piv)
-            n *= gaussian_binomial(len(hi.piv) - l, target[s] - l, hi.field.p)
-        total += n
-    return total
+    return _leaves(*_vertex_slots(v_rep, v), _cap(cap), _COUNT)
 
 
 def tilde_count(v_rep: Rep, v: dict, cap: int | None = None) -> int:
     """Count submodules of codimension vector v whose quotient is nilpotent."""
-    codim = _check_dim_vector(v_rep, v)
+    codim = _check_dim_vector(v_rep.quiver, v)
     target = {}
     for u in v_rep.quiver.vertices:
         d = v_rep.dim(u) - codim[u]
@@ -386,28 +446,6 @@ def _next_prime(n: int) -> int:
     return m
 
 
-def _lagrange(points: list) -> list:
-    """Exact interpolation through (x, y) pairs; coefficients ascending."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for j, (xj, yj) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k == j:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xk
-                new[d + 1] += c
-            basis = new
-            denom *= Fraction(xj - xk)
-        scale = Fraction(yj) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    return coeffs
-
-
 def _certified_fit(counts: list, degree: int) -> tuple:
     """Integer coefficients, ascending, of the count polynomial; certified.
 
@@ -415,16 +453,29 @@ def _certified_fit(counts: list, degree: int) -> tuple:
     polynomial, trailing zero coefficients are dropped, and the polynomial
     must have integer coefficients and take every listed count at its prime,
     the spare primes included; otherwise `InterpolationInconsistentError`
-    carries the counts.
+    carries the counts.  The interpolation runs in integers over one common
+    denominator: basis_j(t) is the product of t - x_k over k != j, d_j its
+    value at x_j, and D * P(t) = sum_j y_j (D / d_j) basis_j(t) for D the
+    least common multiple of the d_j.
     """
-    coeffs = _lagrange(counts[: degree + 1])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if any(c.denominator != 1 for c in coeffs):
+    points = counts[: degree + 1]
+    terms = []
+    for xj, yj in points:
+        basis, dj = [1], 1
+        for xk, _ in points:
+            if xk != xj:
+                basis = [a - xk * b for a, b in zip([0] + basis, basis + [0])]
+                dj *= xj - xk
+        terms.append((yj, dj, basis))
+    den = lcm(*(dj for _, dj, _ in terms))
+    num = [sum(yj * (den // dj) * basis[d] for yj, dj, basis in terms) for d in range(len(points))]
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    if any(c % den for c in num):
         raise InterpolationInconsistentError(
             "count not polynomial at tested degree", counts=counts
         )
-    out = tuple(int(c) for c in coeffs)
+    out = tuple(c // den for c in num)
     for p, n in counts:
         if sum(c * p**d for d, c in enumerate(out)) != n:
             raise InterpolationInconsistentError(
@@ -501,12 +552,15 @@ def count_polynomial(
     model = injective_hull(q, w, trunc)
     interp, extras = interpolation_plan(model.base, w, v, primes)
     bound = len(interp) - 1
+    rep = model.rep
+    qcols = {a.name: sparse_columns(rep.map(a.name)) for a in rep.quiver.arrows}
     counts = []
     for p in interp + extras:
         n = None if known_counts is None else known_counts.get(p)
         if n is None:
-            rep_p = reduce_mod(model.rep, p)
-            n = count_submodules(rep_p, v, cap)
+            fp = PrimeField(p)
+            xcols = {a: _columns_mod(fp, cols) for a, cols in qcols.items()}
+            n = _leaves(*_slots(fp, rep.quiver, rep.dims, xcols, v), _cap(cap), _COUNT)
         counts.append((p, int(n)))
     return CountPoly(
         coeffs=_certified_fit(counts, bound),
@@ -533,7 +587,6 @@ def graded_submodules(
     after reduction.
     """
     (p,) = _check_primes([p])
-    cap = DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
     rep_p = reduce_mod(model.rep, p)
     fp = rep_p.field
     layers: dict = {}
@@ -593,7 +646,7 @@ def graded_submodules(
             outgoing[(a.src, k)].append((xcols, (a.dst, k_out)))
     target = {slot: int((d or {}).get(slot, 0)) for slot in upper}
     out = []
-    for leaf in _expanded(upper, incoming, outgoing, target, cap):
+    for leaf in _expanded(upper, incoming, outgoing, target, _cap(cap)):
         bases = {
             vert: Subspace(fp, rep_p.dim(vert)).extend(
                 c for k in range(len(layers[vert])) for c in leaf[(vert, k)].cols

@@ -477,13 +477,25 @@ class Subspace:
     changed once a Subspace holds it, so Subspaces share columns freely.
     """
 
-    __slots__ = ("field", "n", "piv", "cols")
+    __slots__ = ("field", "n", "piv", "cols", "_key")
 
     def __init__(self, field, n: int, piv: tuple = (), cols: tuple = ()):
         self.field = field
         self.n = n
         self.piv = piv
         self.cols = cols
+        self._key = None
+
+    def key(self) -> tuple:
+        """The basis as a tuple of column tuples, built once and kept.
+
+        The basis is canonical, so two subspaces of one F_p^n are equal
+        exactly when their keys are.
+        """
+        key = self._key
+        if key is None:
+            key = self._key = tuple(map(tuple, self.cols))
+        return key
 
     @classmethod
     def whole(cls, field, n: int) -> "Subspace":

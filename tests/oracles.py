@@ -293,6 +293,13 @@ def brute_submodule_count(rep, d):
     return sum(1 for _ in _closed_subspaces(rep, d))
 
 
+def brute_submodules(rep, d):
+    """The arrow-closed subspaces of dimension vector d over F_p, as a set of
+    tuples of vector sets, one per vertex in quiver order."""
+    order = list(rep.quiver.vertices)
+    return {tuple(sub[v][1] for v in order) for sub in _closed_subspaces(rep, d)}
+
+
 def span_set(columns, n, p):
     """Every vector of the span of integer (or rational) columns of length n mod p."""
     cols = [[_mod(x, p) for x in c] for c in columns]
@@ -328,3 +335,19 @@ def brute_graded_submodules(rep, layers, d):
         if all(len(sub[v][1] & e) == p ** d.get((v, k), 0)
                for v in order for k, e in enumerate(spaces[v]))
     }
+
+
+# -- interpolation ----------------------------------------------------------------
+
+def fraction_lagrange(points):
+    """Coefficients, ascending, of the polynomial through the (x, y) pairs, in
+    Fractions: the textbook sum of y_j times prod_{k != j} (t - x_k)/(x_j - x_k)."""
+    coeffs = [Fraction(0)] * len(points)
+    for j, (xj, yj) in enumerate(points):
+        basis = [Fraction(yj)]
+        for k, (xk, _) in enumerate(points):
+            if k != j:
+                scale = Fraction(1, xj - xk)
+                basis = [(a - xk * b) * scale for a, b in zip([Fraction(0)] + basis, basis + [0])]
+        coeffs = [c + b for c, b in zip(coeffs, basis)]
+    return coeffs

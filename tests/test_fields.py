@@ -1,9 +1,11 @@
 """Primality of the user-supplied primes that define the prime fields."""
 
+from fractions import Fraction
+
 import pytest
 
-from quivergrass.errors import ValidationError
-from quivergrass.fields import _MR_BOUND, is_prime
+from quivergrass.errors import BadPrimeError, ValidationError
+from quivergrass.fields import _MR_BOUND, QQ, PrimeField, is_prime
 
 
 def _sieve(n: int) -> list:
@@ -41,3 +43,28 @@ def test_is_prime_refuses_numbers_its_bases_cannot_decide():
     for n in (_MR_BOUND, _MR_BOUND + 6, 2**89 - 1):
         with pytest.raises(ValidationError, match="cannot decide"):
             is_prime(n)
+
+
+def test_prime_field_coerces_each_input_kind():
+    f7 = PrimeField(7)
+    cases = [(10, 3), (-1, 6), (-15, 6), (True, 1), (False, 0), ("3/2", 5), ("-4", 3),
+             (Fraction(-1, 3), 2), (Fraction(14, 7), 2)]
+    for x, want in cases:
+        got = f7.of(x)
+        assert got == want and got.__class__ is int, x
+    for x in (Fraction(1, 7), "2/21"):
+        with pytest.raises(BadPrimeError, match="vanishes mod 7"):
+            f7.of(x)
+    with pytest.raises(ValidationError):
+        f7.of(1.5)
+
+
+def test_rationals_coerce_each_input_kind():
+    for x, want in [(5, 5), (-3, -3), (True, 1), (False, 0), ("4/2", 2), (Fraction(6, 3), 2)]:
+        got = QQ.of(x)
+        assert got == want and got.__class__ is int, x
+    for x in ("1/3", Fraction(-2, 6)):
+        got = QQ.of(x)
+        assert got == Fraction(x) and got.__class__ is Fraction, x
+    with pytest.raises(ValidationError):
+        QQ.of(1.5)

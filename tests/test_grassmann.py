@@ -1,11 +1,12 @@
 """Submodule enumeration, count interpolation, and graded enumeration tests."""
 
+import functools
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quivergrass.grassmann as grassmann
@@ -53,7 +54,13 @@ from quivergrass.weyl import (
     weight_multiplicity,
 )
 
-from oracles import brute_graded_submodules, brute_submodule_count, span_set
+from oracles import (
+    brute_graded_submodules,
+    brute_submodule_count,
+    brute_submodules,
+    fraction_lagrange,
+    span_set,
+)
 
 A1 = line_quiver(1)
 A2 = line_quiver(2)
@@ -304,13 +311,90 @@ def test_branch_point_leaves_a_remainder_of_three_slots(d4_all_ones):
     # the three legs, joined only through the centre, are left free.
     rep2 = reduce_mod(d4_all_ones.rep, 2)
     v = {"0": 0, "1": 1, "2": 1, "3": 1}
-    walk = list(grassmann._leaves(*grassmann._vertex_slots(rep2, v), [0], 10**6))
-    assert len(walk) == 1
-    placed, rest = walk[0]
-    assert list(placed) == ["0"]
-    assert [s for s, _, _ in rest] == ["1", "2", "3"]
+    # The walk's shape: each branch names its slot once per cell, each free
+    # slot is named where it splits off.
+    shape = grassmann._Combine(
+        ("placed",),
+        lambda s, n, cells: (f"free {s}",),
+        lambda a, b: a + b,
+        lambda s, pairs: tuple(x for _, val in pairs for x in (f"branch {s}",) + val),
+    )
+    walk = grassmann._leaves(*grassmann._vertex_slots(rep2, v), 10**6, shape)
+    assert walk == ("branch 0", "placed", "free 1", "free 2", "free 3")
     n = count_submodules(rep2, v)
     assert n == len(enumerate_submodules(rep2, v)) == brute_submodule_count(rep2, v)
+
+
+# -- the memoized walk ----------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _line_hull(n, wv):
+    q = line_quiver(n)
+    return injective_hull(q, dict(zip(q.vertices, wv)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda n: st.tuples(st.just(n), st.tuples(*[st.integers(0, 2)] * n))
+    ),
+    st.sampled_from([2, 3]),
+)
+def test_memoized_walk_matches_brute_force_at_every_weight(framing, p):
+    # A2/A3 framings with w_i <= 2 whose hull is small enough for the
+    # vector-set oracle; every weight of the framing, counted and enumerated.
+    n, wv = framing
+    model = _line_hull(n, wv)
+    assume(sum(model.rep.dims.values()) <= 10)
+    rep = reduce_mod(model.rep, p)
+    order = list(rep.quiver.vertices)
+    for vec in sorted(weight_census(model.base, dict(zip(order, wv)))):
+        v = dict(zip(order, vec))
+        brute = brute_submodules(rep, v)
+        assert count_submodules(rep, v) == len(brute), vec
+        got = [tuple(span_set(zip(*s.basis(x).a), rep.dim(x), p) for x in order)
+               for s in enumerate_submodules(rep, v)]
+        assert len(got) == len(brute) and set(got) == brute, vec
+
+
+def _counted_cells(monkeypatch):
+    """Record the cell count that each `_cells_between` call charges."""
+    charged = []
+    cells_between = grassmann._cells_between
+
+    def counted(lower, upper, k, counter, cap):
+        charged.append(gaussian_binomial(len(upper.piv) - len(lower.piv), k - len(lower.piv),
+                                         upper.field.p))
+        return cells_between(lower, upper, k, counter, cap)
+
+    monkeypatch.setattr(grassmann, "_cells_between", counted)
+    return charged
+
+
+def test_walk_visits_each_distinct_state_once(monkeypatch):
+    # A3 all-ones at v = (1,2,1) mod 5: walking every node calls
+    # `_cells_between` 32 times; sharing the repeated states, 12 times.
+    _, model = _all_ones_hull(A3)
+    rep5 = reduce_mod(model.rep, 5)
+    v = {"1": 1, "2": 2, "3": 1}
+    charged = _counted_cells(monkeypatch)
+    assert count_submodules(rep5, v) == 116
+    assert len(charged) == 12
+    # The memo lives for one walk: a second count walks the same cells again.
+    assert count_submodules(rep5, v) == 116
+    assert charged[12:] == charged[:12]
+
+
+def test_cap_counts_the_cells_walked_and_no_memo_hit(monkeypatch):
+    _, model = _all_ones_hull(A3)
+    rep5 = reduce_mod(model.rep, 5)
+    v = {"1": 1, "2": 2, "3": 1}
+    charged = _counted_cells(monkeypatch)
+    count_submodules(rep5, v)
+    walked = sum(charged)
+    assert count_submodules(rep5, v, cap=walked) == 116
+    with pytest.raises(CapExceededError):
+        count_submodules(rep5, v, cap=walked - 1)
 
 
 # -- count polynomials --------------------------------------------------------
@@ -361,7 +445,7 @@ def test_count_polynomial_rejects_bad_primes():
 def test_interpolation_inconsistency_detected(monkeypatch):
     # Degree-two counts against a degree-one bound must fail the extra-prime
     # certificate rather than be silently accepted.
-    monkeypatch.setattr(grassmann, "count_submodules", lambda rep, v, cap=None: rep.field.p ** 2)
+    monkeypatch.setattr(grassmann, "_leaves", lambda upper, *rest: upper["1"].field.p ** 2)
     with pytest.raises(InterpolationInconsistentError) as exc:
         count_polynomial(A1, {"1": 2}, {"1": 1}, [2, 3, 5])
     assert exc.value.counts == [(2, 4), (3, 9), (5, 25)]
@@ -374,6 +458,44 @@ def test_kronecker_line_counts_interpolate():
     poly = count_polynomial(K, w, {"1": 1, "2": 1}, [2, 3, 5])
     assert poly.coeffs == (1, 1)
     assert poly.chi == 2
+
+
+# -- certified interpolation ----------------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=5),
+    st.integers(0, 3),
+    st.integers(0, 7),
+    st.integers(-30, 30),
+)
+def test_certified_fit_agrees_with_a_fraction_lagrange(coeffs, spare, at, shift):
+    # The counts of an integer polynomial at degree+1 primes and `spare` more,
+    # the count at index `at` (if any) moved by `shift`.
+    degree = len(coeffs) - 1
+    primes = PRIMES[: degree + 1 + spare]
+    counts = [(p, sum(c * p**k for k, c in enumerate(coeffs)) + (shift if i == at else 0))
+              for i, p in enumerate(primes)]
+    fit = fraction_lagrange(counts[: degree + 1])
+    while len(fit) > 1 and fit[-1] == 0:
+        fit.pop()
+    certified = all(c.denominator == 1 for c in fit) and all(
+        sum(c * p**k for k, c in enumerate(fit)) == n for p, n in counts
+    )
+    if not shift or at >= len(primes):
+        stripped = list(coeffs)
+        while len(stripped) > 1 and stripped[-1] == 0:
+            stripped.pop()
+        assert certified and fit == stripped
+    if certified:
+        assert grassmann._certified_fit(counts, degree) == tuple(int(c) for c in fit)
+    else:
+        with pytest.raises(InterpolationInconsistentError) as exc:
+            grassmann._certified_fit(counts, degree)
+        assert exc.value.counts == counts
 
 
 # -- brute-force cross-checks ----------------------------------------------------
