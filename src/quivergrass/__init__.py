@@ -26,7 +26,7 @@ _EXPORTS = {
                 "verify_sl2"),
     "grassmann": ("CountPoly", "count_polynomial", "count_submodules", "enumerate_submodules",
                   "expected_dimension", "gaussian_binomial", "graded_submodules",
-                  "interpolation_plan", "tilde_count"),
+                  "hull_count", "interpolation_plan", "tilde_count"),
     "hull": ("ExtensionResult", "FramedPoint", "Grading", "InjectiveModel", "arrow_weights",
              "eigen_grading", "extend_to_injective", "framed_point", "identity_framing",
              "induced_automorphism", "injective_hull", "is_stable", "projective_sum",

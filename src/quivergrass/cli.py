@@ -213,15 +213,14 @@ def _cmd_demazure(args) -> int:
 
 
 def _prime_count_task(task: tuple) -> tuple:
-    """Count submodules at one prime; runs in a worker process."""
-    from .grassmann import count_submodules
-    from .hull import injective_hull
-    from .repmod import reduce_mod
+    """Count submodules at one prime; runs in a worker process.
+
+    A worker given several primes builds the hull's set-up once.
+    """
+    from .grassmann import hull_count
 
     qjson, w_items, v_items, p, trunc, cap = task
-    q = quiver_from_json(qjson)
-    model = injective_hull(q, dict(w_items), trunc)
-    return p, count_submodules(reduce_mod(model.rep, p), dict(v_items), cap)
+    return p, hull_count(quiver_from_json(qjson), dict(w_items), dict(v_items), p, trunc, cap)
 
 
 def _cmd_count(args) -> int:

@@ -32,8 +32,10 @@ from .errors import (
 )
 from .fields import QQ
 from .grassmann import (
+    _cap,
     _certified_fit,
     _check_primes,
+    _CountSetup,
     _next_prime,
     count_polynomial,
     count_submodules,
@@ -246,21 +248,21 @@ def finite_points(
     A weight is in the finite regime when its prime-field counts agree across
     all test primes and are either 1 at an extremal weight, whose one point
     is the walk endpoint, or 0, with the empty list.  Every other weight
-    carries a reason instead of a list.
+    carries a reason instead of a list.  The counts run on a set-up of this
+    call's own model, so each prime's slots are built once.
     """
     plist = _check_primes(primes)
+    cap = _cap(cap)
     model = injective_hull(q, w, trunc)
     census = weight_census(q, w)
     orbit = extremal_orbit(q, w)
     points = _extremal_points(model, orbit)
     verts = list(q.vertices)
-    reductions = {p: reduce_mod(model.rep, p) for p in plist}
+    setup = _CountSetup(model)
     statuses = {}
     for vt in sorted(census):
         vdict = dict(zip(verts, vt))
-        counts = tuple(
-            (p, count_submodules(reductions[p], vdict, cap)) for p in plist
-        )
+        counts = tuple((p, setup.count(p, vdict, cap)) for p in plist)
         values = {c for _, c in counts}
         if len(values) != 1:
             statuses[vt] = WeightStatus(

@@ -50,11 +50,20 @@ Invariant: every bound, choice and cell the walk holds is a
 `Subspace.whole`, `extend` and `meet_preimage`, and `_cells_between` builds
 each cell by `Subspace.merge` of two canonical column sets with disjoint
 pivot rows, with no elimination.  Arrow maps enter as their
-`sparse_columns`, split once per enumeration; `count_polynomial` splits the
-hull's rational maps once and reduces only their nonzeros at each prime.  A
-leaf becomes a `Mat` only where a `Subrep` is built, and `Subspace.to_mat`
-is the basis `col_space` gives, so `Subrep.key()` and the output order do
-not depend on the walk.
+`sparse_columns`, split once per enumeration.  A leaf becomes a `Mat` only
+where a `Subrep` is built, and `Subspace.to_mat` is the basis `col_space`
+gives, so `Subrep.key()` and the output order do not depend on the walk.
+
+Set-up rule: `count_polynomial` and `hull_count` count on one set-up per
+hull, kept for the life of the process.  The set-up holds the hull, its
+rational arrow maps split once into `sparse_columns`, and the walk's
+(upper, incoming, outgoing) over F_p, built from those maps' nonzeros the
+first time p is counted.  It is keyed by the quiver, the framing w in
+vertex order and the truncation, and at most 64 are kept (`_count_setup`,
+a bounded `lru_cache`).  The walk only reads the set-up; the target, the
+cap, the walk and its memo belong to one count.  Counts are never kept:
+every call walks at every prime it is not given a count for and certifies
+its fit at a spare prime.
 
 Point counts at several primes feed a Lagrange interpolation, run in
 integers over one common denominator, whose value at 1 is the Euler
@@ -64,6 +73,7 @@ characteristic; every interpolation is certified at an extra prime.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 from operator import mul
@@ -77,7 +87,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import PrimeField, is_prime
-from .hull import Grading, InjectiveModel, injective_hull
+from .hull import Grading, InjectiveModel, _framing, _resolve_trunc, injective_hull
 from .linalg import Subspace, _image, mat_over, sparse_columns
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
@@ -328,19 +338,18 @@ def _check_dim_vector(q: Quiver, v: dict) -> dict:
     return out
 
 
-def _slots(field: PrimeField, q: Quiver, dims: dict, xcols: dict, v: dict) -> tuple:
-    """(upper, incoming, outgoing, target) of `_leaves`, one slot per vertex.
+def _slots(field: PrimeField, q: Quiver, dims: dict, xcols: dict) -> tuple:
+    """(upper, incoming, outgoing) of `_leaves`, one slot per vertex.
 
     `xcols` maps each arrow to its matrix over `field` as `sparse_columns`.
     """
-    target = _check_dim_vector(q, v)
     upper = {u: Subspace.whole(field, dims[u]) for u in q.vertices}
     incoming: dict = {u: [] for u in q.vertices}
     outgoing: dict = {u: [] for u in q.vertices}
     for a in q.arrows:
         incoming[a.dst].append((xcols[a.name], a.src))
         outgoing[a.src].append((xcols[a.name], a.dst))
-    return upper, incoming, outgoing, target
+    return upper, incoming, outgoing
 
 
 def _columns_mod(fp: PrimeField, xcols: list) -> list:
@@ -354,11 +363,12 @@ def _columns_mod(fp: PrimeField, xcols: list) -> list:
 
 
 def _vertex_slots(v_rep: Rep, v: dict) -> tuple:
-    """`_slots` of a representation over a prime field."""
+    """`_slots` of a representation over a prime field, and v as `target`."""
     if not isinstance(v_rep.field, PrimeField):
         raise ValidationError("submodule enumeration requires a prime field")
     xcols = {a.name: sparse_columns(v_rep.map(a.name)) for a in v_rep.quiver.arrows}
-    return _slots(v_rep.field, v_rep.quiver, v_rep.dims, xcols, v)
+    return (*_slots(v_rep.field, v_rep.quiver, v_rep.dims, xcols),
+            _check_dim_vector(v_rep.quiver, v))
 
 
 def _cap(cap: int | None) -> int:
@@ -407,6 +417,72 @@ def tilde_count(v_rep: Rep, v: dict, cap: int | None = None) -> int:
         if is_nilpotent(q_rep):
             total += 1
     return total
+
+
+# -- the counting set-up of a hull ---------------------------------------------
+
+class _CountSetup:
+    """What counting the submodules of one hull needs besides the target.
+
+    The hull's rational arrow maps are split into `sparse_columns` once, and
+    the walk's (upper, incoming, outgoing) over F_p are built from their
+    nonzeros the first time p is counted, then kept, one entry per prime
+    counted.  `_leaves` only reads them, so every count shares them; the
+    target, the cap and the walk belong to one count.
+    """
+
+    def __init__(self, model: InjectiveModel):
+        self.rep = rep = model.rep
+        self._qcols = {a.name: sparse_columns(rep.map(a.name)) for a in rep.quiver.arrows}
+        self._by_prime: dict = {}
+
+    def slots(self, p: int) -> tuple:
+        """(upper, incoming, outgoing) of `_leaves` over F_p, built once."""
+        out = self._by_prime.get(p)
+        if out is None:
+            fp = PrimeField(p)
+            xcols = {a: _columns_mod(fp, cols) for a, cols in self._qcols.items()}
+            out = self._by_prime[p] = _slots(fp, self.rep.quiver, self.rep.dims, xcols)
+        return out
+
+    def count(self, p: int, target: dict, cap: int) -> int:
+        """The number of submodules over F_p of dims `target`.
+
+        `target` must be checked and name every vertex, as
+        `_check_dim_vector` returns it.
+        """
+        return _leaves(*self.slots(p), target, cap, _COUNT)
+
+
+@lru_cache(maxsize=64)
+def _count_setup(base: Quiver, wt: tuple, trunc: int | None) -> _CountSetup:
+    """The shared set-up of the hull of `base` framed by wt, in vertex order.
+
+    One per (quiver, framing, truncation), at most 64 kept; an evicted one
+    is rebuilt on demand.  The hull is the set-up's own, built from the key
+    alone; `injective_hull` still gives every other caller a new model.
+    """
+    return _CountSetup(injective_hull(base, dict(zip(base.vertices, wt)), trunc))
+
+
+def _hull_key(q: Quiver, w: dict, trunc: int | None) -> tuple:
+    """The `_count_setup` key of the hull of q framed by w, checked as
+    `injective_hull` checks it."""
+    base, wt = _framing(q, w)
+    _resolve_trunc(base, trunc)
+    return base, wt, trunc
+
+
+def hull_count(q: Quiver, w: dict, v: dict, p: int, trunc: int | None = None,
+               cap: int | None = None) -> int:
+    """The number of submodules of dims v of the hull I(w) over F_p.
+
+    Counts on the hull's shared set-up, as `count_polynomial` does.
+    """
+    key = _hull_key(q, w, trunc)
+    (p,) = _check_primes([p])
+    target = _check_dim_vector(key[0], v)
+    return _count_setup(*key).count(p, target, _cap(cap))
 
 
 # -- point-count interpolation ------------------------------------------------
@@ -547,20 +623,20 @@ def count_polynomial(
     appended automatically if none is left) certifies the polynomial.
     `known_counts` is an optional {prime: count} cache consulted before
     counting; missing primes are still counted here, and every value feeds
-    the same consistency certification either way.
+    the same consistency certification either way.  The primes left to count
+    are counted on the hull's shared set-up (`_count_setup`); when none is
+    left, no set-up is built.
     """
-    model = injective_hull(q, w, trunc)
-    interp, extras = interpolation_plan(model.base, w, v, primes)
+    key = _hull_key(q, w, trunc)
+    interp, extras = interpolation_plan(key[0], w, v, primes)
+    target = _check_dim_vector(key[0], v)
+    cap = _cap(cap)
     bound = len(interp) - 1
-    rep = model.rep
-    qcols = {a.name: sparse_columns(rep.map(a.name)) for a in rep.quiver.arrows}
     counts = []
     for p in interp + extras:
         n = None if known_counts is None else known_counts.get(p)
         if n is None:
-            fp = PrimeField(p)
-            xcols = {a: _columns_mod(fp, cols) for a, cols in qcols.items()}
-            n = _leaves(*_slots(fp, rep.quiver, rep.dims, xcols, v), _cap(cap), _COUNT)
+            n = _count_setup(*key).count(p, target, cap)
         counts.append((p, int(n)))
     return CountPoly(
         coeffs=_certified_fit(counts, bound),

@@ -127,6 +127,19 @@ def _resolve_trunc(q: Quiver, trunc: int | None) -> tuple[int, bool]:
     return (default_truncation(q) if trunc is None else trunc), False
 
 
+def _framing(q: Quiver, w: dict) -> tuple:
+    """The base quiver and w's multiplicities over its vertices, in vertex order.
+
+    Fails, as a hull or a sum of projectives does, on a negative multiplicity.
+    """
+    alg = algebra(q)
+    base = alg.base if alg.base is not None else q
+    wt = tuple(w.get(v, 0) for v in base.vertices)
+    if any(m < 0 for m in wt):
+        raise ValidationError("socle multiplicities must be non-negative")
+    return base, wt
+
+
 def _path_basis(q: Quiver, w: dict, trunc: int | None, ends) -> tuple:
     """The summand-labelled path basis of a sum of truncated pieces.
 
@@ -137,9 +150,7 @@ def _path_basis(q: Quiver, w: dict, trunc: int | None, ends) -> tuple:
     it. Returns (base, trunc, full, summands, labels, index).
     """
     alg = algebra(q)
-    base = alg.base if alg.base is not None else q
-    if any(w.get(v, 0) < 0 for v in base.vertices):
-        raise ValidationError("socle multiplicities must be non-negative")
+    base, wt = _framing(q, w)
     n, full = _resolve_trunc(base, trunc)
     slices = []
     for deg in range(n):
@@ -148,7 +159,7 @@ def _path_basis(q: Quiver, w: dict, trunc: int | None, ends) -> tuple:
         if deg >= 2 and sl.dim() == 0 and slices[-1].dim() == 0:
             break
         slices.append(sl)
-    summands = tuple(v for v in base.vertices for _ in range(w.get(v, 0)))
+    summands = tuple(v for v, m in zip(base.vertices, wt) for _ in range(m))
     labels = {
         v: [(k, p) for k, i in enumerate(summands) for sl in slices
             for p in sl.block(*ends(i, v)).paths]

@@ -248,7 +248,20 @@ def apply_involution(q: Quiver, perm: dict, w) -> dict:
 # -- weight multiplicities ----------------------------------------------------
 
 def positive_roots(q: Quiver) -> list:
-    """Root coordinates of the positive roots, by increasing height."""
+    """Root coordinates of the positive roots, by increasing height.
+
+    Each call returns a fresh list, copied from `_roots`' bounded cache.
+    """
+    return list(_roots(q))
+
+
+@lru_cache(maxsize=256)
+def _roots(q: Quiver) -> tuple:
+    """The roots of positive_roots as a tuple.
+
+    Bounded so a long-lived process keeps the roots of at most 256 quivers;
+    evicted roots are recomputed on demand in the same order.
+    """
     require_finite_type(q)
     n = len(q.vertices)
     simples = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
@@ -267,7 +280,7 @@ def positive_roots(q: Quiver) -> list:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen, key=lambda x: (sum(x), x))
+    return tuple(sorted(seen, key=lambda x: (sum(x), x)))
 
 
 @lru_cache(maxsize=256)

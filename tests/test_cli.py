@@ -156,6 +156,19 @@ def test_count_workers_byte_identical(capsys, monkeypatch, a2_path):
         assert pools == ([bound] if bound > 1 else [])
 
 
+def test_count_worker_builds_its_hull_once(monkeypatch):
+    from quivergrass import cli, grassmann
+
+    grassmann._count_setup.cache_clear()
+    builds = []
+    real = grassmann.injective_hull
+    monkeypatch.setattr(grassmann, "injective_hull", lambda *a: builds.append(a) or real(*a))
+    ones = (("1", 1), ("2", 1))
+    tasks = [(json.dumps(A2), ones, ones, p, None, None) for p in (2, 3, 5)]
+    assert [cli._prime_count_task(t) for t in tasks] == [(2, 5), (3, 7), (5, 11)]
+    assert len(builds) == 1
+
+
 def test_weightmult(capsys, a2_path):
     rc, out, _ = run_cli(capsys, ["weightmult", a2_path, "--w", "1,1", "--v", "1,1"])
     assert rc == 0

@@ -211,6 +211,21 @@ def test_truncated_dynkin_hull_asks_for_a_longer_truncation():
         assert err.value.suggested == 4
 
 
+def test_finite_points_builds_each_primes_slots_once(monkeypatch):
+    import quivergrass.grassmann as grassmann
+
+    built = []
+    slots = grassmann._slots
+    monkeypatch.setattr(grassmann, "_slots", lambda *a: built.append(a[0].p) or slots(*a))
+    real = finite_points(D4, {"0": 0, "1": 1, "2": 0, "3": 0}, primes=(2, 3, 5))
+    assert len(real.statuses) == 8 and real.finite
+    assert built == [2, 3, 5]
+    for vt, st in real.statuses.items():
+        v = dict(zip(D4.vertices, vt))
+        assert st.counts == tuple(
+            (p, count_submodules(reduce_mod(real.model.rep, p), v)) for p in (2, 3, 5))
+
+
 def test_one_prime_realizes_no_weight_off_the_orbit():
     # The adjoint's zero weight (1, 1) counts 5 at p = 2 alone; one prime
     # must not make its positive-dimensional stratum a point list.

@@ -611,6 +611,149 @@ def test_leading_coefficient_is_weight_multiplicity_over_a3_census():
         assert count_polynomial(A3, w, v, [2, 3, 5, 7]).leading == mult, vec
 
 
+# -- the shared counting set-up -------------------------------------------------
+
+def _recorded(monkeypatch, name):
+    """Record the arguments of every call to `grassmann.<name>`."""
+    calls = []
+    real = getattr(grassmann, name)
+    monkeypatch.setattr(grassmann, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _a3_census_polys(w):
+    return {vec: count_polynomial(A3, w, dict(zip(A3.vertices, vec)), [2, 3, 5, 7])
+            for vec in sorted(weight_census(A3, w))}
+
+
+def test_count_setup_builds_each_hull_and_its_slots_once(monkeypatch):
+    w = {"1": 1, "2": 1, "3": 1}
+    grassmann._count_setup.cache_clear()
+    hulls = _recorded(monkeypatch, "injective_hull")
+    slots = _recorded(monkeypatch, "_slots")
+    first = _a3_census_polys(w)
+    assert len(first) == 38
+    assert len(hulls) == 1
+    assert sorted(args[0].p for args in slots) == [2, 3, 5, 7]
+    assert _a3_census_polys(w) == first
+    assert len(hulls) == 1 and len(slots) == 4
+    grassmann._count_setup.cache_clear()
+    assert _a3_census_polys(w) == first
+    assert len(hulls) == 2
+
+
+def test_count_setup_is_kept_per_truncation():
+    # The Kronecker hull truncated at 3 is a proper submodule of the one at
+    # 4, and their counts differ; a set-up kept without the truncation would
+    # answer the second with the first's counts.
+    K = kronecker_quiver()
+    w, v = {"1": 1, "2": 0}, {"1": 2, "2": 2}
+    want = {3: (1, 1, 1), 4: (1, 2, 2)}
+    for order in ((3, 4), (4, 3)):
+        grassmann._count_setup.cache_clear()
+        for trunc in order:
+            assert count_polynomial(K, w, v, [2, 3, 5], trunc=trunc).coeffs == want[trunc]
+
+
+def test_count_setup_ignores_later_edits_to_the_callers_framing():
+    v, primes = {"1": 1, "2": 1}, [2, 3, 5]
+    w = {"1": 1, "2": 1}
+    first = count_polynomial(A2, w, v, primes)
+    w["1"] = 0
+    edited = count_polynomial(A2, w, v, primes)
+    # I(2) has dims (1, 1): its one submodule of those dims is itself.
+    assert edited.counts == ((2, 1), (3, 1), (5, 1))
+    assert count_polynomial(A2, {"1": 1, "2": 1}, v, primes) == first
+    grassmann._count_setup.cache_clear()
+    assert count_polynomial(A2, {"1": 0, "2": 1}, v, primes) == edited
+
+
+def test_count_setup_keeps_every_input_check():
+    w, v, primes = {"1": 1, "2": 1}, {"1": 1, "2": 1}, [2, 3, 5]
+    count_polynomial(A2, w, v, primes)
+    for bad_v in ({"1": 1, "2": 1, "9": 1}, {"1": 1, "2": -1}):
+        with pytest.raises(ValidationError):
+            count_polynomial(A2, w, bad_v, primes)
+    with pytest.raises(ValidationError):
+        count_polynomial(A2, {"1": -1, "2": 1}, v, primes)
+    for bad_primes in ([2, 4, 5], [2, 2, 3], []):
+        with pytest.raises(ValidationError):
+            count_polynomial(A2, w, v, bad_primes)
+    with pytest.raises(ValidationError):
+        count_polynomial(A2, w, v, primes, trunc=0)
+
+
+def test_count_setup_charges_the_same_cap():
+    w, v, primes = {"1": 1, "2": 1, "3": 1}, {"1": 1, "2": 2, "3": 1}, [2, 3, 5, 7]
+
+    def passes(cap, cold):
+        if cold:
+            grassmann._count_setup.cache_clear()
+        try:
+            count_polynomial(A3, w, v, primes, cap=cap)
+        except CapExceededError:
+            return False
+        return True
+
+    # The least cap that passes on a cleared cache, by bisection.
+    lo, hi = 0, 1
+    while not passes(hi, cold=True):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid, cold=True) else (mid, hi)
+    assert not passes(hi - 1, cold=True)
+    assert passes(hi, cold=False)
+    assert not passes(hi - 1, cold=False)
+
+
+def _snapshot(slots):
+    """(upper, incoming, outgoing) read afresh; `Subspace.key()` is kept on the
+    object once built, so it is rebuilt here from the pivots and columns."""
+    upper, incoming, outgoing = slots
+    return (
+        {s: (u.piv, tuple(map(tuple, u.cols))) for s, u in upper.items()},
+        {s: [(list(xcols), t) for xcols, t in pairs] for s, pairs in incoming.items()},
+        {s: [(list(xcols), t) for xcols, t in pairs] for s, pairs in outgoing.items()},
+    )
+
+
+def test_a_walk_leaves_the_shared_slots_unchanged():
+    w, v = {"1": 1, "2": 1, "3": 1}, {"1": 1, "2": 2, "3": 1}
+    key = grassmann._hull_key(A3, w, None)
+    shared = grassmann._count_setup(*key).slots(3)
+    before = _snapshot(shared)
+    assert [u.key() for u in shared[0].values()] == [cols for _, cols in before[0].values()]
+    count_polynomial(A3, w, v, [2, 3, 5, 7])
+    assert len(grassmann._expanded(*shared, v, 10**6)) == count_submodules(
+        reduce_mod(grassmann._count_setup(*key).rep, 3), v)
+    assert grassmann._count_setup(*key).slots(3) is shared
+    assert _snapshot(shared) == before
+
+
+def test_known_counts_at_every_planned_prime_build_no_setup(monkeypatch):
+    w = v = {"1": 1, "2": 1}
+    want = count_polynomial(A2, w, v, [2, 3, 5])
+
+    def refuse(*args):
+        raise AssertionError("count_polynomial built a counting set-up")
+
+    monkeypatch.setattr(grassmann, "_count_setup", refuse)
+    assert count_polynomial(A2, w, v, [2, 3, 5], known_counts=dict(want.counts)) == want
+
+
+def test_hull_count_is_the_count_at_one_prime(monkeypatch):
+    w, v = {"1": 1, "2": 1, "3": 1}, {"1": 1, "2": 2, "3": 1}
+    poly = count_polynomial(A3, w, v, [2, 3, 5, 7])
+    hulls = _recorded(monkeypatch, "injective_hull")
+    assert [(p, grassmann.hull_count(A3, w, v, p)) for p, _ in poly.counts] == list(poly.counts)
+    assert hulls == []
+    with pytest.raises(ValidationError):
+        grassmann.hull_count(A3, w, v, 4)
+    with pytest.raises(ValidationError):
+        grassmann.hull_count(A3, w, {"9": 1}, 2)
+
+
 # -- tilde counts --------------------------------------------------------------
 
 def test_tilde_count_matches_plain_count_via_duality():

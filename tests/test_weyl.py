@@ -169,6 +169,23 @@ def test_positive_root_counts():
     assert positive_roots(A2) == [(0, 1), (1, 0), (1, 1)]
 
 
+def test_positive_roots_are_cached_and_handed_out_fresh():
+    assert weyl._roots.cache_info().maxsize is not None
+    first = positive_roots(A3)
+    first[0] = (9, 9, 9)
+    first.append((1, 2, 1))
+    assert positive_roots(A3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0),
+                                  (1, 1, 1)]
+    assert positive_roots(A3) is not positive_roots(A3)
+
+
+def test_all_ones_census_has_dimension_two_to_the_positive_roots():
+    # By Weyl's formula dim V(rho) = prod over the positive roots a of
+    # (2 rho, a) / (rho, a) = 2^|Phi+|, with 6, 10 and 12 positive roots.
+    for q, dim in ((A3, 64), (line_quiver(4), 1024), (D4, 4096)):
+        assert sum(weight_census(q, {v: 1 for v in q.vertices}).values()) == dim
+
+
 def test_weight_multiplicities():
     assert weight_multiplicity(A1, {"1": 2}, {"1": 1}) == 1
     assert weight_multiplicity(A2, {"1": 1, "2": 1}, {"1": 1, "2": 1}) == 2
