@@ -130,7 +130,7 @@ def _resolve_trunc(q: Quiver, trunc: int | None) -> tuple[int, bool]:
 def _framing(q: Quiver, w: dict) -> tuple:
     """The base quiver and w's multiplicities over its vertices, in vertex order.
 
-    Fails, as a hull or a sum of projectives does, on a negative multiplicity.
+    Refuses a negative multiplicity.
     """
     alg = algebra(q)
     base = alg.base if alg.base is not None else q
