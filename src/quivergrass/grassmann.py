@@ -49,16 +49,19 @@ Invariant: every bound, choice and cell the walk holds is a
 `linalg.Subspace`, canonical by construction: the bounds come from
 `Subspace.whole`, `extend` and `meet_preimage`, and `_cells_between` builds
 each cell by `Subspace.merge` of two canonical column sets with disjoint
-pivot rows, with no elimination.  Arrow maps enter as their
-`sparse_columns`, split once per enumeration.  A leaf becomes a `Mat` only
-where a `Subrep` is built, and `Subspace.to_mat` is the basis `col_space`
-gives, so `Subrep.key()` and the output order do not depend on the walk.
+pivot rows, with no elimination.  A basis column is one int, each entry in
+its own lane, stored reduced, so the column tuple is the memo key.  Arrow
+maps enter as packed image columns (j, X·e_j), built by `_columns_mod`
+from their `sparse_columns` once per set-up and prime (`_slots`).  A leaf
+becomes a `Mat` only where a `Subrep` is built, and `Subspace.to_mat`
+unpacks the basis `col_space` gives, so `Subrep.key()` and the output
+order do not depend on the walk.
 
 Set-up rule: `count_polynomial` and `hull_count` count on one set-up per
 hull, kept for the life of the process.  The set-up holds the hull, its
 rational arrow maps split once into `sparse_columns`, and the walk's
-(upper, incoming, outgoing) over F_p, built from those maps' nonzeros the
-first time p is counted.  It is keyed by the quiver, the framing w in
+(upper, incoming, outgoing) over F_p, its maps packed from those nonzeros
+the first time p is counted.  It is keyed by the quiver, the framing w in
 vertex order and the truncation, and at most 64 are kept (`_count_setup`,
 a bounded `lru_cache`).  The walk only reads the set-up; the target, the
 cap, the walk and its memo belong to one count.  Counts are never kept:
@@ -88,7 +91,7 @@ from .errors import (
 )
 from .fields import PrimeField, is_prime
 from .hull import Grading, InjectiveModel, _framing, _resolve_trunc, injective_hull
-from .linalg import Subspace, _image, mat_over, sparse_columns
+from .linalg import Subspace, _image, _lanes, mat_over, sparse_columns
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
     Rep,
@@ -125,22 +128,34 @@ def subspace_cells(span: Subspace, k: int):
     and adds to each any combination of the later columns not taken.  Span's
     columns are zero above their pivots and at each other's, so the result
     has its leading 1s at the taken columns' pivots and is zero at the other
-    taken pivots: canonical, and each subspace appears exactly once.
+    taken pivots: canonical, and each subspace appears exactly once.  The
+    columns of a cell are chosen independently, so each column's choices
+    are built once, reduced, and the cells are their products; the first
+    column, which has the most choices, is walked lazily.
     """
     m = len(span.piv)
     if k < 0 or k > m:
         return
-    p = span.field.p
-    cols = span.cols
+    ln = span.lanes
+    p, red, cols = ln.p, ln.reduce, span.cols
+    if not k:
+        yield Subspace(span.field, span.n, (), (), ln)
+        return
+
+    def choices(taken, t):
+        j = taken[t]
+        rest = [cols[f] for f in range(j + 1, m) if f not in taken]
+        if not rest:
+            return (cols[j],)
+        return (red(cols[j] + sum(map(mul, vals, rest)))
+                for vals in product(range(p), repeat=len(rest)))
+
     for taken in combinations(range(m), k):
-        free = [(t, f) for t, j in enumerate(taken) for f in range(j + 1, m) if f not in taken]
         piv = tuple(span.piv[j] for j in taken)
-        for vals in product(range(p), repeat=len(free)):
-            out = [cols[j] for j in taken]
-            for (t, f), a in zip(free, vals):
-                if a:
-                    out[t] = [(x + a * y) % p for x, y in zip(out[t], cols[f])]
-            yield Subspace(span.field, span.n, piv, tuple(out))
+        later = [tuple(choices(taken, t)) for t in range(1, k)]
+        for first in choices(taken, 0):
+            for tail in product(*later):
+                yield Subspace(span.field, span.n, piv, (first,) + tail, ln)
 
 
 def _cells_between(lower: Subspace, upper: Subspace, k: int, counter: list, cap: int):
@@ -228,7 +243,7 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
     `upper` maps each slot, in slot order, to its starting upper bound (a
     `Subspace`) and `target` to its dimension.  `incoming[s]` and
     `outgoing[s]` list (map, slot) pairs for the arrows ending and starting
-    at s, each map as its `sparse_columns`.
+    at s, each map as packed image columns (`_columns_mod`).
 
     Placing a slot moves each unplaced neighbour's bounds: its lower bound
     takes in the image of the choice, its upper bound is cut to the
@@ -263,7 +278,7 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
         for xcols, t in outgoing[s]:
             if t in rest:
                 lo, hi, _ = new[t]
-                lo = lo.extend(_image(xcols, lo.n, w.cols))
+                lo = lo.extend(_image(xcols, w.lanes, w.cols))
                 if len(lo.piv) > target[t]:
                     return None  # no cell fits; skip the costlier upper bounds
                 new[t] = (lo, hi, None)
@@ -341,24 +356,28 @@ def _check_dim_vector(q: Quiver, v: dict) -> dict:
 def _slots(field: PrimeField, q: Quiver, dims: dict, xcols: dict) -> tuple:
     """(upper, incoming, outgoing) of `_leaves`, one slot per vertex.
 
-    `xcols` maps each arrow to its matrix over `field` as `sparse_columns`.
+    `xcols` maps each arrow to its matrix as `sparse_columns`, over Q or
+    `field`; each is packed once into image columns over `field`.
     """
     upper = {u: Subspace.whole(field, dims[u]) for u in q.vertices}
     incoming: dict = {u: [] for u in q.vertices}
     outgoing: dict = {u: [] for u in q.vertices}
     for a in q.arrows:
-        incoming[a.dst].append((xcols[a.name], a.src))
-        outgoing[a.src].append((xcols[a.name], a.dst))
+        packed = _columns_mod(field, dims[a.dst], xcols[a.name])
+        incoming[a.dst].append((packed, a.src))
+        outgoing[a.src].append((packed, a.dst))
     return upper, incoming, outgoing
 
 
-def _columns_mod(fp: PrimeField, xcols: list) -> list:
-    """`sparse_columns` over Q reduced into F_p, dropping the entries that vanish."""
+def _columns_mod(fp: PrimeField, n: int, xcols: list) -> list:
+    """`sparse_columns` of a map into F^n, over Q or F_p, reduced into F_p and
+    packed as image columns (j, X·e_j) in `Subspace` lanes; zero ones dropped."""
+    sh = _lanes(fp.p, n).shifts
     out = []
     for j, col in xcols:
-        col = tuple((i, y) for i, x in col if (y := fp.of(x)))
-        if col:
-            out.append((j, col))
+        c = sum(y << sh[i] for i, x in col if (y := fp.of(x)))
+        if c:
+            out.append((j, c))
     return out
 
 
@@ -440,9 +459,8 @@ class _CountSetup:
         """(upper, incoming, outgoing) of `_leaves` over F_p, built once."""
         out = self._by_prime.get(p)
         if out is None:
-            fp = PrimeField(p)
-            xcols = {a: _columns_mod(fp, cols) for a, cols in self._qcols.items()}
-            out = self._by_prime[p] = _slots(fp, self.rep.quiver, self.rep.dims, xcols)
+            out = self._by_prime[p] = _slots(PrimeField(p), self.rep.quiver, self.rep.dims,
+                                             self._qcols)
         return out
 
     def count(self, p: int, target: dict, cap: int) -> int:
@@ -674,7 +692,8 @@ def graded_submodules(
             if lam_p in seen:
                 raise BadPrimeError(f"grading eigenvalues collide mod {p} at vertex {vert!r}")
             seen.add(lam_p)
-            basis_p = Subspace(fp, basis.rows).extend(zip(*mat_over(fp, basis).a))
+            basis_p = Subspace(fp, basis.rows)
+            basis_p = basis_p.extend(map(basis_p.lanes.pack, zip(*mat_over(fp, basis).a)))
             if len(basis_p.piv) != basis.cols:
                 raise BadPrimeError(f"grading layer degenerates mod {p} at vertex {vert!r}")
             entries.append((lam, basis_p))
@@ -697,8 +716,8 @@ def graded_submodules(
     incoming: dict = {slot: [] for slot in upper}
     outgoing: dict = {slot: [] for slot in upper}
     for a in rep_p.quiver.arrows:
-        xcols = sparse_columns(rep_p.map(a.name))
         n_out = rep_p.dim(a.dst)
+        xcols = _columns_mod(fp, n_out, sparse_columns(rep_p.map(a.name)))
         factor = Fraction(grading.z) ** (-(grading.weights[a.name] + 1))
         for k, (lam, basis_p) in enumerate(layers[a.src]):
             lam_out = Fraction(lam) * factor
@@ -707,7 +726,7 @@ def graded_submodules(
                 if Fraction(lam2) == lam_out:
                     k_out = k2
                     break
-            image = Subspace(fp, n_out).extend(_image(xcols, n_out, basis_p.cols))
+            image = Subspace(fp, n_out).extend(_image(xcols, basis_p.lanes, basis_p.cols))
             if k_out is None:
                 if image.piv:
                     raise BadPrimeError(

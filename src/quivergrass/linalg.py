@@ -53,26 +53,31 @@ writes the projection along span(w) onto the free rows directly, row f as
 e_f - sum_j w[f, j]·e_{p_j}, for quotients.
 
 Over F_p, submodule enumeration works on `Subspace`, not `Mat`: a pivot
-tuple and basis columns as lists of ints mod p, canonical by construction,
-since only four constructors make one. `extend` reduces each new vector at
-the stored pivots and clears its leading row from the stored columns;
-`meet_preimage` gives {x in span(h) : X·x in span(w)} by one elimination
-of the images of h's columns against w's, carrying their combinations;
-`contains` reads a column's coordinates off the pivots; and `merge` joins
-two bases with disjoint pivot rows without eliminating, which is how
+tuple and basis columns, each packed into one int with a fixed-width lane
+per entry, canonical by construction, since only four constructors make
+one. Each updates a whole column by one int multiply-add and reduces every
+lane at once, by one Barrett step, only when a lane must be read (see
+`Subspace`). `extend` clears each new vector at the stored pivots and its
+leading row from the stored columns; `meet_preimage` gives
+{x in span(h) : X·x in span(w)} by one elimination of the images of h's
+columns under X cleared at w's pivots, carrying their combinations; `contains`
+reads a column's coordinates off the pivots; and `merge` joins two bases
+with disjoint pivot rows without eliminating, which is how
 `grassmann._cells_between` builds its cells. Each sees an arrow map X as
-its `sparse_columns`, the nonzero columns as (column, ((row, entry), ...))
-pairs, taken once per enumeration: hull maps are mostly zero, with at most
-one nonzero per column. `Subspace.to_mat` gives the basis as the `Mat` that
-`col_space` gives for any spanning set. Every other caller (`repmod`,
+packed image columns (j, X·e_j), built once per set-up and prime from its
+`sparse_columns`, the nonzero columns as (column, ((row, entry), ...))
+pairs: hull maps are mostly zero, with at most one nonzero per column.
+`Subspace.to_mat` unpacks the basis into the `Mat` that `col_space` gives
+for any spanning set. Every other caller (`repmod`,
 `hull`, `demazure`, `geomrep`, `acceptance`) uses the Mat functions above.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from functools import lru_cache
 
-from .errors import NoSolutionError, ShapeMismatchError
+from .errors import LimitError, NoSolutionError, ShapeMismatchError
 
 
 class Mat:
@@ -441,6 +446,52 @@ def _projection(w: Mat, free) -> Mat:
 
 # -- subspaces of F_p^n ----------------------------------------------------------
 
+# Between two reductions a lane sums at most 2n products of two residues
+# (see `Subspace`); n <= MAX_PACKED_DIM keeps it below 2^16·p^2 <= 2^E.
+MAX_PACKED_DIM = 2**15 - 1
+
+
+class _Lanes:
+    """The lane layout of F_p^n and its one reduction (see `Subspace`)."""
+
+    __slots__ = ("p", "bits", "width", "mask", "shifts", "reduce")
+
+    def __init__(self, p: int, n: int):
+        b = p.bit_length()
+        self.p = p
+        self.bits = e = 2 * b + 16
+        self.width = w = 2 * e + 2
+        self.mask = (1 << w) - 1
+        self.shifts = tuple(range(0, w * n, w))
+        s = e + b + 1
+        m = (1 << s) // p + 1
+        # E - b + 1 low bits of each lane; sum_{i<n} 2^(W·i) = (2^(W·n) - 1) / (2^W - 1).
+        q = ((1 << (e - b + 1)) - 1) * (((1 << (w * n)) - 1) // self.mask)
+
+        def reduce(v: int) -> int:
+            """Every lane of v, each below 2^E, reduced mod p by one Barrett step;
+            a closure, as the walk's most frequent call, reading cells, not attributes."""
+            return v - p * (((v * m) >> s) & q)
+
+        self.reduce = reduce
+
+    def pack(self, entries) -> int:
+        """A vector of n ints, any residues, as one reduced column."""
+        p = self.p
+        return sum((x % p) << t for x, t in zip(entries, self.shifts))
+
+
+@lru_cache(maxsize=256)
+def _lanes(p: int, n: int) -> _Lanes:
+    """The lane kernel of F_p^n; a dimension past MAX_PACKED_DIM is refused."""
+    if n > MAX_PACKED_DIM:
+        raise LimitError(
+            f"vertex dimension {n} exceeds {MAX_PACKED_DIM}, the largest whose "
+            f"packed F_p lanes stay below their reduction bound"
+        )
+    return _Lanes(p, n)
+
+
 def sparse_columns(m: Mat) -> list:
     """The nonzero columns of m as (j, ((i, m[i][j]), ...)) pairs, j increasing."""
     out = []
@@ -451,18 +502,16 @@ def sparse_columns(m: Mat) -> list:
     return out
 
 
-def _image(xcols, n: int, vectors):
-    """Yield X·v for each vector v, X given by `sparse_columns` with n rows.
-
-    The entries are left unreduced; the `Subspace` constructors reduce them.
-    """
+def _image(xcols, lanes: _Lanes, vectors):
+    """Yield X·v = sum_j v_j·(X·e_j), unreduced, for each packed vector v of
+    `lanes`, X given by its packed image columns (j, X·e_j)."""
+    sh, mask = lanes.shifts, lanes.mask
     for v in vectors:
-        out = [0] * n
+        out = 0
         for j, col in xcols:
-            a = v[j]
+            a = (v >> sh[j]) & mask
             if a:
-                for i, x in col:
-                    out[i] += a * x
+                out += a * col
         yield out
 
 
@@ -470,135 +519,163 @@ class Subspace:
     """A subspace of F_p^n, held by its canonical column-echelon basis.
 
     `piv` is the tuple of pivot rows, strictly increasing, and `cols[j]` is
-    the basis column with its leading 1 at piv[j]: a list of n ints in
-    0..p-1, zero above piv[j] and at every other pivot row, the form
-    `col_space` gives. Only the constructors below make one, and each keeps
-    that form, so a Subspace is canonical by construction. No column is
-    changed once a Subspace holds it, so Subspaces share columns freely.
+    the basis column with its leading 1 at piv[j], zero above piv[j] and at
+    every other pivot row, the form `col_space` gives. Only the constructors
+    below make one, and each keeps that form, so a Subspace is canonical by
+    construction. A column is one int: entry i sits in lane i, bits
+    [W·i, W·(i+1)). Stored columns are reduced, every lane in 0..p-1, so a
+    column is canonical as an int and the column tuple is the key.
+
+    Lanes (`lanes`, a `_Lanes`): with b = p.bit_length(), a lane holds a
+    value below 2^E, E = 2b + 16, and W = 2E + 2, fixed by p. The
+    constructors change a column only by v + (p - a)·c, a a residue and c a
+    reduced column, or scale a reduced column, so no lane goes negative;
+    between two reductions a lane sums at most 2n products below p^2 (an
+    image over n source columns, then n pivots cleared), below 2^E while
+    n <= MAX_PACKED_DIM, which `_lanes` enforces. `reduce` is Barrett's
+    step with S = E + b + 1 and M = floor(2^S / p) + 1: a lane x has
+    x·M < 2^(2E+2) = 2^W, so the lanes of v·M occupy disjoint bits, and
+    (v·M) >> S, masked to E - b + 1 bits per lane, holds floor(x·M / 2^S)
+    in each lane. That is floor(x / p), because x·M / 2^S exceeds x / p by
+    less than 2^(E-S) < 1/p; so v - p·that is every lane mod p, with no
+    borrow. A lane is read as a residue only after a reduction or with a
+    final `% p`.
     """
 
-    __slots__ = ("field", "n", "piv", "cols", "_key")
+    __slots__ = ("field", "n", "piv", "cols", "lanes")
 
-    def __init__(self, field, n: int, piv: tuple = (), cols: tuple = ()):
+    def __init__(self, field, n: int, piv: tuple = (), cols: tuple = (), lanes=None):
         self.field = field
         self.n = n
         self.piv = piv
         self.cols = cols
-        self._key = None
+        self.lanes = lanes or _lanes(field.p, n)
 
     def key(self) -> tuple:
-        """The basis as a tuple of column tuples, built once and kept.
-
-        The basis is canonical, so two subspaces of one F_p^n are equal
-        exactly when their keys are.
-        """
-        key = self._key
-        if key is None:
-            key = self._key = tuple(map(tuple, self.cols))
-        return key
+        """The basis columns; the basis is canonical, so two subspaces of one
+        F_p^n are equal exactly when their keys are."""
+        return self.cols
 
     @classmethod
     def whole(cls, field, n: int) -> "Subspace":
-        units = tuple([int(i == j) for i in range(n)] for j in range(n))
-        return cls(field, n, tuple(range(n)), units)
+        ln = _lanes(field.p, n)
+        return cls(field, n, tuple(range(n)), tuple(1 << t for t in ln.shifts), ln)
 
     def extend(self, vectors) -> "Subspace":
-        """span(self) + span(vectors); a vector is a list of n ints, any residues.
+        """span(self) + span(vectors); a vector is an int in self's lanes, each
+        lane at most MAX_PACKED_DIM products below p^2, as `pack` and `_image` give.
 
-        Each vector in turn is reduced at the stored pivots, scaled to a
-        leading 1 at its first nonzero row r, which is no stored pivot, and
-        row r is cleared from the stored columns; it is then inserted in
+        Each vector in turn is cleared at the stored pivots, reduced, scaled
+        to a leading 1 at its first nonzero row r, which is no stored pivot,
+        and row r is cleared from the stored columns; it is then inserted in
         pivot order. The stored columns stay zero at every other pivot, and
         the new one is zero above r and at every stored pivot, so the result
         is canonical. When no vector is new, self is returned as is.
         """
-        p = self.field.p
+        ln = self.lanes
+        p, mask, sh, w, red = ln.p, ln.mask, ln.shifts, ln.width, ln.reduce
         piv, cols = list(self.piv), list(self.cols)
         for v in vectors:
             for q, c in zip(piv, cols):
-                a = v[q] % p
+                a = ((v >> sh[q]) & mask) % p
                 if a:
-                    v = [x - a * y for x, y in zip(v, c)]
-            for r, a in enumerate(v):
-                if a % p:
-                    break
-            else:
+                    v += (p - a) * c
+            v = red(v)
+            if not v:
                 continue
-            a = pow(a, p - 2, p)
-            v = [x * a % p for x in v]
+            r = ((v & -v).bit_length() - 1) // w
+            a = (v >> sh[r]) & mask
+            if a != 1:
+                v = red(v * pow(a, p - 2, p))
             for t, c in enumerate(cols):
-                b = c[r]
+                b = (c >> sh[r]) & mask
                 if b:
-                    cols[t] = [(x - b * y) % p for x, y in zip(c, v)]
+                    cols[t] = red(c + (p - b) * v)
             t = bisect(piv, r)
             piv.insert(t, r)
             cols.insert(t, v)
         if len(piv) == len(self.piv):
             return self
-        return Subspace(self.field, self.n, tuple(piv), tuple(cols))
+        return Subspace(self.field, self.n, tuple(piv), tuple(cols), ln)
 
     def meet_preimage(self, xcols, w: "Subspace") -> "Subspace":
-        """{x in span(self) : X·x in span(w)}, X given by `sparse_columns`.
+        """{x in span(self) : X·x in span(w)}, X given by packed image columns.
 
-        One elimination. The image X·h_k of each of self's columns, the last
-        column first, is reduced at w's pivots and then against the images
-        kept so far, keyed by leading row, carrying the combination of h's
-        it came from. An image reduced to zero gives a vector of the meet:
-        h_k plus a combination of later columns whose images were kept.
-        Self's columns are zero above their pivots and at each other's, so
-        that vector has its leading 1 at self's k-th pivot and is zero at
-        the other pivots of the meet: the meet is canonical as built. When
-        w is the whole target, self is returned as is.
+        One elimination. The residual R(y) = y - sum_q y[q]·w_q, q over w's
+        pivots, is linear and zero exactly on span(w), so each column X·e_j
+        is cleared at w's pivots once, and R(X·x) = sum_j x_j·R(X·e_j). The
+        image R(X·h_k) of each of self's columns, the last column first, is
+        reduced against the images kept so far, keyed by leading row,
+        carrying the combination of h's it came from. An image reduced to
+        zero gives a vector of the meet: h_k plus a combination of later
+        columns whose images were kept. Self's columns are zero above their
+        pivots and at each other's, so that vector has its leading 1 at
+        self's k-th pivot and is zero at the other pivots of the meet: the
+        meet is canonical as built. When w is the whole target, or every
+        R(X·e_j) is zero, self is returned as is.
         """
         n = w.n
         if len(w.piv) == n or not self.piv:
             return self
-        p = self.field.p
-        wcols = tuple(zip(w.piv, w.cols))
+        ln, src = w.lanes, self.lanes
+        p, mask, sh, width, red = ln.p, ln.mask, ln.shifts, ln.width, ln.reduce
+        ycols = []
+        for j, v in xcols:
+            for q, c in zip(w.piv, w.cols):
+                a = (v >> sh[q]) & mask
+                if a:
+                    v += (p - a) * c
+            v = red(v)
+            if v:
+                ycols.append((j, v))
+        if not ycols:
+            return self
         kept = {}
         piv, cols = [], []
         last = len(self.piv) - 1
-        for k, v in zip(range(last, -1, -1), _image(xcols, n, self.cols[::-1])):
+        for k, v in zip(range(last, -1, -1), _image(ycols, src, self.cols[::-1])):
             carry = self.cols[k]
-            for q, c in wcols:
-                a = v[q] % p
-                if a:
-                    v = [x - a * y for x, y in zip(v, c)]
-            for r in range(n):
-                a = v[r] % p
-                if a:
-                    b = kept.get(r)
-                    if b is None:
+            v = red(v)
+            while v:
+                r = ((v & -v).bit_length() - 1) // width
+                a = (v >> sh[r]) & mask
+                b = kept.get(r)
+                if b is None:
+                    carry = src.reduce(carry)
+                    if a != 1:
                         a = pow(a, p - 2, p)
-                        kept[r] = ([x * a % p for x in v], [x * a % p for x in carry])
-                        break
-                    c, d = b
-                    v = [x - a * y for x, y in zip(v, c)]
-                    carry = [(x - a * y) % p for x, y in zip(carry, d)]
+                        v, carry = red(v * a), src.reduce(carry * a)
+                    kept[r] = (v, carry)
+                    break
+                c, d = b
+                v = red(v + (p - a) * c)
+                carry += (p - a) * d
             else:
                 piv.append(self.piv[k])
-                cols.append(carry)
+                cols.append(src.reduce(carry))
         if len(piv) == len(self.piv):
             return self
-        return Subspace(self.field, self.n, tuple(piv[::-1]), tuple(cols[::-1]))
+        return Subspace(self.field, self.n, tuple(piv[::-1]), tuple(cols[::-1]), src)
 
     def contains(self, other: "Subspace") -> bool:
         """Whether span(other) lies inside span(self).
 
         A vector of span(self) has its first nonzero at a pivot of self, so
-        other's pivots must be among self's; each column of other must then
-        equal its combination of self's columns read off at self's pivots.
+        other's pivots must be among self's; each column of other, less its
+        combination of self's columns read off at self's pivots, must then
+        reduce to zero.
         """
         if not set(other.piv).issubset(self.piv):
             return False
-        p = self.field.p
+        ln = self.lanes
+        p, mask, sh = ln.p, ln.mask, ln.shifts
         for v in other.cols:
             r = v
             for q, c in zip(self.piv, self.cols):
-                a = v[q]
+                a = (v >> sh[q]) & mask
                 if a:
-                    r = [(x - a * y) % p for x, y in zip(r, c)]
-            if any(r):
+                    r += (p - a) * c
+            if ln.reduce(r):
                 return False
         return True
 
@@ -609,25 +686,29 @@ class Subspace:
         column only columns of other whose pivot lies below its leading 1,
         which are zero down to that row and at self's pivots, so the leading
         1 and the zeros at self's pivots stay; the two column sets, merged
-        in pivot order, are canonical.
+        in pivot order, are canonical. Other's columns are zero at each
+        other's pivots, so every coefficient is read off the column as
+        given.
         """
         if not other.piv:
             return self
         if not self.piv:
             return other
-        p = self.field.p
+        ln = self.lanes
+        p, mask, sh = ln.p, ln.mask, ln.shifts
         cols = []
         for c in self.cols:
+            r = c
             for q, d in zip(other.piv, other.cols):
-                a = c[q]
+                a = (c >> sh[q]) & mask
                 if a:
-                    c = [(x - a * y) % p for x, y in zip(c, d)]
-            cols.append(c)
-        merged = sorted(zip(self.piv + other.piv, cols + list(other.cols)))
-        return Subspace(self.field, self.n, tuple(q for q, _ in merged),
-                        tuple(c for _, c in merged))
+                    r += (p - a) * d
+            cols.append(c if r is c else ln.reduce(r))
+        piv, cols = zip(*sorted(zip(self.piv + other.piv, cols + list(other.cols))))
+        return Subspace(self.field, self.n, piv, cols, ln)
 
     def to_mat(self) -> Mat:
         """The canonical basis as a Mat, equal to `col_space` of any spanning set."""
-        rows = [list(r) for r in zip(*self.cols)] if self.cols else [[] for _ in range(self.n)]
+        mask = self.lanes.mask
+        rows = [[(c >> t) & mask for c in self.cols] for t in self.lanes.shifts]
         return Mat(self.field, self.n, len(self.cols), rows)

@@ -78,8 +78,9 @@ def test_gaussian_binomial_values():
 
 
 def _subspace(m):
-    """span(m) as a Subspace."""
-    return Subspace(m.field, m.rows).extend(zip(*m.a))
+    """span(m) as a Subspace, its columns packed into the Subspace's lanes."""
+    s = Subspace(m.field, m.rows)
+    return s.extend(map(s.lanes.pack, zip(*m.a)))
 
 
 def test_subspace_cells_complete_and_canonical():
@@ -460,6 +461,75 @@ def test_kronecker_line_counts_interpolate():
     assert poly.chi == 2
 
 
+def _partitions(n, largest=None):
+    """The number of partitions of n into parts of at most `largest`."""
+    if n == 0:
+        return 1
+    largest = n if largest is None else largest
+    return sum(_partitions(n - k, k) for k in range(1, min(n, largest) + 1))
+
+
+KRONECKER = kronecker_quiver()
+
+
+def test_affine_a1_leading_coefficients_count_partitions():
+    # Frenkel-Kac: in the basic module of affine sl2, the weight at depth
+    # v = (a, b) below Lambda_0 has multiplicity p(a - (a - b)^2), the
+    # number of partitions.  A submodule of dimension v lies in the hull
+    # truncated at |v|, so that truncation counts Gr_v(I(w)) exactly.
+    w = {"1": 1, "2": 0}
+    seen = []
+    for a, b in product(range(5), repeat=2):
+        v = {"1": a, "2": b}
+        d = expected_dimension(KRONECKER, w, v)
+        if not 1 <= a + b <= 4 or d < 0:
+            continue
+        poly = count_polynomial(KRONECKER, w, v, PRIMES[: d + 2], trunc=a + b)
+        assert poly.degree == d and poly.leading == _partitions(a - (a - b) ** 2), (a, b)
+        seen.append(poly.leading)
+    assert seen == [1, 1, 1, 1, 2]
+
+
+# The vector-set oracle builds every subspace it tries, so a weight is
+# checked when sum_x gen(n_x, v_x) + prod_x [n_x, v_x]_p, its subspaces
+# built plus pairs tried, is within a budget; gen(n, k) is
+# p^n * sum_{j<k} [n, j]_p, the vectors tried while growing them.  Of the
+# 222 weights (d(v) >= 0) of these eight hulls and primes, the smaller
+# budget takes 41, every one of w = (1, 0) at truncation 3 among them, and
+# the larger one, run with the slow tests, 53; the rest are out of the
+# oracle's reach.
+
+
+def _brute_cost(dims, v, p):
+    def grown(n, k):
+        return p**n * sum(gaussian_binomial(n, j, p) for j in range(k))
+
+    return (sum(grown(dims[x], v[x]) for x in dims)
+            + gaussian_binomial(dims["1"], v["1"], p) * gaussian_binomial(dims["2"], v["2"], p))
+
+
+@pytest.mark.parametrize("budget", [5 * 10**4, pytest.param(2 * 10**5, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("trunc", [3, 4])
+@pytest.mark.parametrize("wv", [(1, 0), (1, 1)], ids=["w10", "w11"])
+def test_parallel_arrows_match_brute_force_on_kronecker_hulls(wv, trunc, p, budget):
+    # Two arrows join each pair of vertices here, which no `count` input has.
+    w = dict(zip(KRONECKER.vertices, wv))
+    rep = reduce_mod(injective_hull(KRONECKER, w, trunc).rep, p)
+    order = list(rep.quiver.vertices)
+    weights = [
+        v for v in (dict(zip(order, vec)) for vec in product(*(range(rep.dim(x) + 1) for x in order)))
+        if expected_dimension(KRONECKER, w, v) >= 0 and _brute_cost(rep.dims, v, p) <= budget
+    ]
+    assert weights
+    for v in weights:
+        brute = brute_submodules(rep, v)
+        assert count_submodules(rep, v) == brute_submodule_count(rep, v) == len(brute), v
+        got = [tuple(span_set(zip(*s.basis(x).a), rep.dim(x), p) for x in order)
+               for s in enumerate_submodules(rep, v)]
+        assert len(got) == len(brute) and set(got) == brute, v
+
+
 # -- certified interpolation ----------------------------------------------------
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -708,11 +778,11 @@ def test_count_setup_charges_the_same_cap():
 
 
 def _snapshot(slots):
-    """(upper, incoming, outgoing) read afresh; `Subspace.key()` is kept on the
-    object once built, so it is rebuilt here from the pivots and columns."""
+    """(upper, incoming, outgoing) read afresh: each bound's pivots and packed
+    columns, and each arrow's packed image columns."""
     upper, incoming, outgoing = slots
     return (
-        {s: (u.piv, tuple(map(tuple, u.cols))) for s, u in upper.items()},
+        {s: (u.piv, u.cols) for s, u in upper.items()},
         {s: [(list(xcols), t) for xcols, t in pairs] for s, pairs in incoming.items()},
         {s: [(list(xcols), t) for xcols, t in pairs] for s, pairs in outgoing.items()},
     )

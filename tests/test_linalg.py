@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergrass.errors import ShapeMismatchError
-from quivergrass.fields import QQ, PrimeField
+from quivergrass.errors import LimitError, ShapeMismatchError
+from quivergrass.fields import _MR_BOUND, QQ, PrimeField, is_prime
 from quivergrass.linalg import (
+    MAX_PACKED_DIM,
     Mat,
     Subspace,
+    _lanes,
     col_space,
     echelon,
     kernel,
@@ -441,9 +443,32 @@ def test_rational_elements_are_ints_when_integral():
 FP_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5)]
 
 
+def _largest_prime_below(n):
+    n -= 1
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+# Fields whose lanes are widest: 2^61 - 1, and the largest prime `is_prime`
+# decides.
+LARGE_FIELDS = [PrimeField(2**61 - 1), PrimeField(_largest_prime_below(_MR_BOUND))]
+
+
+def _pack(field, n, vectors):
+    """Dense vectors of F_p^n, packed into the lanes of a `Subspace` column."""
+    pack = Subspace(field, n).lanes.pack
+    return [pack(v) for v in vectors]
+
+
 def _subspace(m):
     """span(m) as a Subspace, built by span-extend from nothing."""
-    return Subspace(m.field, m.rows).extend(zip(*m.a))
+    return Subspace(m.field, m.rows).extend(_pack(m.field, m.rows, zip(*m.a)))
+
+
+def _packed_columns(x):
+    """The map x as packed image columns (j, x·e_j), zero ones dropped."""
+    return [(j, c) for j, c in enumerate(_pack(x.field, x.rows, zip(*x.a))) if c]
 
 
 def _canonical(s):
@@ -451,14 +476,15 @@ def _canonical(s):
     m = s.to_mat()
     assert m == col_space(m)
     assert s.piv == tuple(pivot_rows(m))
-    assert all(0 <= x < s.field.p for c in s.cols for x in c)
+    assert all(0 <= x < s.field.p for r in m.a for x in r)
+    assert s.key() == tuple(_pack(s.field, s.n, zip(*m.a)))
     return m
 
 
 @st.composite
-def fp_column_pairs(draw):
-    """(a, b): two matrices over F_2, F_3 or F_5 on one row count, b in span(a) at times."""
-    field = draw(st.sampled_from(FP_FIELDS))
+def fp_column_pairs(draw, fields=FP_FIELDS):
+    """(a, b): two matrices over one of `fields` on one row count, b in span(a) at times."""
+    field = draw(st.sampled_from(fields))
     a = draw(matrices(field))
     if draw(st.booleans()):
         b = a @ draw(matrices(field, rows=a.cols))
@@ -467,53 +493,126 @@ def fp_column_pairs(draw):
     return a, b
 
 
+def _check_span_extend(a, b):
+    s = _subspace(a)
+    assert _canonical(s) == col_space(a)
+    t = s.extend(_pack(b.field, b.rows, zip(*b.a)))
+    assert _canonical(t) == col_space(a.hstack(b))
+    assert (t is s) == (t.piv == s.piv)
+
+
+def _check_containment(a, b):
+    assert _subspace(a).contains(_subspace(b)) == subspace_contains(col_space(a), b)
+
+
 @PROPERTY
 @given(fp_column_pairs())
 def test_span_extend_is_the_column_space_of_the_stack(case):
-    a, b = case
-    s = _subspace(a)
-    assert _canonical(s) == col_space(a)
-    t = s.extend(zip(*b.a))
-    assert _canonical(t) == col_space(a.hstack(b))
-    assert (t is s) == (t.piv == s.piv)
+    _check_span_extend(*case)
 
 
 @PROPERTY
 @given(fp_column_pairs())
 def test_containment_matches_subspace_contains(case):
-    a, b = case
-    assert _subspace(a).contains(_subspace(b)) == subspace_contains(col_space(a), b)
+    _check_containment(*case)
 
 
 @st.composite
-def fp_map_and_bounds(draw):
-    """(x, hi, w) over F_2, F_3 or F_5: a map, a canonical basis of its source
+def fp_map_and_bounds(draw, fields=FP_FIELDS):
+    """(x, hi, w) over one of `fields`: a map, a canonical basis of its source
     and one of its target, w often meeting the image of hi."""
-    field = draw(st.sampled_from(FP_FIELDS))
+    field = draw(st.sampled_from(fields))
     x = draw(matrices(field))
     hi = draw(spans_in(field, x.cols))
     return x, hi, draw(spans_in(field, x.rows, inside=x @ hi if hi.cols else None))
 
 
+def _check_meet_preimage(x, hi, w):
+    got = _subspace(hi).meet_preimage(_packed_columns(x), _subspace(w))
+    assert _canonical(got) == subspace_intersect(hi, preimage([(x, w)]))
+
+
 @PROPERTY
 @given(fp_map_and_bounds())
 def test_meet_with_a_preimage_matches_the_mat_path(case):
-    x, hi, w = case
-    got = _subspace(hi).meet_preimage(sparse_columns(x), _subspace(w))
-    assert _canonical(got) == subspace_intersect(hi, preimage([(x, w)]))
+    _check_meet_preimage(*case)
+
+
+def _check_merge(a, b, keep):
+    lower, upper = _subspace(a), _subspace(a.hstack(b))
+    rest = [(q, c) for q, c in zip(upper.piv, upper.cols) if q not in lower.piv]
+    rest = [qc for qc, k in zip(rest, keep(len(rest))) if k]
+    other = Subspace(upper.field, upper.n, tuple(q for q, _ in rest), tuple(c for _, c in rest))
+    merged = lower.merge(other)
+    assert _canonical(merged) == col_space(a.hstack(other.to_mat()))
+
+
+def _keep(data):
+    return lambda n: data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
 
 
 @PROPERTY
 @given(fp_column_pairs(), st.data())
 def test_disjoint_pivot_merge_is_the_column_space_of_the_stack(case, data):
-    a, b = case
-    lower, upper = _subspace(a), _subspace(a.hstack(b))
-    rest = [(q, c) for q, c in zip(upper.piv, upper.cols) if q not in lower.piv]
-    keep = data.draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
-    rest = [qc for qc, k in zip(rest, keep) if k]
-    other = Subspace(upper.field, upper.n, tuple(q for q, _ in rest), tuple(c for _, c in rest))
-    merged = lower.merge(other)
-    assert _canonical(merged) == col_space(a.hstack(other.to_mat()))
+    _check_merge(*case, _keep(data))
+
+
+# The same four properties where a lane is widest and a reduction most
+# likely to carry into the next lane.
+
+@PROPERTY
+@given(fp_column_pairs(LARGE_FIELDS))
+def test_span_extend_and_containment_at_large_primes(case):
+    _check_span_extend(*case)
+    _check_containment(*case)
+
+
+@PROPERTY
+@given(fp_map_and_bounds(LARGE_FIELDS))
+def test_meet_with_a_preimage_at_large_primes(case):
+    _check_meet_preimage(*case)
+
+
+@PROPERTY
+@given(fp_column_pairs(LARGE_FIELDS), st.data())
+def test_disjoint_pivot_merge_at_large_primes(case, data):
+    _check_merge(*case, _keep(data))
+
+
+# -- the lane reduction --------------------------------------------------------
+
+LANE_PRIMES = [2, 3, 5, 7, 251, 65521, 2**31 - 1, 2**61 - 1, LARGE_FIELDS[1].p]
+
+
+@st.composite
+def lane_vectors(draw):
+    """(lanes, values): a lane kernel and lane values below 2^E, often at
+    the values where a short shift or a low multiplier errs: multiples of p
+    and values one below a multiple, up to 2^E - 1."""
+    p = draw(st.sampled_from(LANE_PRIMES))
+    lanes = _lanes(p, draw(st.integers(1, 6)))
+    top = (1 << lanes.bits) - 1
+    edges = [0, 1, p - 1, p, top, top - top % p, top - (top + 1) % p]
+    value = st.one_of(st.integers(0, top), st.sampled_from(edges))
+    n = len(lanes.shifts)
+    return lanes, draw(st.lists(value, min_size=n, max_size=n))
+
+
+@PROPERTY
+@given(lane_vectors())
+def test_the_lane_reduction_is_every_lane_mod_p(case):
+    lanes, values = case
+    v = sum(x << t for x, t in zip(values, lanes.shifts))
+    assert lanes.reduce(v) == sum((x % lanes.p) << t for x, t in zip(values, lanes.shifts))
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_the_dimension_guard_keeps_every_lane_below_its_bound(p):
+    lanes = _lanes(p, 1)
+    # An image over n source columns with n pivots cleared, plus a residue.
+    assert (2 * MAX_PACKED_DIM + 1) * (p - 1) ** 2 + p - 1 < 1 << lanes.bits
+    with pytest.raises(LimitError, match=f"dimension {MAX_PACKED_DIM + 1} exceeds {MAX_PACKED_DIM}"):
+        _lanes(p, MAX_PACKED_DIM + 1)
 
 
 def test_whole_space_and_sparse_columns():
