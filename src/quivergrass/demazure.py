@@ -29,11 +29,11 @@ from .errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from .grassmann import _check_primes, count_submodules
+from .grassmann import _CountSetup, _check_primes
 from .hull import InjectiveModel, injective_hull
 from .linalg import subspace_contains
 from .quiver import Quiver, cartan_matrix
-from .repmod import Subrep, _mapped_into, make_subrep, reduce_mod, restrict, zero_subrep
+from .repmod import Subrep, _mapped_into, make_subrep, restrict, zero_subrep
 from .weyl import (
     act,
     dot_step,
@@ -161,10 +161,8 @@ def check_nesting(chain1: DemazureChain, chain2: DemazureChain) -> bool:
 
 
 def _stage_counts(stage: Subrep, v: dict, primes, cap) -> tuple:
-    piece = restrict(stage.ambient, stage)
-    return tuple(
-        count_submodules(reduce_mod(piece, p), v, cap) for p in primes
-    )
+    setup = _CountSetup(restrict(stage.ambient, stage))
+    return tuple(setup.count(p, v, cap) for p in primes)
 
 
 def stabilization_sigma(

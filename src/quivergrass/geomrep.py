@@ -32,13 +32,11 @@ from .errors import (
 )
 from .fields import QQ
 from .grassmann import (
-    _cap,
     _certified_fit,
     _check_primes,
     _CountSetup,
     _next_prime,
     count_polynomial,
-    count_submodules,
 )
 from .hull import InjectiveModel, injective_hull
 from .linalg import coords_in, subspace_contains
@@ -47,7 +45,6 @@ from .repmod import (
     Subrep,
     make_subrep,
     quotient,
-    reduce_mod,
     restrict,
     zero_subrep,
 )
@@ -252,13 +249,12 @@ def finite_points(
     call's own model, so each prime's slots are built once.
     """
     plist = _check_primes(primes)
-    cap = _cap(cap)
     model = injective_hull(q, w, trunc)
     census = weight_census(q, w)
     orbit = extremal_orbit(q, w)
     points = _extremal_points(model, orbit)
     verts = list(q.vertices)
-    setup = _CountSetup(model)
+    setup = _CountSetup(model.rep)
     statuses = {}
     for vt in sorted(census):
         vdict = dict(zip(verts, vt))
@@ -304,9 +300,8 @@ def _interpolated_chi(rep, target: dict, bound: int, primes, cap) -> int:
     plist = _check_primes(primes)
     while len(plist) < bound + 2:
         plist.append(_next_prime(plist[-1]))
-    counts = []
-    for p in plist:
-        counts.append((p, count_submodules(reduce_mod(rep, p), target, cap)))
+    setup = _CountSetup(rep)
+    counts = [(p, setup.count(p, target, cap)) for p in plist]
     return sum(_certified_fit(counts, bound))
 
 
@@ -519,12 +514,12 @@ def restricted_compat(
     per_weight = {}
     for vt, _ in sub_points:
         per_weight[vt] = per_weight.get(vt, 0) + 1
+    setup = _CountSetup(inner)
     for p in plist:
-        inner_p = reduce_mod(inner, p)
         for vt in real.weights():
             vdict = dict(zip(verts, vt))
             expected = per_weight.get(vt, 0)
-            if count_submodules(inner_p, vdict, cap) != expected:
+            if setup.count(p, vdict, cap) != expected:
                 raise InternalCheckError(
                     f"stage point census at {vt} disagrees with the count at {p}"
                 )

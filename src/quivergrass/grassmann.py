@@ -51,22 +51,23 @@ Invariant: every bound, choice and cell the walk holds is a
 each cell by `Subspace.merge` of two canonical column sets with disjoint
 pivot rows, with no elimination.  A basis column is one int, each entry in
 its own lane, stored reduced, so the column tuple is the memo key.  Arrow
-maps enter as packed image columns (j, X·e_j), built by `_columns_mod`
-from their `sparse_columns` once per set-up and prime (`_slots`).  A leaf
+maps enter as packed image columns (j, X·e_j), which the walk's set-up
+packs from their `sparse_columns` once per prime (`_columns_mod`).  A leaf
 becomes a `Mat` only where a `Subrep` is built, and `Subspace.to_mat`
 unpacks the basis `col_space` gives, so `Subrep.key()` and the output
 order do not depend on the walk.
 
-Set-up rule: `count_polynomial` and `hull_count` count on one set-up per
-hull, kept for the life of the process.  The set-up holds the hull, its
-rational arrow maps split once into `sparse_columns`, and the walk's
-(upper, incoming, outgoing) over F_p, its maps packed from those nonzeros
-the first time p is counted.  It is keyed by the quiver, the framing w in
-vertex order and the truncation, and at most 64 are kept (`_count_setup`,
-a bounded `lru_cache`).  The walk only reads the set-up; the target, the
-cap, the walk and its memo belong to one count.  Counts are never kept:
-every call walks at every prime it is not given a count for and certifies
-its fit at a spare prime.
+Set-up rule: every walk runs on the `_CountSetup` of one representation,
+over Q or F_p (over F_p only at its own prime).  It holds the arrow maps
+split once into `sparse_columns`, and at each prime walked their packed
+image columns and the walk's (upper, incoming, outgoing), built the first
+time.  `count_polynomial` and `hull_count` share one set-up per hull for
+the life of the process, keyed by the quiver, the framing w in vertex
+order and the truncation, at most 64 kept (`_count_setup`, a bounded
+`lru_cache`); every other caller builds one per call and walks each of
+its weights and primes on it.  The walk only reads the set-up; the target,
+the cap, the walk and its memo belong to one count.  Counts are never
+kept.
 
 Point counts at several primes feed a Lagrange interpolation, run in
 integers over one common denominator, whose value at 1 is the Euler
@@ -353,19 +354,15 @@ def _check_dim_vector(q: Quiver, v: dict) -> dict:
     return out
 
 
-def _slots(field: PrimeField, q: Quiver, dims: dict, xcols: dict) -> tuple:
-    """(upper, incoming, outgoing) of `_leaves`, one slot per vertex.
-
-    `xcols` maps each arrow to its matrix as `sparse_columns`, over Q or
-    `field`; each is packed once into image columns over `field`.
-    """
-    upper = {u: Subspace.whole(field, dims[u]) for u in q.vertices}
+def _slots(fp: PrimeField, packed: dict, q: Quiver, dims: dict) -> tuple:
+    """(upper, incoming, outgoing) of `_leaves`, one slot per vertex, each
+    arrow's map given in `packed` as image columns over `fp`."""
+    upper = {u: Subspace.whole(fp, dims[u]) for u in q.vertices}
     incoming: dict = {u: [] for u in q.vertices}
     outgoing: dict = {u: [] for u in q.vertices}
     for a in q.arrows:
-        packed = _columns_mod(field, dims[a.dst], xcols[a.name])
-        incoming[a.dst].append((packed, a.src))
-        outgoing[a.src].append((packed, a.dst))
+        incoming[a.dst].append((packed[a.name], a.src))
+        outgoing[a.src].append((packed[a.name], a.dst))
     return upper, incoming, outgoing
 
 
@@ -381,22 +378,20 @@ def _columns_mod(fp: PrimeField, n: int, xcols: list) -> list:
     return out
 
 
-def _vertex_slots(v_rep: Rep, v: dict) -> tuple:
-    """`_slots` of a representation over a prime field, and v as `target`."""
-    if not isinstance(v_rep.field, PrimeField):
-        raise ValidationError("submodule enumeration requires a prime field")
-    xcols = {a.name: sparse_columns(v_rep.map(a.name)) for a in v_rep.quiver.arrows}
-    return (*_slots(v_rep.field, v_rep.quiver, v_rep.dims, xcols),
-            _check_dim_vector(v_rep.quiver, v))
-
-
 def _cap(cap: int | None) -> int:
     return DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
 
 
+def _prime_of(v_rep: Rep) -> int:
+    if not isinstance(v_rep.field, PrimeField):
+        raise ValidationError("submodule enumeration requires a prime field")
+    return v_rep.field.p
+
+
 def _submodules(v_rep: Rep, v: dict, cap: int | None):
     """Yield each submodule of dims v as a closure-checked Subrep."""
-    for leaf in _expanded(*_vertex_slots(v_rep, v), _cap(cap)):
+    slots = _CountSetup(v_rep).slots(_prime_of(v_rep))
+    for leaf in _expanded(*slots, _check_dim_vector(v_rep.quiver, v), _cap(cap)):
         s = Subrep(v_rep, {u: leaf[u].to_mat() for u in v_rep.quiver.vertices})
         check_closure(s)
         yield s
@@ -415,7 +410,7 @@ def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
     Each free slot adds its Gaussian binomial as a factor; no submodule is
     built and no closure is re-checked (see the module docstring).
     """
-    return _leaves(*_vertex_slots(v_rep, v), _cap(cap), _COUNT)
+    return _CountSetup(v_rep).count(_prime_of(v_rep), v, cap)
 
 
 def tilde_count(v_rep: Rep, v: dict, cap: int | None = None) -> int:
@@ -438,38 +433,48 @@ def tilde_count(v_rep: Rep, v: dict, cap: int | None = None) -> int:
     return total
 
 
-# -- the counting set-up of a hull ---------------------------------------------
+# -- the walk's set-up of a representation ------------------------------------
 
 class _CountSetup:
-    """What counting the submodules of one hull needs besides the target.
+    """The one way a representation, over Q or F_p, becomes an F_p walk.
 
-    The hull's rational arrow maps are split into `sparse_columns` once, and
-    the walk's (upper, incoming, outgoing) over F_p are built from their
-    nonzeros the first time p is counted, then kept, one entry per prime
-    counted.  `_leaves` only reads them, so every count shares them; the
-    target, the cap and the walk belong to one count.
+    Its arrow maps are split into `sparse_columns` once.  The first time p
+    is walked they are packed into image columns over F_p (`columns`), and
+    the walk's slots are built from those (`slots`); both are kept per
+    prime.  A representation over F_p is walked only at its own prime.
     """
 
-    def __init__(self, model: InjectiveModel):
-        self.rep = rep = model.rep
-        self._qcols = {a.name: sparse_columns(rep.map(a.name)) for a in rep.quiver.arrows}
+    def __init__(self, rep: Rep):
+        self.rep = rep
+        self._cols = {a.name: sparse_columns(rep.map(a.name)) for a in rep.quiver.arrows}
+        self._packed: dict = {}
         self._by_prime: dict = {}
+
+    def columns(self, p: int) -> tuple:
+        """(F_p, {arrow: its packed image columns over F_p}), packed once."""
+        out = self._packed.get(p)
+        if out is None:
+            field = self.rep.field
+            fp = field if field.char else PrimeField(p)
+            if fp.p != p:
+                raise InternalCheckError(f"a representation over F_{fp.p} walked over F_{p}")
+            dims = self.rep.dims
+            out = self._packed[p] = (fp, {
+                a.name: _columns_mod(fp, dims[a.dst], self._cols[a.name])
+                for a in self.rep.quiver.arrows
+            })
+        return out
 
     def slots(self, p: int) -> tuple:
         """(upper, incoming, outgoing) of `_leaves` over F_p, built once."""
         out = self._by_prime.get(p)
         if out is None:
-            out = self._by_prime[p] = _slots(PrimeField(p), self.rep.quiver, self.rep.dims,
-                                             self._qcols)
+            out = self._by_prime[p] = _slots(*self.columns(p), self.rep.quiver, self.rep.dims)
         return out
 
-    def count(self, p: int, target: dict, cap: int) -> int:
-        """The number of submodules over F_p of dims `target`.
-
-        `target` must be checked and name every vertex, as
-        `_check_dim_vector` returns it.
-        """
-        return _leaves(*self.slots(p), target, cap, _COUNT)
+    def count(self, p: int, v: dict, cap: int | None = None) -> int:
+        """The number of submodules over F_p of dims v."""
+        return _leaves(*self.slots(p), _check_dim_vector(self.rep.quiver, v), _cap(cap), _COUNT)
 
 
 @lru_cache(maxsize=64)
@@ -480,7 +485,7 @@ def _count_setup(base: Quiver, wt: tuple, trunc: int | None) -> _CountSetup:
     is rebuilt on demand.  The hull is the set-up's own, built from the key
     alone; `injective_hull` still gives every other caller a new model.
     """
-    return _CountSetup(injective_hull(base, dict(zip(base.vertices, wt)), trunc))
+    return _CountSetup(injective_hull(base, dict(zip(base.vertices, wt)), trunc).rep)
 
 
 def _hull_key(q: Quiver, w: dict, trunc: int | None) -> tuple:
@@ -499,8 +504,7 @@ def hull_count(q: Quiver, w: dict, v: dict, p: int, trunc: int | None = None,
     """
     key = _hull_key(q, w, trunc)
     (p,) = _check_primes([p])
-    target = _check_dim_vector(key[0], v)
-    return _count_setup(*key).count(p, target, _cap(cap))
+    return _count_setup(*key).count(p, v, cap)
 
 
 # -- point-count interpolation ------------------------------------------------
@@ -647,14 +651,13 @@ def count_polynomial(
     """
     key = _hull_key(q, w, trunc)
     interp, extras = interpolation_plan(key[0], w, v, primes)
-    target = _check_dim_vector(key[0], v)
-    cap = _cap(cap)
+    _check_dim_vector(key[0], v)  # also when every count is known
     bound = len(interp) - 1
     counts = []
     for p in interp + extras:
         n = None if known_counts is None else known_counts.get(p)
         if n is None:
-            n = _count_setup(*key).count(p, target, cap)
+            n = _count_setup(*key).count(p, v, cap)
         counts.append((p, int(n)))
     return CountPoly(
         coeffs=_certified_fit(counts, bound),
@@ -681,8 +684,8 @@ def graded_submodules(
     after reduction.
     """
     (p,) = _check_primes([p])
+    fp, packed = _CountSetup(model.rep).columns(p)
     rep_p = reduce_mod(model.rep, p)
-    fp = rep_p.field
     layers: dict = {}
     for vert in rep_p.quiver.vertices:
         entries = []
@@ -717,7 +720,7 @@ def graded_submodules(
     outgoing: dict = {slot: [] for slot in upper}
     for a in rep_p.quiver.arrows:
         n_out = rep_p.dim(a.dst)
-        xcols = _columns_mod(fp, n_out, sparse_columns(rep_p.map(a.name)))
+        xcols = packed[a.name]
         factor = Fraction(grading.z) ** (-(grading.weights[a.name] + 1))
         for k, (lam, basis_p) in enumerate(layers[a.src]):
             lam_out = Fraction(lam) * factor

@@ -64,7 +64,8 @@ columns under X cleared at w's pivots, carrying their combinations; `contains`
 reads a column's coordinates off the pivots; and `merge` joins two bases
 with disjoint pivot rows without eliminating, which is how
 `grassmann._cells_between` builds its cells. Each sees an arrow map X as
-packed image columns (j, X·e_j), built once per set-up and prime from its
+packed image columns (j, X·e_j), which `grassmann._CountSetup`, the one
+F_p walk set-up of a representation, builds once per prime from its
 `sparse_columns`, the nonzero columns as (column, ((row, entry), ...))
 pairs: hull maps are mostly zero, with at most one nonzero per column.
 `Subspace.to_mat` unpacks the basis into the `Mat` that `col_space` gives

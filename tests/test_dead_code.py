@@ -74,6 +74,8 @@ PUBLIC_ALLOWLIST = {
     "demazure.stabilization_sigma": "the shortest Demazure word whose stage counts are "
                                     "already stable (ROADMAP item 4); the Demazure tests "
                                     "check it",
+    "grassmann.count_submodules": "the public count of an F_p Rep; the brute-force tests and "
+                                  "the benchmark's `count` workload call it",
     "hull.framed_point": "the paper's framed point, Gr_v(I(w)) = L(v, w) stability, under "
                          "test: Demazure stages give stable points",
     "hull.vertex_projective": "the projective P(i), the vertex counterpart of "

@@ -226,6 +226,20 @@ def test_finite_points_builds_each_primes_slots_once(monkeypatch):
             (p, count_submodules(reduce_mod(real.model.rep, p), v)) for p in (2, 3, 5))
 
 
+def test_restricted_compat_builds_the_stages_slots_once_per_prime(monkeypatch):
+    import quivergrass.grassmann as grassmann
+
+    built = []
+    slots = grassmann._slots
+    monkeypatch.setattr(grassmann, "_slots", lambda *a: built.append(a[0].p) or slots(*a))
+    w = {"1": 1, "2": 0, "3": 0}
+    assert len(weight_census(A3, w)) == 4
+    assert restricted_compat(A3, w, ("1", "2", "1"), primes=(2, 3, 5))
+    # finite_points walks its own model, then the stage's census walks the
+    # stage's set-up: once per prime each, not once per (weight, prime).
+    assert built == [2, 3, 5, 2, 3, 5]
+
+
 def test_one_prime_realizes_no_weight_off_the_orbit():
     # The adjoint's zero weight (1, 1) counts 5 at p = 2 alone; one prime
     # must not make its positive-dimensional stratum a point list.

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import quivergrass.grassmann as grassmann
 import quivergrass.linalg as linalg
+from quivergrass.demazure import _walk, demazure_module
 from quivergrass.errors import (
     BadPrimeError,
     CapExceededError,
+    InternalCheckError,
     InterpolationInconsistentError,
     ValidationError,
 )
@@ -41,14 +43,17 @@ from quivergrass.repmod import (
     Rep,
     check_closure,
     make_rep,
+    quotient,
     reduce_mod,
     reduce_subrep,
+    restrict,
     socle,
 )
 from quivergrass.weyl import (
     apply_involution,
     diagram_involution,
     extremal_orbit,
+    longest_element,
     orbit_maximum,
     weight_census,
     weight_multiplicity,
@@ -220,6 +225,8 @@ def test_enumeration_requires_prime_field():
     model = injective_hull(A2, {"1": 1, "2": 0})
     with pytest.raises(ValidationError):
         enumerate_submodules(model.rep, {"1": 1, "2": 0})
+    with pytest.raises(ValidationError, match="requires a prime field"):
+        count_submodules(model.rep, {"1": 1, "2": 0})
 
 
 def test_enumeration_rejects_unknown_vertex_and_negative_dims():
@@ -320,7 +327,8 @@ def test_branch_point_leaves_a_remainder_of_three_slots(d4_all_ones):
         lambda a, b: a + b,
         lambda s, pairs: tuple(x for _, val in pairs for x in (f"branch {s}",) + val),
     )
-    walk = grassmann._leaves(*grassmann._vertex_slots(rep2, v), 10**6, shape)
+    target = grassmann._check_dim_vector(rep2.quiver, v)
+    walk = grassmann._leaves(*grassmann._CountSetup(rep2).slots(2), target, 10**6, shape)
     assert walk == ("branch 0", "placed", "free 1", "free 2", "free 3")
     n = count_submodules(rep2, v)
     assert n == len(enumerate_submodules(rep2, v)) == brute_submodule_count(rep2, v)
@@ -822,6 +830,91 @@ def test_hull_count_is_the_count_at_one_prime(monkeypatch):
         grassmann.hull_count(A3, w, v, 4)
     with pytest.raises(ValidationError):
         grassmann.hull_count(A3, w, {"9": 1}, 2)
+
+
+# -- one walk set-up per representation -----------------------------------------
+
+def _assert_the_setup_counts_as_the_reduction(rep):
+    """At p = 2, 3, 5 and every v <= dims, the set-up of the rational rep
+    counts what `count_submodules` counts on its reduction mod p."""
+    setup = grassmann._CountSetup(rep)
+    verts = rep.quiver.vertices
+    for p in (2, 3, 5):
+        rep_p = reduce_mod(rep, p)
+        for vec in product(*(range(rep.dim(u) + 1) for u in verts)):
+            v = dict(zip(verts, vec))
+            assert setup.count(p, v) == count_submodules(rep_p, v), (p, vec)
+
+
+def _shear(n, c, row):
+    """1 + c·N and its inverse 1 - c·N, N the ones of row 0 right of the
+    diagonal (or, if not `row`, of column 0 below it), so N² = 0."""
+    pos, neg = Mat.identity(QQ, n), Mat.identity(QQ, n)
+    for k in range(1, n):
+        i, j = (0, k) if row else (k, 0)
+        pos.a[i][j], neg.a[i][j] = c, -c
+    return pos, neg
+
+
+def _sheared(rep):
+    """An isomorphic copy of rep with Fraction entries: each arrow's X becomes
+    g·X·g^-1, for g the product of a row shear by 1/7 and a column shear by
+    3/11 at each vertex."""
+    g, g_inv = {}, {}
+    for u in rep.quiver.vertices:
+        (r, r_inv), (c, c_inv) = (_shear(rep.dim(u), Fraction(1, 7), True),
+                                  _shear(rep.dim(u), Fraction(3, 11), False))
+        g[u], g_inv[u] = r @ c, c_inv @ r_inv
+    maps = {a.name: g[a.dst] @ rep.map(a.name) @ g_inv[a.src] for a in rep.quiver.arrows}
+    return Rep(QQ, rep.quiver, dict(rep.dims), maps)
+
+
+def test_the_setup_of_a_restricted_demazure_stage_counts_as_its_reduction():
+    stage = demazure_module(A3, {"1": 1, "2": 1, "3": 1}, longest_element(A3)).stages[-1]
+    piece = restrict(stage.ambient, stage)
+    assert piece.field == QQ and piece.dims == {"1": 3, "2": 4, "3": 3}
+    _assert_the_setup_counts_as_the_reduction(piece)
+
+
+def test_the_setup_of_a_quotient_by_a_walk_endpoint_counts_as_its_reduction():
+    # The `fiber_euler` "up" route: the quotient of a hull by a submodule.
+    # Its sheared copy holds Fraction entries, which the set-up must reduce
+    # as `reduce_mod` does.
+    w = {"1": 1, "2": 1, "3": 1}
+    model = injective_hull(A3, w)
+    with_fractions = 0
+    for vt, word in sorted(extremal_orbit(A3, w).items()):
+        quot, _ = quotient(model.rep, _walk(model, word).stages[-1])
+        _assert_the_setup_counts_as_the_reduction(quot)
+        copy = _sheared(quot)
+        _assert_the_setup_counts_as_the_reduction(copy)
+        with_fractions += any(isinstance(x, Fraction)
+                              for m in copy.maps.values() for r in m.a for x in r)
+    assert with_fractions >= 12
+
+
+def test_a_vanishing_denominator_fails_alike_on_both_routes():
+    q = double(line_quiver(2))
+    a = q.arrows[0].name
+    rep = make_rep(QQ, q, {"1": 1, "2": 1}, {a: [[Fraction(1, 10)]]}, preprojective=False)
+    v = {"1": 1, "2": 1}
+    for p in (2, 5):
+        with pytest.raises(BadPrimeError) as reduced:
+            count_submodules(reduce_mod(rep, p), v)
+        with pytest.raises(BadPrimeError) as walked:
+            grassmann._CountSetup(rep).count(p, v)
+        assert str(walked.value) == str(reduced.value)
+    assert grassmann._CountSetup(rep).count(3, v) == count_submodules(reduce_mod(rep, 3), v)
+
+
+def test_the_setup_of_an_fp_rep_walks_only_at_its_own_prime():
+    rep3 = reduce_mod(injective_hull(A2, {"1": 1, "2": 1}).rep, 3)
+    setup = grassmann._CountSetup(rep3)
+    for walk in (setup.columns, setup.slots, lambda p: setup.count(p, {"1": 1, "2": 1})):
+        for p in (2, 5):
+            with pytest.raises(InternalCheckError):
+                walk(p)
+    assert setup.count(3, {"1": 1, "2": 1}) == count_submodules(rep3, {"1": 1, "2": 1}) == 7
 
 
 # -- tilde counts --------------------------------------------------------------

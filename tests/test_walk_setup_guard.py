@@ -1,0 +1,52 @@
+"""A representation becomes an F_p walk in one place, `grassmann._CountSetup`.
+
+So only the modules whose answer is itself an F_p representation refer to
+`reduce_mod`, and the arrow maps are split and packed by one call each."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quivergrass"
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _refers_to(node: ast.AST, name: str) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+            or (isinstance(node, ast.FunctionDef) and node.name == name))
+
+
+def _call_sites(name: str) -> list:
+    """(module, enclosing definitions) of every call to `name`."""
+    out = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and _refers_to(node.func, name):
+            out.append((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, tree in TREES.items():
+        visit(tree, module, ())
+    return out
+
+
+def test_the_guard_sees_the_package():
+    assert {"grassmann", "geomrep", "demazure", "repmod"} <= set(TREES)
+
+
+def test_only_three_modules_refer_to_reduce_mod():
+    # repmod defines it; graded_submodules reduces the ambient of the Subreps
+    # it returns; acceptance criteria 3 and 8 enumerate over an F_p ambient.
+    referring = {m for m, tree in TREES.items()
+                 if any(_refers_to(node, "reduce_mod") for node in ast.walk(tree))}
+    assert referring == {"repmod", "grassmann", "acceptance"}
+
+
+def test_the_set_up_alone_splits_and_packs_arrow_maps():
+    assert _call_sites("sparse_columns") == [("grassmann", "_CountSetup.__init__")]
+    assert _call_sites("_columns_mod") == [("grassmann", "_CountSetup.columns")]
