@@ -34,7 +34,7 @@ _EXPORTS = {
     "palg": ("PathAlgebra", "algebra", "default_truncation", "hilbert", "vanishing_bound"),
     "quiver": ("Arrow", "CartanData", "Classification", "Quiver", "build_quiver",
                "cartan_matrix", "classify", "double", "kronecker_quiver", "line_quiver",
-               "parse_dimvec", "quiver_from_json", "quiver_to_json", "star_quiver"),
+               "parse_dimvec", "quiver_from_json", "star_quiver"),
     "repmod": ("Rep", "Subrep", "full_subrep", "is_nilpotent", "make_rep", "make_subrep",
                "quotient", "radical_filtration", "reduce_mod", "reduce_subrep", "rep_to_obj",
                "restrict", "socle", "socle_filtration", "sub_generated", "subrep_to_obj",

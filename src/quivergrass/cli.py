@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from .errors import (
@@ -212,20 +213,8 @@ def _cmd_demazure(args) -> int:
     return 0
 
 
-def _prime_count_task(task: tuple) -> tuple:
-    """Count submodules at one prime; runs in a worker process.
-
-    A worker given several primes builds the hull's set-up once.
-    """
-    from .grassmann import hull_count
-
-    qjson, w_items, v_items, p, trunc, cap = task
-    return p, hull_count(quiver_from_json(qjson), dict(w_items), dict(v_items), p, trunc, cap)
-
-
 def _cmd_count(args) -> int:
-    from .grassmann import count_polynomial, interpolation_plan
-    from .quiver import quiver_to_json
+    from .grassmann import count_polynomial, hull_count, interpolation_plan
 
     q = _load_quiver(args.quiver)
     w = _dimvec(q, args.w)
@@ -243,19 +232,11 @@ def _cmd_count(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [
-            (
-                quiver_to_json(q),
-                tuple(sorted(w.items())),
-                tuple(sorted(v.items())),
-                p,
-                trunc,
-                cap,
-            )
-            for p in planned
-        ]
+        # A worker given several primes builds the hull's set-up once.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            known = dict(pool.map(_prime_count_task, tasks))
+            counts = pool.map(hull_count, repeat(q), repeat(w), repeat(v), planned,
+                              repeat(trunc), repeat(cap))
+            known = dict(zip(planned, counts))
     poly = count_polynomial(q, w, v, primes, trunc=trunc, cap=cap, known_counts=known)
     _emit(
         {

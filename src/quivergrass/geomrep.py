@@ -105,9 +105,6 @@ class FiniteRealization(NamedTuple):
     def weights(self) -> list:
         return sorted(self.statuses)
 
-    def status(self, vt: tuple) -> WeightStatus:
-        return self.statuses[vt]
-
     def point_list(self) -> list:
         """All points as (dims tuple, Subrep), sorted by weight then basis."""
         bad = [vt for vt, st in self.statuses.items() if not st.finite]
@@ -361,6 +358,8 @@ def verify_sl2(
     counts.  When every weight is in the finite regime, additionally checks
     the commutator table, the torus shift under raising, the adjacent-vertex
     nilpotency of repeated brackets, and the per-weight point census.
+    The count polynomials reuse the counts of `finite_points`, so each
+    weight is counted once per test prime.
     """
     plist = _check_primes(primes)
     real = finite_points(q, w, trunc, plist, cap)
@@ -371,7 +370,8 @@ def verify_sl2(
     mismatches = []
     for vt in sorted(census):
         vdict = dict(zip(verts, vt))
-        poly = count_polynomial(q, w, vdict, plist, trunc, cap)
+        poly = count_polynomial(q, w, vdict, plist, trunc, cap,
+                                known_counts=dict(real.statuses[vt].counts))
         if poly.leading != census[vt]:
             mismatches.append(f"{vt}: {poly.leading} != {census[vt]}")
     items.append(

@@ -8,7 +8,8 @@ arrow into it bounds the neighbour from above by the preimage of its choice.
 So every arrow is imposed once, at whichever end is placed later.  The walk
 folds its choices into one value through a `_Combine`: plain counting folds
 ints and builds nothing per submodule, plain and graded enumeration fold
-lists of slot choices.
+lists of {slot: cell} dicts, which `_subreps` turns into closure-checked
+`Subrep`s.
 
 Branching rule: at each node, an unplaced slot of target dimension k has
 [dim hi - dim lo, k - dim lo]_p cells between its bounds lo and hi.  A slot
@@ -228,12 +229,14 @@ class _Combine(NamedTuple):
 # closed form from its n cells.
 _COUNT = _Combine(1, lambda s, n, cells: n, mul, lambda s, pairs: sum(v for _, v in pairs))
 
-# Enumeration: each value lists its choices as tuples of (slot, cell) pairs.
+# Enumeration: each value lists its choices as {slot: cell} dicts.  The memo
+# shares values between states, so the fold builds new dicts (`x | y`) and
+# never changes one in place.
 _LIST = _Combine(
-    [()],
-    lambda s, n, cells: [((s, w),) for w in cells],
-    lambda a, b: [x + y for x in a for y in b],
-    lambda s, pairs: [((s, w),) + x for w, v in pairs for x in v],
+    [{}],
+    lambda s, n, cells: [{s: w} for w in cells],
+    lambda a, b: [x | y for x in a for y in b],
+    lambda s, pairs: [{s: w} | x for w, v in pairs for x in v],
 )
 
 
@@ -337,11 +340,6 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
     return value(start, root=True)
 
 
-def _expanded(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int) -> list:
-    """{slot: cell} for every arrow-closed choice of slot subspaces."""
-    return [dict(leaf) for leaf in _leaves(upper, incoming, outgoing, target, cap, _LIST)]
-
-
 def _check_dim_vector(q: Quiver, v: dict) -> dict:
     out = {}
     for key, val in (v or {}).items():
@@ -388,20 +386,23 @@ def _prime_of(v_rep: Rep) -> int:
     return v_rep.field.p
 
 
-def _submodules(v_rep: Rep, v: dict, cap: int | None):
-    """Yield each submodule of dims v as a closure-checked Subrep."""
-    slots = _CountSetup(v_rep).slots(_prime_of(v_rep))
-    for leaf in _expanded(*slots, _check_dim_vector(v_rep.quiver, v), _cap(cap)):
-        s = Subrep(v_rep, {u: leaf[u].to_mat() for u in v_rep.quiver.vertices})
+def _subreps(ambient: Rep, leaves: list, basis: Callable) -> list:
+    """One closure-checked Subrep of `ambient` per leaf of `_leaves`, its
+    basis at vertex u being basis(leaf, u), sorted by key."""
+    out = []
+    for leaf in leaves:
+        s = Subrep(ambient, {u: basis(leaf, u) for u in ambient.quiver.vertices})
         check_closure(s)
-        yield s
+        out.append(s)
+    out.sort(key=lambda s: s.key())
+    return out
 
 
 def enumerate_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> list:
     """All arrow-closed subspaces of dims v, canonically ordered and validated."""
-    out = list(_submodules(v_rep, v, cap))
-    out.sort(key=lambda s: s.key())
-    return out
+    slots = _CountSetup(v_rep).slots(_prime_of(v_rep))
+    leaves = _leaves(*slots, _check_dim_vector(v_rep.quiver, v), _cap(cap), _LIST)
+    return _subreps(v_rep, leaves, lambda leaf, u: leaf[u].to_mat())
 
 
 def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
@@ -611,14 +612,14 @@ def _check_primes(primes) -> list:
 def interpolation_plan(q: Quiver, w: dict, v: dict, primes) -> tuple[list, list]:
     """Split the primes into interpolation and consistency lists.
 
-    Validates and sorts the primes, derives the interpolation degree from the
-    dimension bound, and appends one extra prime when none is left over for
-    the consistency check.  `count_polynomial` uses exactly this plan, so a
-    caller that wants to precompute per-prime counts (e.g. in parallel) can
-    learn here which primes will be visited.
+    Validates and sorts the primes, checks v, derives the interpolation
+    degree from the dimension bound, and appends one extra prime when none is
+    left over for the consistency check.  `count_polynomial` uses exactly
+    this plan, so a caller that wants to precompute per-prime counts (e.g.
+    in parallel) can learn here which primes will be visited.
     """
     plist = _check_primes(primes)
-    bound = max(expected_dimension(q, w, v), 0)
+    bound = max(expected_dimension(q, w, _check_dim_vector(q, v)), 0)
     if len(plist) < bound + 1:
         raise ValidationError(
             f"need at least {bound + 1} primes for interpolation degree {bound}"
@@ -651,7 +652,6 @@ def count_polynomial(
     """
     key = _hull_key(q, w, trunc)
     interp, extras = interpolation_plan(key[0], w, v, primes)
-    _check_dim_vector(key[0], v)  # also when every count is known
     bound = len(interp) - 1
     counts = []
     for p in interp + extras:
@@ -743,16 +743,6 @@ def graded_submodules(
             incoming[(a.dst, k_out)].append((xcols, (a.src, k)))
             outgoing[(a.src, k)].append((xcols, (a.dst, k_out)))
     target = {slot: int((d or {}).get(slot, 0)) for slot in upper}
-    out = []
-    for leaf in _expanded(upper, incoming, outgoing, target, _cap(cap)):
-        bases = {
-            vert: Subspace(fp, rep_p.dim(vert)).extend(
-                c for k in range(len(layers[vert])) for c in leaf[(vert, k)].cols
-            ).to_mat()
-            for vert in rep_p.quiver.vertices
-        }
-        s = Subrep(rep_p, bases)
-        check_closure(s)
-        out.append(s)
-    out.sort(key=lambda s: s.key())
-    return out
+    leaves = _leaves(upper, incoming, outgoing, target, _cap(cap), _LIST)
+    return _subreps(rep_p, leaves, lambda leaf, vert: Subspace(fp, rep_p.dim(vert)).extend(
+        c for k in range(len(layers[vert])) for c in leaf[(vert, k)].cols).to_mat())

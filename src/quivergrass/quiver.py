@@ -309,10 +309,6 @@ def quiver_from_obj(obj: dict) -> Quiver:
     return q
 
 
-def quiver_to_json(q: Quiver) -> str:
-    return json.dumps(quiver_to_obj(q), indent=2) + "\n"
-
-
 def quiver_from_json(text: str) -> Quiver:
     try:
         obj = json.loads(text)

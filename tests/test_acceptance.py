@@ -56,3 +56,14 @@ def test_criterion_9_fails_on_a_wrong_inverse(monkeypatch):
     result = run_criterion(9)
     assert not result.passed
     assert "do not multiply to I" in result.details
+
+
+def test_criterion_8_reduces_each_module_once_per_prime(monkeypatch):
+    # Three framings, two primes, and two modules each: the hull and the
+    # twisted projective sum.
+    reduced = []
+    reduce_mod = acceptance.reduce_mod
+    monkeypatch.setattr(acceptance, "reduce_mod",
+                        lambda rep, p: reduced.append(p) or reduce_mod(rep, p))
+    assert run_criterion(8).passed
+    assert len(reduced) == 12

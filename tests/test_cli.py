@@ -157,15 +157,15 @@ def test_count_workers_byte_identical(capsys, monkeypatch, a2_path):
 
 
 def test_count_worker_builds_its_hull_once(monkeypatch):
-    from quivergrass import cli, grassmann
+    from quivergrass import grassmann
+    from quivergrass.quiver import quiver_from_json
 
     grassmann._count_setup.cache_clear()
     builds = []
     real = grassmann.injective_hull
     monkeypatch.setattr(grassmann, "injective_hull", lambda *a: builds.append(a) or real(*a))
-    ones = (("1", 1), ("2", 1))
-    tasks = [(json.dumps(A2), ones, ones, p, None, None) for p in (2, 3, 5)]
-    assert [cli._prime_count_task(t) for t in tasks] == [(2, 5), (3, 7), (5, 11)]
+    q, ones = quiver_from_json(json.dumps(A2)), {"1": 1, "2": 1}
+    assert [grassmann.hull_count(q, ones, ones, p) for p in (2, 3, 5)] == [5, 7, 11]
     assert len(builds) == 1
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+import quivergrass.geomrep as geomrep
+
 from quivergrass.demazure import demazure_module
 from quivergrass.errors import NotFiniteRegimeError, TruncationTooSmallError, ValidationError
 from quivergrass.geomrep import (
@@ -31,7 +33,7 @@ def test_minuscule_realization_has_one_point_per_weight():
     assert real.finite
     assert real.weights() == [(0, 0), (1, 0), (1, 1)]
     for vt in real.weights():
-        st = real.status(vt)
+        st = real.statuses[vt]
         assert len(st.points) == 1
         assert st.counts == ((2, 1), (3, 1), (5, 1))
         assert st.reason is None
@@ -48,11 +50,11 @@ def test_rank_three_minuscule_has_four_points():
 def test_varying_count_is_reported_not_raised():
     real = finite_points(A1, {"1": 2})
     assert not real.finite
-    st = real.status((1,))
+    st = real.statuses[(1,)]
     assert st.points is None
     assert st.counts == ((2, 3), (3, 4), (5, 6))
     assert "varies" in st.reason
-    assert real.status((0,)).finite and real.status((2,)).finite
+    assert real.statuses[(0,)].finite and real.statuses[(2,)].finite
     with pytest.raises(NotFiniteRegimeError):
         real.point_list()
 
@@ -240,11 +242,37 @@ def test_restricted_compat_builds_the_stages_slots_once_per_prime(monkeypatch):
     assert built == [2, 3, 5, 2, 3, 5]
 
 
+def test_verify_sl2_counts_the_hulls_weights_once_per_prime(monkeypatch):
+    import quivergrass.grassmann as grassmann
+
+    # Hulls built from here on: finite_points' own and the shared set-up's.
+    hulls = []
+    for module in (grassmann, geomrep):
+        build = module.injective_hull
+        monkeypatch.setattr(module, "injective_hull",
+                            lambda *a, build=build: hulls.append(build(*a)) or hulls[-1])
+    grassmann._count_setup.cache_clear()
+    counted = []
+    count = grassmann._CountSetup.count
+
+    def recording(setup, p, v, cap=None):
+        if any(setup.rep is model.rep for model in hulls):
+            counted.append((tuple(v.values()), p))
+        return count(setup, p, v, cap)
+
+    monkeypatch.setattr(grassmann._CountSetup, "count", recording)
+    assert verify_sl2(A2, W10).passed
+    # The count polynomials interpolate finite_points' counts; the vacuum's
+    # fiber counts run on a quotient, not on a hull.
+    census = sorted(weight_census(A2, W10))
+    assert sorted(counted) == [(vt, p) for vt in census for p in (2, 3, 5)]
+
+
 def test_one_prime_realizes_no_weight_off_the_orbit():
     # The adjoint's zero weight (1, 1) counts 5 at p = 2 alone; one prime
     # must not make its positive-dimensional stratum a point list.
     real = finite_points(A2, {"1": 1, "2": 1}, primes=(2,))
-    st = real.status((1, 1))
+    st = real.statuses[(1, 1)]
     assert st.counts == ((2, 5),) and st.points is None
     assert "off the extremal orbit" in st.reason
     assert not real.finite
@@ -281,7 +309,7 @@ def test_truncated_hull_lifts_no_point_off_the_orbit():
     w = {"1": 1, "2": 1, "3": 1}
     real = finite_points(A3, w, trunc=1)
     for vt in ((0, 1, 1), (1, 1, 0), (1, 1, 1)):
-        st = real.status(vt)
+        st = real.statuses[vt]
         assert st.counts == ((2, 1), (3, 1), (5, 1))
         assert st.points is None and "off the extremal orbit" in st.reason
     with pytest.raises(TruncationTooSmallError) as err:

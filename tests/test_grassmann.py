@@ -451,6 +451,16 @@ def test_count_polynomial_rejects_bad_primes():
         count_polynomial(A1, {"1": 2}, {"1": 1}, [2, 2, 3])
 
 
+def test_interpolation_plan_rejects_a_dimension_vector_that_does_not_exist():
+    w = {"1": 1, "2": 1}
+    for v in ({"9": 5}, {"1": -3}):
+        with pytest.raises(ValidationError):
+            grassmann.interpolation_plan(A2, w, v, [2, 3, 5])
+        # count_polynomial checks v through its plan, also when every count is known.
+        with pytest.raises(ValidationError):
+            count_polynomial(A2, w, v, [2, 3, 5], known_counts={2: 1, 3: 1, 5: 1})
+
+
 def test_interpolation_inconsistency_detected(monkeypatch):
     # Degree-two counts against a degree-one bound must fail the extra-prime
     # certificate rather than be silently accepted.
@@ -803,7 +813,7 @@ def test_a_walk_leaves_the_shared_slots_unchanged():
     before = _snapshot(shared)
     assert [u.key() for u in shared[0].values()] == [cols for _, cols in before[0].values()]
     count_polynomial(A3, w, v, [2, 3, 5, 7])
-    assert len(grassmann._expanded(*shared, v, 10**6)) == count_submodules(
+    assert len(grassmann._leaves(*shared, v, 10**6, grassmann._LIST)) == count_submodules(
         reduce_mod(grassmann._count_setup(*key).rep, 3), v)
     assert grassmann._count_setup(*key).slots(3) is shared
     assert _snapshot(shared) == before

@@ -1,7 +1,8 @@
 """A representation becomes an F_p walk in one place, `grassmann._CountSetup`.
 
 So only the modules whose answer is itself an F_p representation refer to
-`reduce_mod`, and the arrow maps are split and packed by one call each."""
+`reduce_mod`, and the arrow maps are split and packed by one call each.
+Enumeration turns its leaves into `Subrep`s in one place, `grassmann._subreps`."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,8 @@ def test_only_three_modules_refer_to_reduce_mod():
 def test_the_set_up_alone_splits_and_packs_arrow_maps():
     assert _call_sites("sparse_columns") == [("grassmann", "_CountSetup.__init__")]
     assert _call_sites("_columns_mod") == [("grassmann", "_CountSetup.columns")]
+
+
+def test_enumeration_builds_its_subreps_in_one_place():
+    assert [scope for module, scope in _call_sites("Subrep") if module == "grassmann"] == [
+        "_subreps"]
