@@ -29,7 +29,7 @@ from .errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from .grassmann import _CountSetup, _check_primes
+from .grassmann import _CountSetup, _check_dim_vector, _check_primes
 from .hull import InjectiveModel, injective_hull
 from .linalg import subspace_contains
 from .quiver import Quiver, cartan_matrix
@@ -161,8 +161,9 @@ def check_nesting(chain1: DemazureChain, chain2: DemazureChain) -> bool:
 
 
 def _stage_counts(stage: Subrep, v: dict, primes, cap) -> tuple:
+    target = _check_dim_vector(stage.ambient.quiver, v)
     setup = _CountSetup(restrict(stage.ambient, stage))
-    return tuple(setup.count(p, v, cap) for p in primes)
+    return tuple(setup.count(p, target, cap) for p in primes)
 
 
 def stabilization_sigma(

@@ -120,9 +120,6 @@ class FiniteRealization(NamedTuple):
                 out.append((vt, pt))
         return out
 
-    def total_points(self) -> int:
-        return sum(len(st.points or ()) for st in self.statuses.values())
-
 
 class VertexOperators(NamedTuple):
     """Raising, lowering, and torus matrices at one vertex."""

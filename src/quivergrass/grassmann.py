@@ -1,15 +1,15 @@
 """Exhaustive submodule enumeration over prime fields and count interpolation.
 
 One recursion, `_leaves`, enumerates submodule grassmannians slot by slot
-through Gaussian cells: a slot is a vertex, or a (vertex, layer) pair for a
-graded enumeration.  Placing a slot bounds each unplaced neighbour: an arrow
-out of it bounds the neighbour from below by the image of its choice, an
-arrow into it bounds the neighbour from above by the preimage of its choice.
-So every arrow is imposed once, at whichever end is placed later.  The walk
-folds its choices into one value through a `_Combine`: plain counting folds
-ints and builds nothing per submodule, plain and graded enumeration fold
-lists of {slot: cell} dicts, which `_subreps` turns into closure-checked
-`Subrep`s.
+through Gaussian cells: a slot is a vertex of the walked representation's
+quiver, a (vertex, layer) pair when a graded enumeration walks the
+grading's cover (`_cover`).  Placing a slot bounds each unplaced
+neighbour: an arrow out of it bounds the neighbour from below by the image
+of its choice, an arrow into it bounds the neighbour from above by the
+preimage of its choice.  So every arrow is imposed once, at whichever end
+is placed later.  The walk folds its choices into one value through a `_Combine`: counting folds ints
+and builds nothing per submodule, enumeration folds lists of {slot: cell}
+dicts, which `_subreps` turns into closure-checked `Subrep`s.
 
 Branching rule: at each node, an unplaced slot of target dimension k has
 [dim hi - dim lo, k - dim lo]_p cells between its bounds lo and hi.  A slot
@@ -59,16 +59,17 @@ unpacks the basis `col_space` gives, so `Subrep.key()` and the output
 order do not depend on the walk.
 
 Set-up rule: every walk runs on the `_CountSetup` of one representation,
-over Q or F_p (over F_p only at its own prime).  It holds the arrow maps
-split once into `sparse_columns`, and at each prime walked their packed
-image columns and the walk's (upper, incoming, outgoing), built the first
-time.  `count_polynomial` and `hull_count` share one set-up per hull for
-the life of the process, keyed by the quiver, the framing w in vertex
-order and the truncation, at most 64 kept (`_count_setup`, a bounded
-`lru_cache`); every other caller builds one per call and walks each of
-its weights and primes on it.  The walk only reads the set-up; the target,
-the cap, the walk and its memo belong to one count.  Counts are never
-kept.
+over Q or F_p (over F_p only at its own prime), and takes its slots from
+it; a graded walk runs on the set-up of the grading's cover.  A set-up
+holds the arrow maps split once into `sparse_columns`, and at each prime
+walked their packed image columns and the walk's (upper, incoming,
+outgoing), built the first time.  `count_polynomial` and `hull_count`
+share one set-up per hull for the life of the process, keyed by the
+quiver, the framing w in vertex order and the truncation, at most 64 kept
+(`_count_setup`, a bounded `lru_cache`); every other caller builds one
+per call and walks each of its weights and primes on it.  The walk only
+reads the set-up; the target, checked once per call, the cap, the walk
+and its memo belong to one count.  Counts are never kept.
 
 Point counts at several primes feed a Lagrange interpolation, run in
 integers over one common denominator, whose value at 1 is the Euler
@@ -93,8 +94,8 @@ from .errors import (
 )
 from .fields import PrimeField, is_prime
 from .hull import Grading, InjectiveModel, _framing, _resolve_trunc, injective_hull
-from .linalg import Subspace, _image, _lanes, mat_over, sparse_columns
-from .quiver import Quiver, cartan_matrix
+from .linalg import Mat, Subspace, _image, _lanes, col_space, sparse_columns
+from .quiver import Arrow, Quiver, cartan_matrix
 from .repmod import (
     Rep,
     Subrep,
@@ -244,10 +245,11 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
             combine: _Combine):
     """Every arrow-closed choice of slot subspaces, folded by `combine`.
 
-    `upper` maps each slot, in slot order, to its starting upper bound (a
-    `Subspace`) and `target` to its dimension.  `incoming[s]` and
-    `outgoing[s]` list (map, slot) pairs for the arrows ending and starting
-    at s, each map as packed image columns (`_columns_mod`).
+    The slots are the vertices of one quiver, and (upper, incoming,
+    outgoing) a `_CountSetup`'s `slots(p)`: `upper` maps each slot to its
+    whole space (a `Subspace`) and `target` to its dimension; `incoming[s]`
+    and `outgoing[s]` list (map, slot) pairs for the arrows ending and
+    starting at s, each map as packed image columns (`_columns_mod`).
 
     Placing a slot moves each unplaced neighbour's bounds: its lower bound
     takes in the image of the choice, its upper bound is cut to the
@@ -400,8 +402,9 @@ def _subreps(ambient: Rep, leaves: list, basis: Callable) -> list:
 
 def enumerate_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> list:
     """All arrow-closed subspaces of dims v, canonically ordered and validated."""
-    slots = _CountSetup(v_rep).slots(_prime_of(v_rep))
-    leaves = _leaves(*slots, _check_dim_vector(v_rep.quiver, v), _cap(cap), _LIST)
+    p = _prime_of(v_rep)
+    target = _check_dim_vector(v_rep.quiver, v)
+    leaves = _leaves(*_CountSetup(v_rep).slots(p), target, _cap(cap), _LIST)
     return _subreps(v_rep, leaves, lambda leaf, u: leaf[u].to_mat())
 
 
@@ -411,7 +414,7 @@ def count_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> int:
     Each free slot adds its Gaussian binomial as a factor; no submodule is
     built and no closure is re-checked (see the module docstring).
     """
-    return _CountSetup(v_rep).count(_prime_of(v_rep), v, cap)
+    return _CountSetup(v_rep).count(_prime_of(v_rep), _check_dim_vector(v_rep.quiver, v), cap)
 
 
 def tilde_count(v_rep: Rep, v: dict, cap: int | None = None) -> int:
@@ -473,9 +476,9 @@ class _CountSetup:
             out = self._by_prime[p] = _slots(*self.columns(p), self.rep.quiver, self.rep.dims)
         return out
 
-    def count(self, p: int, v: dict, cap: int | None = None) -> int:
-        """The number of submodules over F_p of dims v."""
-        return _leaves(*self.slots(p), _check_dim_vector(self.rep.quiver, v), _cap(cap), _COUNT)
+    def count(self, p: int, target: dict, cap: int | None = None) -> int:
+        """The number of submodules over F_p of dims target, checked."""
+        return _leaves(*self.slots(p), target, _cap(cap), _COUNT)
 
 
 @lru_cache(maxsize=64)
@@ -505,7 +508,7 @@ def hull_count(q: Quiver, w: dict, v: dict, p: int, trunc: int | None = None,
     """
     key = _hull_key(q, w, trunc)
     (p,) = _check_primes([p])
-    return _count_setup(*key).count(p, v, cap)
+    return _count_setup(*key).count(p, _check_dim_vector(key[0], v), cap)
 
 
 # -- point-count interpolation ------------------------------------------------
@@ -609,6 +612,22 @@ def _check_primes(primes) -> list:
     return sorted(out)
 
 
+def _plan(q: Quiver, w: dict, v: dict, primes) -> tuple[list, list, dict]:
+    """`interpolation_plan`, and v as `_check_dim_vector` returns it."""
+    plist = _check_primes(primes)
+    target = _check_dim_vector(q, v)
+    bound = max(expected_dimension(q, w, target), 0)
+    if len(plist) < bound + 1:
+        raise ValidationError(
+            f"need at least {bound + 1} primes for interpolation degree {bound}"
+        )
+    interp = plist[: bound + 1]
+    extras = plist[bound + 1 :]
+    if not extras:
+        extras = [_next_prime(plist[-1])]
+    return interp, extras, target
+
+
 def interpolation_plan(q: Quiver, w: dict, v: dict, primes) -> tuple[list, list]:
     """Split the primes into interpolation and consistency lists.
 
@@ -618,17 +637,7 @@ def interpolation_plan(q: Quiver, w: dict, v: dict, primes) -> tuple[list, list]
     this plan, so a caller that wants to precompute per-prime counts (e.g.
     in parallel) can learn here which primes will be visited.
     """
-    plist = _check_primes(primes)
-    bound = max(expected_dimension(q, w, _check_dim_vector(q, v)), 0)
-    if len(plist) < bound + 1:
-        raise ValidationError(
-            f"need at least {bound + 1} primes for interpolation degree {bound}"
-        )
-    interp = plist[: bound + 1]
-    extras = plist[bound + 1 :]
-    if not extras:
-        extras = [_next_prime(plist[-1])]
-    return interp, extras
+    return _plan(q, w, v, primes)[:2]
 
 
 def count_polynomial(
@@ -651,13 +660,13 @@ def count_polynomial(
     left, no set-up is built.
     """
     key = _hull_key(q, w, trunc)
-    interp, extras = interpolation_plan(key[0], w, v, primes)
+    interp, extras, target = _plan(key[0], w, v, primes)
     bound = len(interp) - 1
     counts = []
     for p in interp + extras:
         n = None if known_counts is None else known_counts.get(p)
         if n is None:
-            n = _count_setup(*key).count(p, v, cap)
+            n = _count_setup(*key).count(p, target, cap)
         counts.append((p, int(n)))
     return CountPoly(
         coeffs=_certified_fit(counts, bound),
@@ -668,6 +677,43 @@ def count_polynomial(
 
 
 # -- graded enumeration -------------------------------------------------------
+
+def _cover(rep: Rep, grading: Grading) -> tuple:
+    """The grading's covering representation, and the rows of rep at each vertex.
+
+    A vertex (v, k) per layer k of v, on the rows its unit columns pick, in
+    increasing order; an arrow (a, k) per layer k of a's source whose value
+    lam_k z^-(m(a)+1) is a layer of a's target, its map the block of a
+    between the two.  Raises `ValidationError` off the `Grading` contract.
+    """
+    rows, layer = {}, {}
+    for v in rep.quiver.vertices:
+        for k, (lam, basis) in enumerate(grading[v]):
+            picked = [c.index(rep.field.one) for c in zip(*basis.a)
+                      if sum(map(bool, c)) == 1 and rep.field.one in c]
+            if len(picked) != basis.cols:
+                raise ValidationError(f"grading layer {k} at vertex {v!r} is not unit columns")
+            rows[v, k] = sorted(picked)
+            layer[v, Fraction(lam)] = k
+        covered = sorted(i for k in range(len(grading[v])) for i in rows[v, k])
+        if covered != list(range(rep.dim(v))):
+            raise ValidationError(f"grading layers do not partition vertex {v!r}")
+    arrows, maps = [], {}
+    for a in rep.quiver.arrows:
+        x = rep.map(a.name)
+        factor = Fraction(grading.z) ** (-(grading.weights[a.name] + 1))
+        for k, (lam, _) in enumerate(grading[a.src]):
+            k_out = layer.get((a.dst, Fraction(lam) * factor))
+            inside = set() if k_out is None else set(rows[a.dst, k_out])
+            if any(x.a[i][j] for i in range(x.rows) if i not in inside for j in rows[a.src, k]):
+                raise ValidationError(
+                    f"arrow {a.name!r} takes layer {k} at {a.src!r} off the shifted layer")
+            if k_out is not None:
+                arrows.append(Arrow((a.name, k), (a.src, k), (a.dst, k_out)))
+                maps[a.name, k] = x.take_rows(rows[a.dst, k_out]).take_cols(rows[a.src, k])
+    dims = {s: len(r) for s, r in rows.items()}
+    return Rep(rep.field, Quiver(tuple(rows), tuple(arrows)), dims, maps), rows
+
 
 def graded_submodules(
     model: InjectiveModel,
@@ -680,69 +726,25 @@ def graded_submodules(
 
     d maps (vertex, weight index) to the dimension of the piece inside that
     vertex's weight-index-th eigenspace (sorted order); missing keys mean 0.
-    Enumeration runs over F_p; the rational eigenvalues must stay distinct
-    after reduction.
+    Graded submodules are the submodules of the grading's cover (`_cover`),
+    whose vertices are these (vertex, layer) pairs: it is walked like any
+    representation, and each leaf placed back on the model's rows.  The
+    rational eigenvalues must stay distinct after reduction.
     """
     (p,) = _check_primes([p])
-    fp, packed = _CountSetup(model.rep).columns(p)
+    cover, rows = _cover(model.rep, grading)
     rep_p = reduce_mod(model.rep, p)
-    layers: dict = {}
-    for vert in rep_p.quiver.vertices:
-        entries = []
-        seen = set()
-        for lam, basis in grading[vert]:
-            lam_p = fp.of(lam)
-            if lam_p in seen:
-                raise BadPrimeError(f"grading eigenvalues collide mod {p} at vertex {vert!r}")
-            seen.add(lam_p)
-            basis_p = Subspace(fp, basis.rows)
-            basis_p = basis_p.extend(map(basis_p.lanes.pack, zip(*mat_over(fp, basis).a)))
-            if len(basis_p.piv) != basis.cols:
-                raise BadPrimeError(f"grading layer degenerates mod {p} at vertex {vert!r}")
-            entries.append((lam, basis_p))
-        if sum(len(b.piv) for _, b in entries) != rep_p.dim(vert):
-            raise BadPrimeError(f"grading layers do not fill vertex {vert!r} mod {p}")
-        layers[vert] = entries
-    upper = {
-        (vert, k): basis_p
-        for vert in rep_p.quiver.vertices
-        for k, (_, basis_p) in enumerate(layers[vert])
-    }
-    for key, val in (d or {}).items():
-        if key not in upper:
-            raise ValidationError(f"unknown grading slot {key!r} in character")
-        if not isinstance(val, int) or val < 0:
-            raise ValidationError(f"character value at {key!r} must be a non-negative integer")
-    # Arrows shift the eigenvalue by z^-(m(a)+1); each source layer feeds the
-    # target layer holding the shifted value, and the arrow must kill the
-    # layer when that value is absent.
-    incoming: dict = {slot: [] for slot in upper}
-    outgoing: dict = {slot: [] for slot in upper}
-    for a in rep_p.quiver.arrows:
-        n_out = rep_p.dim(a.dst)
-        xcols = packed[a.name]
-        factor = Fraction(grading.z) ** (-(grading.weights[a.name] + 1))
-        for k, (lam, basis_p) in enumerate(layers[a.src]):
-            lam_out = Fraction(lam) * factor
-            k_out = None
-            for k2, (lam2, _) in enumerate(layers[a.dst]):
-                if Fraction(lam2) == lam_out:
-                    k_out = k2
-                    break
-            image = Subspace(fp, n_out).extend(_image(xcols, basis_p.lanes, basis_p.cols))
-            if k_out is None:
-                if image.piv:
-                    raise BadPrimeError(
-                        f"arrow {a.name!r} does not respect the grading mod {p}"
-                    )
-                continue
-            if not layers[a.dst][k_out][1].contains(image):
-                raise BadPrimeError(
-                    f"arrow {a.name!r} does not respect the grading mod {p}"
-                )
-            incoming[(a.dst, k_out)].append((xcols, (a.src, k)))
-            outgoing[(a.src, k)].append((xcols, (a.dst, k_out)))
-    target = {slot: int((d or {}).get(slot, 0)) for slot in upper}
-    leaves = _leaves(upper, incoming, outgoing, target, _cap(cap), _LIST)
-    return _subreps(rep_p, leaves, lambda leaf, vert: Subspace(fp, rep_p.dim(vert)).extend(
-        c for k in range(len(layers[vert])) for c in leaf[(vert, k)].cols).to_mat())
+    fp = rep_p.field
+    for v in rep_p.quiver.vertices:
+        if len({fp.of(lam) for lam, _ in grading[v]}) != len(grading[v]):
+            raise BadPrimeError(f"grading eigenvalues collide mod {p} at vertex {v!r}")
+    target = _check_dim_vector(cover.quiver, d)
+    leaves = _leaves(*_CountSetup(cover).slots(p), target, _cap(cap), _LIST)
+
+    def basis(leaf, v):
+        cols = [dict(zip(rows[v, k], c))
+                for k in range(len(grading[v])) for c in zip(*leaf[v, k].to_mat().a)]
+        n = rep_p.dim(v)
+        return col_space(Mat(fp, n, len(cols), [[c.get(r, 0) for c in cols] for r in range(n)]))
+
+    return _subreps(rep_p, leaves, basis)

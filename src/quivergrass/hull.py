@@ -403,7 +403,11 @@ class Grading(NamedTuple):
 
     spaces maps each vertex to (eigenvalue, echelon basis) pairs sorted by
     eigenvalue; z and the full arrow-weight table are kept so consumers can
-    track how arrows shift between the layers.
+    track how arrows shift between the layers.  Contract, met by
+    `eigen_grading` and checked by `grassmann.graded_submodules`: each basis
+    is unit columns (its labels), the layers of a vertex partition its
+    labels, and an arrow a maps the layer lam into the layer lam z^-(m(a)+1),
+    or to zero when there is none.
     """
 
     spaces: dict

@@ -476,11 +476,6 @@ class _Lanes:
 
         self.reduce = reduce
 
-    def pack(self, entries) -> int:
-        """A vector of n ints, any residues, as one reduced column."""
-        p = self.p
-        return sum((x % p) << t for x, t in zip(entries, self.shifts))
-
 
 @lru_cache(maxsize=256)
 def _lanes(p: int, n: int) -> _Lanes:
@@ -564,7 +559,7 @@ class Subspace:
 
     def extend(self, vectors) -> "Subspace":
         """span(self) + span(vectors); a vector is an int in self's lanes, each
-        lane at most MAX_PACKED_DIM products below p^2, as `pack` and `_image` give.
+        lane at most MAX_PACKED_DIM products below p^2, as `_image` gives.
 
         Each vector in turn is cleared at the stored pivots, reduced, scaled
         to a leading 1 at its first nonzero row r, which is no stored pivot,

@@ -58,6 +58,7 @@ def _used_outside(name: str, k: int) -> bool:
 
 def test_the_guard_sees_the_package():
     assert ("weyl.py", "_int_mul") in {(m, n) for m, n, _ in PRIVATE}
+    assert {"total_points", "passed"} <= RECORD_FIELDS
 
 
 @pytest.mark.parametrize(
@@ -116,7 +117,7 @@ def test_public_name_is_used_or_allowlisted(module, name, k):
 
 # Public methods of package classes: (module, class, method, statement index).
 METHODS = [
-    (module, node.name, item.name, k)
+    (module, node.name, item, k)
     for k, (module, node) in enumerate(STATEMENTS)
     if isinstance(node, ast.ClassDef)
     for item in node.body
@@ -135,29 +136,57 @@ def _attributes(node: ast.AST) -> set:
     return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
 
 
+def _called_attributes(node: ast.AST) -> set:
+    """Attribute names called under one node, as in `x.name(...)`."""
+    return {sub.func.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)}
+
+
 ATTRS = [_attributes(node) for _, node in STATEMENTS]
+CALLED = [_called_attributes(node) for _, node in STATEMENTS]
+
+# Field names of the package's records (annotated names in a class body).
+RECORD_FIELDS = {
+    item.target.id
+    for _, node in STATEMENTS
+    if isinstance(node, ast.ClassDef)
+    for item in node.body
+    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+}
 
 
-def _method_used(name: str, k: int) -> bool:
+def _is_property(item: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list)
+
+
+def _method_used(method: ast.FunctionDef, k: int) -> bool:
     """Whether the package reads the method as an attribute outside its own body.
 
     A bare name does not count: a local variable named like the method is
-    no use of it.
+    no use of it.  Nor does reading a record's field: a plain method named
+    like a field of a package record counts only where it is called,
+    `x.name(...)`, so `report.total_points` is no use of a `total_points()`.
     """
+    name = method.name
+    if name in RECORD_FIELDS and not _is_property(method):
+        found, taken = CALLED, _called_attributes
+    else:
+        found, taken = ATTRS, _attributes
     siblings = [item for item in STATEMENTS[k][1].body if getattr(item, "name", None) != name]
-    return (any(name in attrs for j, attrs in enumerate(ATTRS) if j != k)
-            or any(name in _attributes(item) for item in siblings))
+    return (any(name in attrs for j, attrs in enumerate(found) if j != k)
+            or any(name in taken(item) for item in siblings))
 
 
 def test_the_method_allowlist_names_methods():
-    assert set(METHOD_ALLOWLIST) <= {f"{m[:-3]}.{c}.{n}" for m, c, n, _ in METHODS}
+    assert set(METHOD_ALLOWLIST) <= {f"{m[:-3]}.{c}.{f.name}" for m, c, f, _ in METHODS}
 
 
 @pytest.mark.parametrize(
-    "module, cls, name, k", METHODS, ids=[f"{m[:-3]}.{c}.{n}" for m, c, n, _ in METHODS]
+    "module, cls, item, k", METHODS, ids=[f"{m[:-3]}.{c}.{f.name}" for m, c, f, _ in METHODS]
 )
-def test_public_method_is_used_or_allowlisted(module, cls, name, k):
-    used = _method_used(name, k)
+def test_public_method_is_used_or_allowlisted(module, cls, item, k):
+    name = item.name
+    used = _method_used(item, k)
     if f"{module[:-3]}.{cls}.{name}" in METHOD_ALLOWLIST:
         assert not used, f"{cls}.{name} is used in the package; take it off the allowlist"
     else:

@@ -37,13 +37,13 @@ def test_minuscule_realization_has_one_point_per_weight():
         assert len(st.points) == 1
         assert st.counts == ((2, 1), (3, 1), (5, 1))
         assert st.reason is None
-    assert real.total_points() == 3
+    assert len(real.point_list()) == 3
 
 
 def test_rank_three_minuscule_has_four_points():
     real = finite_points(A3, {"1": 1, "2": 0, "3": 0})
     assert real.finite
-    assert real.total_points() == 4
+    assert len(real.point_list()) == 4
     assert real.weights() == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
 
 

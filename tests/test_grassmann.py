@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import quivergrass.grassmann as grassmann
 import quivergrass.linalg as linalg
-from quivergrass.demazure import _walk, demazure_module
+from quivergrass.demazure import _walk, demazure_module, stabilization_sigma
 from quivergrass.errors import (
     BadPrimeError,
     CapExceededError,
@@ -85,7 +85,7 @@ def test_gaussian_binomial_values():
 def _subspace(m):
     """span(m) as a Subspace, its columns packed into the Subspace's lanes."""
     s = Subspace(m.field, m.rows)
-    return s.extend(map(s.lanes.pack, zip(*m.a)))
+    return s.extend(sum(x << t for x, t in zip(col, s.lanes.shifts)) for col in zip(*m.a))
 
 
 def test_subspace_cells_complete_and_canonical():
@@ -771,6 +771,27 @@ def test_count_setup_keeps_every_input_check():
         count_polynomial(A2, w, v, primes, trunc=0)
 
 
+def test_count_polynomial_checks_v_once_and_every_entry_still_checks_it(monkeypatch):
+    calls = []
+    check = grassmann._check_dim_vector
+    monkeypatch.setattr(grassmann, "_check_dim_vector",
+                        lambda q, v: calls.append(v) or check(q, v))
+    ones = {"1": 1, "2": 1, "3": 1}
+    count_polynomial(A3, ones, ones, [2, 3, 5, 7])
+    assert len(calls) == 1
+    bad = {"1": 1, "9": 1}
+    rep3 = reduce_mod(injective_hull(A3, ones).rep, 3)
+    entries = [
+        lambda: count_submodules(rep3, bad),
+        lambda: enumerate_submodules(rep3, bad),
+        lambda: grassmann.hull_count(A3, ones, bad, 3),
+        lambda: stabilization_sigma(A3, ones, bad, [2, 3]),
+    ]
+    for entry in entries:
+        with pytest.raises(ValidationError, match="unknown vertex"):
+            entry()
+
+
 def test_count_setup_charges_the_same_cap():
     w, v, primes = {"1": 1, "2": 1, "3": 1}, {"1": 1, "2": 2, "3": 1}, [2, 3, 5, 7]
 
@@ -1049,19 +1070,21 @@ def test_graded_trivial_action_equals_ungraded():
 
 
 @pytest.mark.parametrize("p", [5, 7])
-@pytest.mark.parametrize("w", [{"1": 1, "2": 1}, {"1": 2, "2": 1}], ids=["w11", "w21"])
+@pytest.mark.parametrize("w", [{"1": 1, "2": 1}, {"1": 2, "2": 1}, {"1": 1, "2": 0, "3": 1}],
+                         ids=["w11", "w21", "w101"])
 def test_graded_enumeration_matches_brute_force_for_every_character(w, p):
-    model = injective_hull(A2, w)
+    q = line_quiver(len(w))
+    model = injective_hull(q, w)
     grading = eigen_grading(model, identity_framing(model), 2)
     rep_p = reduce_mod(model.rep, p)
-    layers = {v: [list(zip(*b.a)) for _, b in grading[v]] for v in A2.vertices}
-    slots = [(v, k) for v in A2.vertices for k in range(len(layers[v]))]
+    layers = {v: [list(zip(*b.a)) for _, b in grading[v]] for v in q.vertices}
+    slots = [(v, k) for v in q.vertices for k in range(len(layers[v]))]
     characters = product(*(range(len(layers[v][k]) + 1) for v, k in slots))
     total = 0
     for values in characters:
         d = dict(zip(slots, values))
         subs = graded_submodules(model, grading, d, p)
-        got = [tuple(span_set(zip(*s.basis(v).a), rep_p.dim(v), p) for v in A2.vertices)
+        got = [tuple(span_set(zip(*s.basis(v).a), rep_p.dim(v), p) for v in q.vertices)
                for s in subs]
         assert len(set(got)) == len(got)
         assert set(got) == brute_graded_submodules(rep_p, layers, d), d
@@ -1079,6 +1102,33 @@ def test_graded_rejects_unknown_slot():
     model, grading = _adjoint_grading()
     with pytest.raises(ValidationError):
         graded_submodules(model, grading, {("1", 7): 1}, 5)
+
+
+def test_graded_rejects_a_grading_off_the_layer_contract():
+    # Layers are unit columns that partition each vertex, and every arrow
+    # maps a layer into the shifted one; only a hand-built Grading breaks it.
+    model, grading = _adjoint_grading()
+    (lam0, b0), (lam1, b1) = grading["1"]
+    doubled = Mat(b0.field, b0.rows, b0.cols, [[2 * x for x in r] for r in b0.a])
+    cases = [
+        ((lam0, doubled), (lam1, b1)),  # a layer that is not unit columns
+        ((lam1, b1),),                  # layers that do not cover the vertex
+        ((lam0, b0), (lam1, b0)),       # layers that overlap
+        ((lam0, b1), (lam1, b0)),       # arrows leave the shifted layers
+    ]
+    for spaces in cases:
+        bad = grading._replace(spaces={**grading.spaces, "1": spaces})
+        with pytest.raises(ValidationError):
+            graded_submodules(model, bad, {}, 5)
+
+
+def test_graded_cap_names_the_branching_slot():
+    model = injective_hull(A2, {"1": 2, "2": 1})
+    grading = eigen_grading(model, identity_framing(model), 2)
+    with pytest.raises(CapExceededError) as exc:
+        graded_submodules(model, grading, {("1", 0): 1, ("1", 1): 1, ("2", 0): 1}, 5, cap=2)
+    assert exc.value.slot == ("1", 0)
+    assert "at slot ('1', 0), branching [2 1]_5" in str(exc.value)
 
 
 def test_expected_dimension_values():

@@ -456,9 +456,10 @@ LARGE_FIELDS = [PrimeField(2**61 - 1), PrimeField(_largest_prime_below(_MR_BOUND
 
 
 def _pack(field, n, vectors):
-    """Dense vectors of F_p^n, packed into the lanes of a `Subspace` column."""
-    pack = Subspace(field, n).lanes.pack
-    return [pack(v) for v in vectors]
+    """Dense vectors of F_p^n, any residues, packed into the lanes of a
+    `Subspace` column: entry i, reduced, at bit lanes.shifts[i]."""
+    p, shifts = field.p, Subspace(field, n).lanes.shifts
+    return [sum((x % p) << t for x, t in zip(v, shifts)) for v in vectors]
 
 
 def _subspace(m):

@@ -1,7 +1,8 @@
 """A representation becomes an F_p walk in one place, `grassmann._CountSetup`.
 
 So only the modules whose answer is itself an F_p representation refer to
-`reduce_mod`, and the arrow maps are split and packed by one call each.
+`reduce_mod`, the arrow maps are split and packed by one call each, and
+every walk takes its slots from a set-up.
 Enumeration turns its leaves into `Subrep`s in one place, `grassmann._subreps`."""
 
 import ast
@@ -51,6 +52,25 @@ def test_only_three_modules_refer_to_reduce_mod():
 def test_the_set_up_alone_splits_and_packs_arrow_maps():
     assert _call_sites("sparse_columns") == [("grassmann", "_CountSetup.__init__")]
     assert _call_sites("_columns_mod") == [("grassmann", "_CountSetup.columns")]
+
+
+def test_every_walk_takes_its_slots_from_a_set_up():
+    # `_leaves(*setup.slots(p), target, cap, combine)`, the set-up being
+    # `self` inside `_CountSetup` or a `_CountSetup(...)` built at the call.
+    calls = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _refers_to(node.func, "_leaves")]
+    assert len(calls) >= 3
+    for call in calls:
+        first = call.args[0]
+        assert isinstance(first, ast.Starred), ast.unparse(call)
+        slots = first.value
+        assert isinstance(slots, ast.Call) and isinstance(slots.func, ast.Attribute), \
+            ast.unparse(call)
+        setup = slots.func.value
+        assert slots.func.attr == "slots" and (
+            (isinstance(setup, ast.Name) and setup.id == "self")
+            or (isinstance(setup, ast.Call) and _refers_to(setup.func, "_CountSetup"))
+        ), ast.unparse(call)
 
 
 def test_enumeration_builds_its_subreps_in_one_place():
