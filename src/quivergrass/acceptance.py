@@ -416,8 +416,9 @@ def _admissible_random_projection(rng, model) -> dict:
     return out
 
 
-def _check_one_extension(rng, notes, v_rep, tau, model, tag):
-    """Solve, then verify the defining equations and projection independence.
+def _check_one_extension(rng, notes, v_rep, soc, tau, model, tag):
+    """Solve, then verify the defining equations and projection independence;
+    soc is the socle of v_rep.
 
     Returns the solver's injectivity verdict so the caller can tally branches.
     """
@@ -432,7 +433,6 @@ def _check_one_extension(rng, notes, v_rep, tau, model, tag):
             notes,
             f"{tag}: projection equation fails at vertex {v}",
         )
-    soc = socle(v_rep)
     _expect(
         res.injective == _tau_injective_on_socle(tau, soc),
         notes,
@@ -511,7 +511,7 @@ def _criterion_unique_extension() -> list:
             w = {v: (0 if v == starved else rng.randint(1, 2)) for v in verts}
             model = injective_hull(line_quiver(vertex_count), w)
             tau = {v: _rand_mat(rng, w[v], v_rep.dim(v), 3) for v in verts}
-        injective = _check_one_extension(rng, notes, v_rep, tau, model, f"draw {draw}")
+        injective = _check_one_extension(rng, notes, v_rep, soc, tau, model, f"draw {draw}")
         if injective:
             injective_hits += 1
         else:

@@ -28,7 +28,9 @@ every arrow and its projection is the one asked for. A map with zero
 projection has an image meeting the socle copy in zero, so the homogeneous
 problem has only the zero solution, for every V, exactly when the socle of
 the model is its socle copy; that is the uniqueness certificate, checked
-once per model.
+once per model. An extension needs V nilpotent, and V/K embeds in the
+nilpotent model for K the map's kernel, so only K's radical series is read,
+inside V with V's own maps (`repmod.radical_filtration` started at K).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import QQ
-from .linalg import Mat, kernel, rank, subspace_intersect
+from .linalg import Mat, kernel, rank, row_times, subspace_intersect
 from .palg import Path, algebra, compose, default_truncation, trivial_path, vanishing_bound
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
@@ -237,9 +239,7 @@ def _path_map(v_rep: Rep, model: InjectiveModel, sigma: dict) -> dict:
     def row(k, arrows):
         out = memo.get((k, arrows))
         if out is None:
-            prefix = row(k, arrows[:-1])
-            out = (Mat(field, 1, len(prefix), [prefix]) @ v_rep.map(arrows[-1])).a[0]
-            memo[k, arrows] = out
+            out = memo[k, arrows] = row_times(field, row(k, arrows[:-1]), v_rep.map(arrows[-1]))
         return out
 
     g = {}
@@ -287,7 +287,8 @@ def extend_to_injective(v_rep: Rep, tau: dict, model: InjectiveModel) -> Extensi
     V must be nilpotent; a non-nilpotent V is reported before any other
     fault. The map g is injective iff its kernel K is zero at every vertex.
     V/K embeds in the nilpotent model, so V is nilpotent iff K is, and the
-    radical filtration runs on K alone when g is not injective; it runs on
+    radical series runs on K alone when g is not injective, read inside V
+    with V's own maps, K never restricted to a Rep of its own; it runs on
     the whole V only when no map is found.
     """
     q = model.quiver
@@ -303,12 +304,12 @@ def extend_to_injective(v_rep: Rep, tau: dict, model: InjectiveModel) -> Extensi
     ker = {v: kernel(gamma[v]) for v in q.vertices}
     injective = not any(k.cols for k in ker.values())
     if not injective:
-        _require_nilpotent(restrict(v_rep, Subrep(v_rep, ker)))
+        _require_nilpotent(v_rep, Subrep(v_rep, ker))
     return ExtensionResult(gamma, injective)
 
 
-def _require_nilpotent(v_rep: Rep) -> None:
-    if not is_nilpotent(v_rep):
+def _require_nilpotent(v_rep: Rep, start: Subrep | None = None) -> None:
+    if not is_nilpotent(v_rep, start):
         raise NotNilpotentError("extension requires a nilpotent representation")
 
 

@@ -13,11 +13,17 @@ equal, which makes subspace sets and dedup keys cheap.
 
 Entries are tested for zero by truthiness: a rational (an int when
 integral, else a Fraction) and a prime-field int normalized to 0..p-1 are
-falsy iff zero. `echelon(field, rows)` is the
+falsy iff zero. `row_times(field, row, m)` is the one product kernel: it
+gives row·m as a list, and `Mat.__matmul__` maps it over its rows, while
+`hull` extends its path rows with it directly, no 1 x n `Mat` per row.
+`echelon(field, rows, width)` is the
 one elimination, over Q and F_p alike. It works on sparse rows, each a dict
 {column: nonzero entry}: every incoming row is reduced against a fully
 reduced basis keyed by pivot column, entries that cancel are dropped, and
-the basis it returns is the unique RREF. `col_space` and `kernel` read
+the basis it returns is the unique RREF. Once it holds `width` pivots, one
+per column, the RREF is the identity and it reads no further row;
+`rank`, `kernel` and `preimage` build their rows lazily, so rows of a tall
+full-rank input past that point are never built. `col_space` and `kernel` read
 their answers straight off its dict rows, so only nonzero entries are ever
 stored or touched, and `rank` counts its pivots. Each answer costs exactly
 one elimination, and no code reads a solution off pivots: the one matrix
@@ -122,18 +128,7 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        add, mul = f.add, f.mul
-        z = f.zero
-        out = []
-        for ai in self.a:
-            oi = [z] * other.cols
-            for c, bk in zip(ai, other.a):
-                if c:
-                    for j, y in enumerate(bk):
-                        if y:
-                            oi[j] = add(oi[j], mul(c, y))
-            out.append(oi)
-        return Mat(f, self.rows, other.cols, out)
+        return Mat(f, self.rows, other.cols, [row_times(f, r, other) for r in self.a])
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
@@ -220,9 +215,16 @@ class Mat:
             )
 
 
-def _sparse(rows) -> list[dict]:
-    """Dense rows as dict rows {column: nonzero entry}."""
-    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+def row_times(field, row, m: Mat) -> list:
+    """The row vector row·m as a list; `Mat.__matmul__` maps it over its rows."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * m.cols
+    for c, bk in zip(row, m.a):
+        if c:
+            for j, y in enumerate(bk):
+                if y:
+                    out[j] = add(out[j], mul(c, y))
+    return out
 
 
 def _axpy(row: dict, c, other: dict, add, mul) -> None:
@@ -239,19 +241,21 @@ def _axpy(row: dict, c, other: dict, add, mul) -> None:
                 del row[j]
 
 
-def echelon(field, rows) -> dict:
+def echelon(field, rows, width: int) -> dict:
     """The reduced row echelon form of sparse rows, as {pivot column: row}.
 
-    A row is a dict {column: nonzero entry}; the rows are adopted and
-    changed in place. Each row in turn is reduced against the basis built
-    so far, which is fully reduced: every basis row is zero at every other
-    pivot column, so each pivot column the row holds is cleared by one
-    subtraction that creates no entry at another pivot. A row left nonempty
-    is scaled to a leading 1 at its least column c, c is cleared from every
-    basis row, and the row joins the basis at c. Entries that cancel are
-    dropped, so no stored entry is zero and none becomes a pivot. Each row
-    keeps its 1 at its pivot, the least column it holds, and the basis is
-    the unique RREF of the rows' span, zero rows dropped.
+    A row is a dict {column: nonzero entry}, every column below `width`;
+    the rows are adopted and changed in place. Each row in turn is reduced
+    against the basis built so far, which is fully reduced: every basis row
+    is zero at every other pivot column, so each pivot column the row holds
+    is cleared by one subtraction that creates no entry at another pivot. A
+    row left nonempty is scaled to a leading 1 at its least column c, c is
+    cleared from every basis row, and the row joins the basis at c. Entries
+    that cancel are dropped, so no stored entry is zero and none becomes a
+    pivot. Each row keeps its 1 at its pivot, the least column it holds, and
+    the basis is the unique RREF of the rows' span, zero rows dropped. Once
+    every one of the `width` columns is a pivot the basis is the identity
+    and every later row would reduce to zero, so no further row is read.
     """
     one, add, mul, neg, inv = field.one, field.add, field.mul, field.neg, field.inv
     basis = {}
@@ -270,13 +274,15 @@ def echelon(field, rows) -> dict:
             if c in t:
                 _axpy(t, neg(t.pop(c)), r, add, mul)
         basis[c] = r
+        if len(basis) == width:
+            break
     for c, r in basis.items():
         r[c] = one
     return basis
 
 
 def rank(m: Mat) -> int:
-    return len(echelon(m.field, _sparse(m.a)))
+    return len(echelon(m.field, _reversed_rows(m.a, m.cols), m.cols))
 
 
 def col_space(m: Mat) -> Mat:
@@ -291,7 +297,7 @@ def col_space(m: Mat) -> Mat:
         for j, x in enumerate(r):
             if x:
                 cols[j][i] = x
-    basis = echelon(f, cols)
+    basis = echelon(f, cols, m.rows)
     out = [[f.zero] * len(basis) for _ in range(m.rows)]
     for t, p in enumerate(sorted(basis)):
         for i, x in basis[p].items():
@@ -316,9 +322,10 @@ def pivot_rows(w: Mat) -> list[int]:
     return out
 
 
-def _reversed_rows(rows, n: int) -> list[dict]:
-    """Dense rows of width n as sparse rows with column j read as n - 1 - j."""
-    return [{n - 1 - j: x for j, x in enumerate(r) if x} for r in rows]
+def _reversed_rows(rows, n: int):
+    """Dense rows of width n as sparse rows with column j read as n - 1 - j,
+    each built when read, so rows past a full-rank stop are never built."""
+    return ({n - 1 - j: x for j, x in enumerate(r) if x} for r in rows)
 
 
 def _null_space(f, rows, n: int) -> Mat:
@@ -330,7 +337,7 @@ def _null_space(f, rows, n: int) -> Mat:
     above every other nonzero of its basis vector, and that vector is zero
     in the other free columns, so the basis is canonical as built.
     """
-    basis = echelon(f, rows)
+    basis = echelon(f, rows, n)
     free = {j: t for t, j in enumerate(j for j in range(n) if n - 1 - j not in basis)}
     out = [[f.zero] * len(free) for _ in range(n)]
     for j, t in free.items():

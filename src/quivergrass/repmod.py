@@ -224,26 +224,33 @@ def socle_filtration(v_rep: Rep) -> list[Subrep]:
         chain.append(nxt)
 
 
-def radical_filtration(v_rep: Rep) -> list[Subrep]:
-    """Decreasing chain V, rad V, rad^2 V, ...; stops when stable."""
-    chain = [full_subrep(v_rep)]
-    q = v_rep.quiver
-    while True:
-        cur = chain[-1]
+def radical_filtration(v_rep: Rep, start: Subrep | None = None) -> list[Subrep]:
+    """Decreasing chain K, rad K, rad^2 K, ... of a submodule K of V (V itself
+    when no start is given), read inside V with V's own maps; stops when stable.
+
+    rad of a term is the span of every arrow's image of it, one `col_space`
+    per vertex over all incoming images. Each term lies inside the last, so
+    equal total dimension means equal terms, and a zero term is the last.
+    """
+    q, f = v_rep.quiver, v_rep.field
+    chain = [full_subrep(v_rep) if start is None else start]
+    while chain[-1].total_dim():
+        cur = chain[-1].bases
         bases = {}
         for v in q.vertices:
-            acc = Mat.zeros(v_rep.field, v_rep.dim(v), 0)
-            for a in q.arrows_into(v):
-                acc = acc.hstack(v_rep.map(a.name) @ cur.bases[a.src])
-            bases[v] = col_space(acc)
+            ims = [v_rep.map(a.name) @ cur[a.src] for a in q.arrows_into(v)]
+            rows = [[x for m in ims for x in m.a[i]] for i in range(v_rep.dim(v))]
+            bases[v] = col_space(Mat(f, len(rows), sum(m.cols for m in ims), rows))
         nxt = Subrep(v_rep, bases)
-        if nxt == cur:
-            return chain
+        if nxt.total_dim() == chain[-1].total_dim():
+            break
         chain.append(nxt)
+    return chain
 
 
-def is_nilpotent(v_rep: Rep) -> bool:
-    return radical_filtration(v_rep)[-1].total_dim() == 0
+def is_nilpotent(v_rep: Rep, start: Subrep | None = None) -> bool:
+    """Whether V, or its submodule `start`, has a radical series reaching 0."""
+    return radical_filtration(v_rep, start)[-1].total_dim() == 0
 
 
 def sub_generated(v_rep: Rep, vectors: dict) -> Subrep:

@@ -124,6 +124,31 @@ def textbook_rref(rows, ncols, p=None):
     return a, pivots
 
 
+def radical_series_dims(arrows, maps, dims, start):
+    """Total dimensions of K, rad K, rad^2 K, ... until they stop falling.
+
+    start[v] lists vectors spanning K at v, and rad of a term is spanned by
+    the images X_a s of its vectors s at every arrow's source; each span is
+    cut to a basis by `textbook_rref`.
+    """
+    def basis(vectors, n):
+        red, pivots = textbook_rref(vectors, n)
+        return red[:len(pivots)]
+
+    cur = {v: basis(start[v], dims[v]) for v in dims}
+    out = [sum(map(len, cur.values()))]
+    while out[-1]:
+        images = {v: [] for v in dims}
+        for name, s, t in arrows:
+            images[t] += [[sum(x * y for x, y in zip(row, vec)) for row in maps[name]]
+                          for vec in cur[s]]
+        cur = {v: basis(images[v], dims[v]) for v in dims}
+        if sum(map(len, cur.values())) == out[-1]:
+            break
+        out.append(sum(map(len, cur.values())))
+    return out
+
+
 # -- module maps by one dense linear system --------------------------------------
 
 def intertwiner_by_hand(arrows, src, dst, twists, proj, rhs):

@@ -42,6 +42,7 @@ from quivergrass.repmod import (
     is_nilpotent,
     make_rep,
     make_subrep,
+    radical_filtration,
     restrict,
     socle,
     socle_filtration,
@@ -500,10 +501,10 @@ def test_extension_and_automorphism_eliminate_no_system(monkeypatch):
     widths = []
     real = linalg.echelon
 
-    def counted(field, rows):
+    def counted(field, rows, width):
         rows = list(rows)
         widths.append(max((j + 1 for r in rows for j in r), default=0))
-        return real(field, rows)
+        return real(field, rows, width)
 
     monkeypatch.setattr(linalg, "echelon", counted)
     m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
@@ -566,6 +567,80 @@ def test_non_nilpotent_kernel_of_a_nonzero_map_is_rejected():
     tau = {"1": mat([[0, 1]], 2), "2": Mat.zeros(QQ, 0, 1)}
     with pytest.raises(NotNilpotentError):
         extend_to_injective(v_rep, tau, m)
+
+
+def test_a_map_whose_kernel_is_not_nilpotent_is_still_rejected():
+    # V = (a1 a1* cycle on vertices 1, 2) ⊕ S_3 ⊕ S_3 into I(3): the map
+    # exists, sending the first S_3 onto the socle, and its kernel is the
+    # cycle ⊕ the second S_3, whose radical series stalls at the cycle.
+    m = vertex_injective(A3, "3")
+    v_rep = make_rep(QQ, m.quiver, {"1": 1, "2": 1, "3": 2},
+                     {"a1": [[1]], "a1*": [[1]]}, preprojective=False)
+    tau = {"1": Mat.zeros(QQ, 0, 1), "2": Mat.zeros(QQ, 0, 1), "3": mat([[1, 0]], 2)}
+    g = hull._map_into(v_rep, m, tau)
+    assert {v: linalg.kernel(g[v]).cols for v in g} == {"1": 1, "2": 1, "3": 1}
+    with pytest.raises(NotNilpotentError):
+        extend_to_injective(v_rep, tau, m)
+
+
+def _random_rep(draw, dq, one_sided):
+    """A rep of dq with dimensions 0..2 and entries -1..1; one-sided, it is
+    zero on the reversed arrows, so nilpotent."""
+    small = st.integers(-1, 1)
+    dims = {v: draw(st.integers(0, 2)) for v in dq.vertices}
+    maps = {a.name: [[draw(small) if a.name in dq.base or not one_sided else 0
+                      for _ in range(dims[a.src])] for _ in range(dims[a.dst])]
+            for a in dq.arrows}
+    return make_rep(QQ, dq, dims, maps, preprojective=False)
+
+
+@st.composite
+def submodule_cases(draw):
+    """(V, K): V random on the original arrows of doubled A3 or Kronecker and
+    zero on their reverses (so nilpotent), half the time summed with a rep
+    that is often not nilpotent (random on every arrow of A3, or the cyclic
+    Kronecker rep); K generated in V by random vectors."""
+    q = draw(st.sampled_from([A3, KR]))
+    dq = double(q)
+    reps = [_random_rep(draw, dq, True)]
+    if draw(st.booleans()):
+        reps.append(_cyclic_kronecker_rep() if q is KR else _random_rep(draw, dq, False))
+    v_rep = block_sum(dq, reps)
+    small = st.integers(-1, 1)
+    vectors = {v: [[draw(small) for _ in range(v_rep.dim(v))]
+                   for _ in range(draw(st.integers(0, 2)))] for v in dq.vertices}
+    return v_rep, sub_generated(v_rep, vectors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(submodule_cases())
+def test_nilpotency_read_inside_v_matches_the_restricted_rep(case):
+    v_rep, k = case
+    alone = restrict(v_rep, k)
+    inside = radical_filtration(v_rep, k)
+    assert inside[0] is k
+    dims = [s.total_dim() for s in inside]
+    assert dims == [s.total_dim() for s in radical_filtration(alone)]
+    assert dims == oracles.radical_series_dims(
+        _arrows(v_rep), _plain(v_rep)[1], v_rep.dims,
+        {v: [list(c) for c in zip(*k.bases[v].a)] for v in v_rep.quiver.vertices})
+    assert is_nilpotent(v_rep, k) == is_nilpotent(alone)
+
+
+def test_path_map_builds_one_mat_per_vertex_and_none_per_row(monkeypatch):
+    m = injective_hull(A3, {"1": 1, "2": 1, "3": 1})
+    built = []
+    real = linalg.Mat.__init__
+
+    def counted(self, field, rows, cols, entries):
+        built.append(rows)
+        real(self, field, rows, cols, entries)
+
+    monkeypatch.setattr(linalg.Mat, "__init__", counted)
+    g = hull._path_map(m.rep, m, m.pi)
+    monkeypatch.undo()
+    assert sorted(built) == sorted(m.rep.dims.values())
+    assert all(g[v] == Mat.identity(QQ, m.rep.dim(v)) for v in m.quiver.vertices)
 
 
 # -- against the dense intertwining system solved by hand -------------------------
@@ -676,16 +751,8 @@ def nilpotency_cases(draw):
     model, _ = draw(_models([(A2, None), (A3, None), (A4, None)]))
     dq = model.quiver
     small = st.integers(-1, 1)
-
-    def random_rep(one_sided):
-        dims = {v: draw(st.integers(0, 2)) for v in dq.vertices}
-        maps = {a.name: [[draw(small) if a.name in dq.base or not one_sided else 0
-                          for _ in range(dims[a.src])] for _ in range(dims[a.dst])]
-                for a in dq.arrows}
-        return make_rep(QQ, dq, dims, maps, preprojective=False)
-
-    n_rep = random_rep(True)
-    v_rep = block_sum(dq, [n_rep, random_rep(False)])
+    n_rep = _random_rep(draw, dq, True)
+    v_rep = block_sum(dq, [n_rep, _random_rep(draw, dq, False)])
     whole = draw(st.booleans())
     tau = {v: Mat(QQ, model.w[v], v_rep.dim(v),
                   [[draw(small) if whole or c < n_rep.dim(v) else 0

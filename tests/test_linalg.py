@@ -88,9 +88,28 @@ def _is_canonical(k):
 
 
 @st.composite
+def full_rank_matrices(draw, field):
+    """A tall matrix of full column rank or a wide one of full row rank:
+    k rows of an upper triangular matrix with nonzero diagonal and more
+    drawn rows, shuffled, transposed half the time."""
+    k = draw(st.integers(1, 6))
+    extra = draw(matrices(field, cols=k))
+    square = [[draw(_values(field)) if j == i else
+               (draw(st.one_of(st.just(field.zero), _values(field))) if j > i else field.zero)
+               for j in range(k)] for i in range(k)]
+    rows = square + extra.a
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    tall = Mat(field, len(rows), k, rows)
+    return tall if draw(st.booleans()) else tall.t()
+
+
+@st.composite
 def field_matrices(draw):
+    """Any matrix half the time; else one of full column or full row rank."""
     field = draw(st.sampled_from(FIELDS))
-    return field, draw(matrices(field))
+    if draw(st.booleans()):
+        return field, draw(matrices(field))
+    return field, draw(full_rank_matrices(field))
 
 
 def _dense(basis, nrows, ncols, field):
@@ -107,7 +126,7 @@ def _dense(basis, nrows, ncols, field):
 @given(field_matrices())
 def test_rref_matches_textbook(fm):
     field, a = fm
-    basis = echelon(field, _dict_rows(a.a))
+    basis = echelon(field, _dict_rows(a.a), a.cols)
     want, want_pivots = textbook_rref(a.a, a.cols, _p(field))
     assert sorted(basis) == want_pivots
     assert _dense(basis, a.rows, a.cols, field) == want
@@ -125,6 +144,25 @@ def test_kernel_is_the_canonical_null_space(fm):
     assert _is_canonical(k)
     if k.cols and a.rows:
         assert not any(any(row) for row in _product(a, k, p))
+
+
+def test_echelon_stops_reading_rows_at_full_rank():
+    # Rows 0 and 2 give two pivots in width 2; the rows after them are never read.
+    read = []
+    given_rows = [{0: 2, 1: 1}, {0: 4, 1: 2}, {1: 3}, {0: 1}, {0: 5, 1: 7}]
+
+    def rows():
+        for r in given_rows:
+            read.append(r)
+            yield dict(r)
+
+    for field in (QQ, PrimeField(7)):
+        read.clear()
+        basis = echelon(field, rows(), 2)
+        assert basis == {0: {0: 1}, 1: {1: 1}}
+        assert len(read) == 3 < len(given_rows)
+    tall = Mat.from_rows(QQ, [[1, 0], [0, 1]] + [[9, 9]] * 4)
+    assert rank(tall) == 2 and kernel(tall).cols == 0
 
 
 # -- the sparse kernel on tall, very sparse systems ------------------------------
@@ -164,7 +202,7 @@ def sparse_augmented(draw):
 def test_echelon_of_a_tall_sparse_system_is_the_textbook_rref(case):
     field, rows, n, k = case
     want, want_pivots = textbook_rref(rows, n + k, _p(field))
-    basis = echelon(field, _dict_rows(rows))
+    basis = echelon(field, _dict_rows(rows), n + k)
     assert sorted(basis) == want_pivots
     assert [basis[c] for c in want_pivots] == _dict_rows(want[:len(want_pivots)])
     assert all(x for r in basis.values() for x in r.values())
@@ -186,7 +224,7 @@ def test_cancelled_entries_are_dropped_and_never_pivots(field):
     want, pivots = textbook_rref(dense, 4, _p(field))
     assert pivots == [0, 2]
     for order in permutations(given_rows):
-        basis = echelon(field, [row(g) for g in order])
+        basis = echelon(field, [row(g) for g in order], 4)
         assert sorted(basis) == pivots
         assert [basis[c] for c in pivots] == _dict_rows(want[:2])
         assert all(x for b in basis.values() for x in b.values())
@@ -399,7 +437,7 @@ def test_rational_results_hold_integral_entries_as_ints(case):
     a, b, c, s = case
     n = a.cols
     col_a, col_b = col_space(a), col_space(b)
-    basis = echelon(QQ, _dict_rows(a.a))
+    basis = echelon(QQ, _dict_rows(a.a), n)
     red, pivots = textbook_rref(a.a, n)
     pre_null = _textbook_null_vectors([ra + [-y for y in rw] for ra, rw in zip(a.a, col_b.a)],
                                       n + col_b.cols)
