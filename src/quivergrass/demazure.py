@@ -29,10 +29,10 @@ from .errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from .grassmann import _CountSetup, _check_dim_vector, _check_primes
+from .grassmann import _CountSetup, _check_primes
 from .hull import InjectiveModel, injective_hull
 from .linalg import subspace_contains
-from .quiver import Quiver, cartan_matrix
+from .quiver import Quiver, _check_dim_vector, cartan_matrix
 from .repmod import Subrep, _mapped_into, make_subrep, restrict, zero_subrep
 from .weyl import (
     act,

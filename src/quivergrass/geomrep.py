@@ -39,7 +39,7 @@ from .grassmann import (
     count_polynomial,
 )
 from .hull import InjectiveModel, injective_hull
-from .linalg import coords_in, subspace_contains
+from .linalg import pivot_rows, subspace_contains
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
     Subrep,
@@ -487,9 +487,11 @@ def restricted_compat(
     """Whether chain-stage operators equal extension-by-zero restrictions.
 
     The point set of the chain stage is the ambient point subset it
-    contains, re-expressed in stage coordinates; its independently assembled
-    operator matrices must equal the ambient matrices cut down to that
-    subset.  The stage point census is certified against prime-field counts.
+    contains, re-expressed in stage coordinates: a contained point's rows at
+    the stage basis's pivot rows, as `restrict` reads them. Its independently
+    assembled operator matrices must equal the ambient matrices cut down to
+    that subset.  The stage point census is certified against prime-field
+    counts.
     """
     plist = _check_primes(primes)
     word = _as_word(q, word)
@@ -505,7 +507,7 @@ def restricted_compat(
     for (vt, pt), inside in zip(amb_points, flags):
         if not inside:
             continue
-        coords = {x: coords_in(hold.basis(x), pt.basis(x)) for x in verts}
+        coords = {x: pt.basis(x).take_rows(pivot_rows(hold.basis(x))) for x in verts}
         sub_points.append((vt, make_subrep(inner, coords)))
 
     per_weight = {}

@@ -95,7 +95,7 @@ from .errors import (
 from .fields import PrimeField, is_prime
 from .hull import Grading, InjectiveModel, _framing, _resolve_trunc, injective_hull
 from .linalg import Mat, Subspace, _image, _lanes, col_space, sparse_columns
-from .quiver import Arrow, Quiver, cartan_matrix
+from .quiver import Arrow, Quiver, _check_dim_vector, cartan_matrix
 from .repmod import (
     Rep,
     Subrep,
@@ -340,18 +340,6 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
             return combine.branch(s, ())
         start[s] = (lo, hi, n)
     return value(start, root=True)
-
-
-def _check_dim_vector(q: Quiver, v: dict) -> dict:
-    out = {}
-    for key, val in (v or {}).items():
-        if key not in q.vertices:
-            raise ValidationError(f"unknown vertex {key!r} in dimension vector")
-        if not isinstance(val, int) or val < 0:
-            raise ValidationError(f"dimension at vertex {key!r} must be a non-negative integer")
-    for u in q.vertices:
-        out[u] = int((v or {}).get(u, 0))
-    return out
 
 
 def _slots(fp: PrimeField, packed: dict, q: Quiver, dims: dict) -> tuple:

@@ -50,7 +50,7 @@ from .errors import (
 from .fields import QQ
 from .linalg import Mat, kernel, rank, row_times, subspace_intersect
 from .palg import Path, algebra, compose, default_truncation, trivial_path, vanishing_bound
-from .quiver import Quiver, cartan_matrix
+from .quiver import Quiver, _check_dim_vector, cartan_matrix
 from .repmod import (
     Rep,
     Subrep,
@@ -73,15 +73,14 @@ class InjectiveModel:
     """
 
     def __init__(self, base: Quiver, w: dict, trunc: int, full: bool,
-                 rep: Rep, labels: dict, summands: tuple, pi: dict,
-                 socle_cols: dict, checks: dict | None = None):
+                 rep: Rep, labels: dict, pi: dict, socle_cols: dict,
+                 checks: dict | None = None):
         self.base = base
         self.w = w
         self.trunc = trunc
         self.full = full
         self.rep = rep
         self.labels = labels
-        self.summands = summands
         self.pi = pi
         self.socle_cols = socle_cols
         self._checks = {} if checks is None else checks
@@ -107,7 +106,7 @@ class InjectiveModel:
                 raise ValidationError("projection must restrict to the identity on the socle copy")
         return InjectiveModel(
             self.base, self.w, self.trunc, self.full, self.rep,
-            self.labels, self.summands, pi, self.socle_cols, self._checks,
+            self.labels, pi, self.socle_cols, self._checks,
         )
 
 
@@ -132,14 +131,12 @@ def _resolve_trunc(q: Quiver, trunc: int | None) -> tuple[int, bool]:
 def _framing(q: Quiver, w: dict) -> tuple:
     """The base quiver and w's multiplicities over its vertices, in vertex order.
 
-    Refuses a negative multiplicity.
+    Refuses what `_check_dim_vector` refuses: an unknown vertex, and an entry
+    that is not a non-negative int.
     """
     alg = algebra(q)
     base = alg.base if alg.base is not None else q
-    wt = tuple(w.get(v, 0) for v in base.vertices)
-    if any(m < 0 for m in wt):
-        raise ValidationError("socle multiplicities must be non-negative")
-    return base, wt
+    return base, tuple(_check_dim_vector(base, w).values())
 
 
 def _path_basis(q: Quiver, w: dict, trunc: int | None, ends) -> tuple:
@@ -194,7 +191,7 @@ def injective_hull(q: Quiver, w: dict, trunc: int | None = None) -> InjectiveMod
         socle_cols[i].append(index[i][(k, trivial_path(i))])
     pi = {v: Mat.identity(QQ, dims[v]).take_rows(socle_cols[v]) for v in labels}
     wfull = {v: w.get(v, 0) for v in base.vertices}
-    return InjectiveModel(base, wfull, n, full, rep, labels, summands, pi, socle_cols)
+    return InjectiveModel(base, wfull, n, full, rep, labels, pi, socle_cols)
 
 
 def projective_sum(q: Quiver, w: dict, trunc: int | None = None) -> Rep:

@@ -35,24 +35,23 @@ copy each dense row once, straight into that form. No module outside
 symmetric form by congruence and solves nothing, and `hull` reads its
 module maps off the path basis and solves nothing.
 
-Subspace questions go through one residual, `_residual(w, u) = u - w·u[P]`,
-where P lists the pivot rows of the canonical basis w. Because w is the
-identity on P, a column v of u lies in span(w) iff v = w·v[P], that is iff
-its residual column is zero. The residual is built from the k-row slice u[P]
-and the nonzero entries of w, and has the shape of u, never n x n:
-`subspace_contains(w, u)` builds it row by row and stops at the first
-nonzero row. `preimage` takes a list of (X, w) pairs over one source and
-stacks the residual rows of every pair; the kernel of the stack is
+Subspace questions go through one residual, u - w·u[P], where P lists the
+pivot rows of the canonical basis w. Because w is the identity on P, a
+column v of u lies in span(w) iff v = w·v[P], that is iff its residual
+column is zero. `_residual_rows(w, u)` yields the residual one row at a
+time, from the k-row slice u[P] and the nonzero entries of w, never an
+n x n product: `subspace_contains(w, u)` stops at the first nonzero row.
+`preimage` takes a list of (X, w) pairs over one source and stacks the
+residual rows of every pair; the kernel of the stack is
 {v : X v in span(w) for every pair}, so k pairs cost one elimination, not
 the 2k - 1 of a chain of single preimages and meets. The kernel is
 canonical as built, so the stacked answer equals the chained one.
-`subspace_intersect(a, b)` is a·C with C the kernel of `_residual(b, a)`,
+`subspace_intersect(a, b)` is one `preimage`: a·C with C = preimage([(a, b)]),
 the coefficient vectors c with a·c in span(b). When a and C are canonical,
 so is a·C: its rows at a's pivot rows are C's rows, and column t starts
 with the leading 1 of a's column at C's t-th pivot row, so no further
-`col_space` pass is needed. `subspace_sum(a, b)` is one elimination of
-[a | b]; reducing b against a first and merging the two bases cost more
-than it saved. A canonical basis with as many columns as rows is the
+`col_space` pass is needed. A sum of subspaces is `col_space` of the
+concatenated bases. A canonical basis with as many columns as rows is the
 identity, the whole space, so intersecting with it returns the other basis
 unchanged, the same object, with no elimination. `_projection(w, free)`
 writes the projection along span(w) onto the free rows directly, row f as
@@ -84,7 +83,7 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 
-from .errors import LimitError, NoSolutionError, ShapeMismatchError
+from .errors import LimitError, ShapeMismatchError
 
 
 class Mat:
@@ -375,14 +374,6 @@ def _residual_rows(w: Mat, u: Mat):
         yield row
 
 
-def _residual(w: Mat, u: Mat) -> Mat:
-    """u - w·u[pivot rows of w]: zero exactly in the columns of u inside span(w).
-
-    w must be canonical; the result is n x cols(u).
-    """
-    return Mat(w.field, u.rows, u.cols, list(_residual_rows(w, u)))
-
-
 def subspace_contains(w: Mat, u: Mat) -> bool:
     """Whether span(u) is inside span(w); w is a canonical basis.
 
@@ -391,20 +382,16 @@ def subspace_contains(w: Mat, u: Mat) -> bool:
     return not any(map(any, _residual_rows(w, u)))
 
 
-def subspace_sum(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of span(a) + span(b), by one elimination of [a | b]."""
-    return col_space(a.hstack(b))
-
-
 def subspace_intersect(a: Mat, b: Mat) -> Mat:
     """Canonical basis of span(a) ∩ span(b); a and b are canonical bases.
 
-    A canonical a with as many columns as rows is the identity, so the meet
-    is b itself, returned as is.
+    It is a·C with C = preimage([(a, b)]), the coefficient vectors c with
+    a·c in span(b). A canonical a with as many columns as rows is the
+    identity, so the meet is b itself, returned as is.
     """
     if a.cols == a.rows == b.rows:
         return b
-    return a @ kernel(_residual(b, a))
+    return a @ preimage([(a, b)])
 
 
 def preimage(pairs) -> Mat:
@@ -418,13 +405,6 @@ def preimage(pairs) -> Mat:
     x = pairs[0][0]
     rows = (r for m, w in pairs for r in _residual_rows(w, m))
     return _null_space(x.field, _reversed_rows(rows, x.cols), x.cols)
-
-
-def coords_in(w: Mat, b: Mat) -> Mat:
-    """Coordinates of the columns of b in the canonical basis w."""
-    if not subspace_contains(w, b):
-        raise NoSolutionError("columns do not lie in the given subspace")
-    return b.take_rows(pivot_rows(w))
 
 
 def mat_over(field, m: Mat) -> Mat:

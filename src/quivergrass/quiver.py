@@ -268,6 +268,17 @@ def parse_dimvec(q: Quiver, text: str) -> tuple[int, ...]:
     return tuple(_nonneg(p) for p in parts)
 
 
+def _check_dim_vector(q: Quiver, v: dict) -> dict:
+    """v over every vertex of q, in vertex order, missing entries 0; refuses an
+    unknown vertex and an entry that is not a non-negative int."""
+    for key, val in (v or {}).items():
+        if key not in q.vertices:
+            raise ValidationError(f"unknown vertex {key!r} in dimension vector")
+        if not isinstance(val, int) or val < 0:
+            raise ValidationError(f"dimension at vertex {key!r} must be a non-negative integer")
+    return {u: int((v or {}).get(u, 0)) for u in q.vertices}
+
+
 def _nonneg(text: str) -> int:
     try:
         n = int(text)

@@ -6,12 +6,19 @@ order is the quiver's canonical order throughout. Subspaces of a
 representation are stored per vertex as canonical column-echelon bases, so
 subrepresentation equality is plain data equality.
 
-`_mapped_into` is the one construction of a largest subspace mapped into a
-submodule: at a vertex v, the largest subspace that every arrow out of v
-maps into a given per-vertex basis. The socle, each step of the socle
-series, the Demazure step in `demazure` and the stability test in `hull`
-are all built on it. It hands `linalg.preimage` every outgoing arrow's pair
-at once, so a vertex costs one elimination.
+Every series and closure is built from two per-vertex steps, each one
+elimination at a vertex v:
+
+- the preimage step, `_mapped_into`: the largest subspace at v that every
+  arrow out of v maps into a given per-vertex basis, one `linalg.preimage`
+  of every outgoing arrow's pair. The socle, each step of the socle series,
+  the Demazure step in `demazure` and the stability test in `hull` are
+  built on it;
+- the span step, `_spanned_at`: one `col_space` at v over every incoming
+  arrow's image of a given per-vertex basis, plus the current basis at v
+  when closing. Each term of the radical series is one span step per
+  vertex, and `sub_generated` repeats it at every vertex that an arrow
+  from a grown basis enters, until no basis grows.
 
 There is no block sum of representations: `hull` builds sums of injectives
 and of projectives on one labelled path basis.
@@ -34,7 +41,6 @@ from .linalg import (
     pivot_rows,
     preimage,
     subspace_contains,
-    subspace_sum,
 )
 from .quiver import Quiver, quiver_to_obj
 
@@ -142,25 +148,21 @@ def make_rep(field, quiver: Quiver, dims: dict, maps: dict, preprojective: bool 
     return rep
 
 
+def _spanning(v_rep: Rep, v: str, cols) -> Mat:
+    """A spanning set at v, a Mat or a list of columns, as a Mat with v's
+    dimension as its number of rows."""
+    if not isinstance(cols, Mat):
+        n = v_rep.dim(v)
+        cols = Mat.from_rows(v_rep.field, [[col[i] for col in cols] for i in range(n)], len(cols))
+    if cols.rows != v_rep.dim(v):
+        raise ShapeMismatchError(f"basis rows at vertex {v!r} do not match the ambient")
+    return cols
+
+
 def make_subrep(v_rep: Rep, bases: dict, validate: bool = True) -> Subrep:
     """Canonicalize per-vertex spanning sets and check arrow closure."""
-    q = v_rep.quiver
-    canon = {}
-    for v in q.vertices:
-        b = bases.get(v)
-        if b is None:
-            b = Mat.zeros(v_rep.field, v_rep.dim(v), 0)
-        elif not isinstance(b, Mat):
-            cols = b
-            b = Mat.from_rows(
-                v_rep.field,
-                [[col[i] for col in cols] for i in range(v_rep.dim(v))],
-                len(cols),
-            )
-        if b.rows != v_rep.dim(v):
-            raise ShapeMismatchError(f"basis rows at vertex {v!r} do not match the ambient")
-        canon[v] = col_space(b)
-    s = Subrep(v_rep, canon)
+    s = Subrep(v_rep, {v: col_space(_spanning(v_rep, v, bases.get(v) or []))
+                       for v in v_rep.quiver.vertices})
     if validate:
         check_closure(s)
     return s
@@ -207,6 +209,15 @@ def _mapped_into(v_rep: Rep, bases: dict, v: str) -> Mat:
     return preimage(pairs)
 
 
+def _spanned_at(v_rep: Rep, bases: dict, v: str, *keep: Mat) -> Mat:
+    """Canonical basis at v of the span of every arrow's image of
+    bases[arrow source] and of the columns of `keep`: one `col_space`,
+    however many arrows enter v."""
+    ims = [*keep, *(v_rep.map(a.name) @ bases[a.src] for a in v_rep.quiver.arrows_into(v))]
+    rows = [[x for m in ims for x in m.a[i]] for i in range(v_rep.dim(v))]
+    return col_space(Mat(v_rep.field, len(rows), sum(m.cols for m in ims), rows))
+
+
 def socle(v_rep: Rep) -> Subrep:
     """Per vertex, the common kernel of all outgoing arrow maps."""
     zero = zero_subrep(v_rep).bases
@@ -228,20 +239,14 @@ def radical_filtration(v_rep: Rep, start: Subrep | None = None) -> list[Subrep]:
     """Decreasing chain K, rad K, rad^2 K, ... of a submodule K of V (V itself
     when no start is given), read inside V with V's own maps; stops when stable.
 
-    rad of a term is the span of every arrow's image of it, one `col_space`
-    per vertex over all incoming images. Each term lies inside the last, so
-    equal total dimension means equal terms, and a zero term is the last.
+    rad of a term is the span of every arrow's image of it, one span step
+    per vertex. Each term lies inside the last, so equal total dimension
+    means equal terms, and a zero term is the last.
     """
-    q, f = v_rep.quiver, v_rep.field
     chain = [full_subrep(v_rep) if start is None else start]
     while chain[-1].total_dim():
         cur = chain[-1].bases
-        bases = {}
-        for v in q.vertices:
-            ims = [v_rep.map(a.name) @ cur[a.src] for a in q.arrows_into(v)]
-            rows = [[x for m in ims for x in m.a[i]] for i in range(v_rep.dim(v))]
-            bases[v] = col_space(Mat(f, len(rows), sum(m.cols for m in ims), rows))
-        nxt = Subrep(v_rep, bases)
+        nxt = Subrep(v_rep, {v: _spanned_at(v_rep, cur, v) for v in v_rep.quiver.vertices})
         if nxt.total_dim() == chain[-1].total_dim():
             break
         chain.append(nxt)
@@ -254,59 +259,47 @@ def is_nilpotent(v_rep: Rep, start: Subrep | None = None) -> bool:
 
 
 def sub_generated(v_rep: Rep, vectors: dict) -> Subrep:
-    """Smallest arrow-closed subspace containing the given vectors."""
+    """Smallest arrow-closed subspace containing the given vectors.
+
+    A vertex is due for a span step over its own basis until every arrow
+    into it has mapped in its source's final basis: all vertices at first,
+    on the given vectors, and then each target of an arrow out of a vertex
+    whose basis just grew. A basis only grows, so this stops, and when no
+    vertex is due every arrow maps each basis into its target's.
+    """
     q = v_rep.quiver
-    bases = {}
-    for v in q.vertices:
-        cols = vectors.get(v, [])
-        if isinstance(cols, Mat):
-            bases[v] = col_space(cols)
-        else:
-            m = Mat.from_rows(
-                v_rep.field,
-                [[col[i] for col in cols] for i in range(v_rep.dim(v))],
-                len(cols),
-            )
-            bases[v] = col_space(m)
-    while True:
-        changed = False
-        for a in q.arrows:
-            image = v_rep.map(a.name) @ bases[a.src]
-            if image.cols and not subspace_contains(bases[a.dst], image):
-                bases[a.dst] = subspace_sum(bases[a.dst], image)
-                changed = True
-        if not changed:
-            return Subrep(v_rep, bases)
+    bases = {v: _spanning(v_rep, v, vectors.get(v, [])) for v in q.vertices}
+    dims = dict.fromkeys(q.vertices, -1)  # -1: the given vectors, not yet a basis
+    due = dict.fromkeys(q.vertices)
+    while due:
+        v = next(iter(due))
+        del due[v]
+        bases[v] = _spanned_at(v_rep, bases, v, bases[v])
+        if bases[v].cols != dims[v]:
+            dims[v] = bases[v].cols
+            due.update(dict.fromkeys(a.dst for a in q.arrows_from(v)))
+    return Subrep(v_rep, bases)
 
 
 def quotient(v_rep: Rep, s: Subrep) -> tuple[Rep, dict]:
     """Quotient representation and the per-vertex projection matrices.
 
-    Coordinates of the quotient are the non-pivot rows of each echelon basis.
+    Coordinates of the quotient are the non-pivot rows of each echelon basis;
+    an arrow's quotient map is its columns at the free rows of its source,
+    projected at its target.
     """
     check_closure(s)
     q = v_rep.quiver
-    field = v_rep.field
     projs = {}
-    lifts = {}
-    qdims = {}
+    frees = {}
     for v in q.vertices:
-        b = s.bases[v]
-        n = v_rep.dim(v)
-        pivots = pivot_rows(b)
-        free = [i for i in range(n) if i not in pivots]
-        qdims[v] = len(free)
+        pivots = pivot_rows(s.bases[v])
+        frees[v] = [i for i in range(v_rep.dim(v)) if i not in pivots]
         # subtract the unique s-component then read the free coordinates
-        projs[v] = _projection(b, free)
-        lift = Mat.zeros(field, n, len(free))
-        for j, r in enumerate(free):
-            lift.a[r][j] = field.one
-        lifts[v] = lift
-    maps = {}
-    for a in q.arrows:
-        maps[a.name] = projs[a.dst] @ v_rep.map(a.name) @ lifts[a.src]
-    out = Rep(field, q, qdims, maps)
-    return out, projs
+        projs[v] = _projection(s.bases[v], frees[v])
+    maps = {a.name: projs[a.dst] @ v_rep.map(a.name).take_cols(frees[a.src]) for a in q.arrows}
+    qdims = {v: len(frees[v]) for v in q.vertices}
+    return Rep(v_rep.field, q, qdims, maps), projs
 
 
 def restrict(v_rep: Rep, s: Subrep) -> Rep:

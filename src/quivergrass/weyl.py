@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NotReducedError, ValidationError
-from .quiver import Quiver, cartan_matrix, require_finite_type
+from .quiver import Quiver, _check_dim_vector, cartan_matrix, require_finite_type
 
 _ORBIT_DEFAULT_CAP = 64
 
@@ -27,8 +27,9 @@ def _cartan(q: Quiver):
 
 
 def _tup(q: Quiver, v) -> tuple:
+    """v in vertex order; a dict is checked by `_check_dim_vector`."""
     if isinstance(v, dict):
-        return tuple(int(v.get(x, 0)) for x in q.vertices)
+        return tuple(_check_dim_vector(q, v).values())
     return tuple(int(x) for x in v)
 
 
@@ -40,26 +41,27 @@ def zero_vector(q: Quiver) -> dict:
     return {x: 0 for x in q.vertices}
 
 
+def _step(q: Quiver, i: str, wt: tuple, vt: tuple) -> tuple:
+    """The dot reflection at i of vt under wt, on vertex-ordered tuples."""
+    c, k = _cartan(q), q.vindex(i)
+    out = list(vt)
+    out[k] += wt[k] - sum(c[k][j] * vt[j] for j in range(len(vt)))
+    return tuple(out)
+
+
 def dot_step(q: Quiver, i: str, w, v) -> dict:
     """One simple reflection of the dot action on dimension vectors."""
-    c = _cartan(q)
-    wt = _tup(q, w)
-    vt = _tup(q, v)
-    k = q.vindex(i)
-    coeff = wt[k] - sum(c[k][j] * vt[j] for j in range(len(vt)))
-    out = list(vt)
-    out[k] += coeff
-    return _dict(q, out)
+    return _dict(q, _step(q, i, _tup(q, w), _tup(q, v)))
 
 
 def act(q: Quiver, word, w, v) -> dict:
     """Apply a word right to left to a dimension vector."""
-    cur = _dict(q, _tup(q, v))
+    wt, cur = _tup(q, w), _tup(q, v)
     for i in reversed(list(word)):
         if i not in q.vertices:
             raise ValidationError(f"unknown vertex {i!r} in word")
-        cur = dot_step(q, i, w, cur)
-    return cur
+        cur = _step(q, i, wt, cur)
+    return _dict(q, cur)
 
 
 def extremal_orbit(q: Quiver, w) -> dict:
@@ -89,7 +91,7 @@ def _orbit(q: Quiver, wt: tuple, length_cap: int | None) -> tuple:
         nxt = []
         for vt in frontier:
             for i in q.vertices:
-                out = _tup(q, dot_step(q, i, wt, vt))
+                out = _step(q, i, wt, vt)
                 if out not in found:
                     found[out] = (i,) + found[vt]
                     nxt.append(out)

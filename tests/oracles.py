@@ -149,6 +149,31 @@ def radical_series_dims(arrows, maps, dims, start):
     return out
 
 
+def generated_bases(arrows, maps, dims, gens, p=None):
+    """Per vertex, the textbook RREF rows of the smallest arrow-closed
+    subspace holding the vectors gens[v] at each vertex v.
+
+    Every basis vector is mapped along every arrow (name, source, target)
+    by the rows of maps[name], and each vertex's span, old vectors and
+    images together, is cut to a basis by `textbook_rref`, until no basis
+    changes.
+    """
+    def basis(vectors, n):
+        red, pivots = textbook_rref(vectors, n, p)
+        return red[:len(pivots)]
+
+    cur = {v: basis(gens.get(v, []), dims[v]) for v in dims}
+    while True:
+        nxt = {v: list(cur[v]) for v in dims}
+        for name, s, t in arrows:
+            nxt[t] += [[sum(x * y for x, y in zip(row, vec)) for row in maps[name]]
+                       for vec in cur[s]]
+        nxt = {v: basis(nxt[v], dims[v]) for v in dims}
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 # -- module maps by one dense linear system --------------------------------------
 
 def intertwiner_by_hand(arrows, src, dst, twists, proj, rhs):

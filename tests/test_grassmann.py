@@ -461,6 +461,11 @@ def test_interpolation_plan_rejects_a_dimension_vector_that_does_not_exist():
             count_polynomial(A2, w, v, [2, 3, 5], known_counts={2: 1, 3: 1, 5: 1})
 
 
+def test_count_polynomial_refuses_a_framing_at_an_unknown_vertex():
+    with pytest.raises(ValidationError, match="unknown vertex '9'"):
+        count_polynomial(A2, {"9": 1, "1": 1}, {"1": 1}, [2, 3])
+
+
 def test_interpolation_inconsistency_detected(monkeypatch):
     # Degree-two counts against a degree-one bound must fail the extra-prime
     # certificate rather than be silently accepted.

@@ -314,6 +314,16 @@ def test_projection_change_moves_gamma_by_socle_fixing_automorphism():
     assert col_space(res.gamma["1"]) != col_space(res2.gamma["1"])
 
 
+def test_a_framing_at_an_unknown_vertex_is_refused():
+    with pytest.raises(ValidationError, match="unknown vertex '9'"):
+        injective_hull(A2, {"9": 3})
+
+
+def test_a_framing_with_a_non_integer_entry_is_refused():
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        injective_hull(A2, {"1": 1.5})
+
+
 def test_with_projection_rejects_bad_socle_restriction():
     m = injective_hull(A2, {"1": 1, "2": 1})
     with pytest.raises(ValidationError):
@@ -457,8 +467,8 @@ def test_model_with_a_socle_beyond_its_socle_copy_is_not_unique():
     # space, and a map from S(2) into the extra socle is invisible to pi.
     m = vertex_injective(A2, "1")
     flat = make_rep(QQ, m.quiver, m.rep.dims, {}, preprojective=False)
-    fake = hull.InjectiveModel(m.base, m.w, m.trunc, m.full, flat, m.labels, m.summands,
-                               m.pi, m.socle_cols)
+    fake = hull.InjectiveModel(m.base, m.w, m.trunc, m.full, flat, m.labels, m.pi,
+                               m.socle_cols)
     v_rep = make_rep(QQ, m.quiver, {"1": 1, "2": 1}, {}, preprojective=False)
     tau = {"1": mat([[1]], 1), "2": Mat.zeros(QQ, 0, 1)}
     with pytest.raises(NonUniqueError,

@@ -1,4 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
+
+from oracles import generated_bases
 
 from quivergrass.errors import (
     NotSubmoduleError,
@@ -146,6 +151,39 @@ def test_sub_generated():
     assert sdims(s2) == (1, 0)
     s3 = sub_generated(q1, {})
     assert sdims(s3) == (0, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+@pytest.mark.parametrize("n", [2, 3])
+def test_sub_generated_matches_a_textbook_closure(field, n):
+    # Random maps (no relation imposed, about a third of the entries nonzero)
+    # and zero to three random generators; the closure's canonical basis
+    # columns must be the textbook RREF rows of the oracle's closure.
+    p = field.p if field.char else None
+    values = list(range(1, p)) if p else [Fraction(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]
+    dq = double(line_quiver(n))
+    rng = random.Random(2800 + 10 * n + (p or 0))
+    for _ in range(25):
+        dims = {v: rng.randint(0, 3) for v in dq.vertices}
+        maps = {a.name: [[rng.choice(values) if rng.random() < 0.35 else 0
+                          for _ in range(dims[a.src])] for _ in range(dims[a.dst])]
+                for a in dq.arrows}
+        v_rep = make_rep(field, dq, dims, maps, preprojective=False)
+        gens = {v: [] for v in dq.vertices}
+        for _ in range(rng.randint(0, 3)):
+            v = rng.choice([u for u in dq.vertices if dims[u]] or [None])
+            if v is not None:
+                gens[v].append([rng.choice([0] + values) for _ in range(dims[v])])
+        # half the time, the generators at a vertex come as a Mat
+        given = {v: Mat.from_rows(field, [[c[i] for c in cols] for i in range(dims[v])],
+                                  len(cols))
+                 if rng.random() < 0.5 else cols for v, cols in gens.items()}
+        want = generated_bases([(a.name, a.src, a.dst) for a in dq.arrows], maps, dims,
+                               gens, p)
+        got = sub_generated(v_rep, given)
+        for v in dq.vertices:
+            assert [list(c) for c in zip(*got.basis(v).a)] == want[v]
+            assert got.basis(v).cols == len(want[v])
 
 
 def test_restrict_of_socle_is_semisimple():

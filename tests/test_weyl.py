@@ -3,7 +3,7 @@ import pytest
 from oracles import textbook_rref
 
 import quivergrass.weyl as weyl
-from quivergrass.errors import NotFiniteTypeError, NotReducedError
+from quivergrass.errors import NotFiniteTypeError, NotReducedError, ValidationError
 from quivergrass.quiver import cartan_matrix, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.weyl import (
     act,
@@ -142,6 +142,15 @@ def test_braid_words_act_identically():
     w = {"1": 2, "2": 3}
     v = {"1": 1, "2": 1}
     assert act(A2, ["1", "2", "1"], w, v) == act(A2, ["2", "1", "2"], w, v)
+
+
+def test_a_weight_with_a_non_integer_or_unknown_entry_is_refused():
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        weight_multiplicity(A2, {"1": 1.5, "2": 1}, {"1": 1})
+    with pytest.raises(ValidationError, match="unknown vertex '9'"):
+        weight_multiplicity(A2, {"1": 1, "2": 1}, {"9": 1})
+    with pytest.raises(ValidationError, match="unknown vertex '9'"):
+        act(A2, ["1"], {"1": 1, "9": 1}, zero_vector(A2))
 
 
 def test_bruhat_order():
