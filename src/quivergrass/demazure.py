@@ -14,6 +14,12 @@ current stage lies inside the truncated preimage and so, by dimension, equals
 the full one.  When the truncated preimage misses the target dimensions, no
 such submodule exists in the truncation, and `demazure_module` reports
 `TruncationTooSmallError`.
+
+Extremality is read off the weight, with no orbit built
+(`weyl._is_extremal`); the orbit walk `_extremal_points` gives the point at
+each extremal weight.  A submodule of a stage is one of every larger stage
+and of the model, so stage counts grow with the stage up to the model's, and
+`stabilization_sigma` calls a stage stable when its counts equal the model's.
 """
 
 from __future__ import annotations
@@ -35,15 +41,15 @@ from .linalg import subspace_contains
 from .quiver import Quiver, _check_dim_vector, cartan_matrix
 from .repmod import Subrep, _mapped_into, make_subrep, restrict, zero_subrep
 from .weyl import (
+    _is_extremal,
+    _orbit,
+    _tup,
     act,
+    bruhat_leq,
     dot_step,
-    extremal_orbit,
-    is_reduced,
     longest_element,
     require_reduced,
-    word_matrix,
     zero_vector,
-    bruhat_leq,
 )
 
 
@@ -72,9 +78,7 @@ def extend_step(model: InjectiveModel, u: Subrep, i: str) -> Subrep:
     if i not in base.vertices:
         raise ValidationError(f"unknown vertex {i!r}")
     cur = u.dims()
-    orbit = extremal_orbit(base, model.w)
-    cur_tuple = tuple(cur[v] for v in base.vertices)
-    if cur_tuple not in orbit:
+    if not _is_extremal(base, model.w, cur):
         raise NotExtremalError(f"dims {cur} are not extremal for this framing")
     target = dot_step(base, i, model.w, cur)
     if target[i] < cur[i]:
@@ -128,6 +132,27 @@ def _walk(model: InjectiveModel, word: tuple) -> DemazureChain:
     )
 
 
+def _extremal_points(model: InjectiveModel, length_cap: int | None):
+    """The unique submodule at each extremal weight, by one walk of the orbit.
+
+    Yields (dims tuple, shortest word, point) in shortest-word order, for
+    words up to `length_cap` (all of them when None).  A shortest word is
+    one letter plus its parent's word, so each point is one `extend_step`
+    from its parent's point.  A weight whose step misses its dimensions, or
+    whose parent has no point, gets none.
+    """
+    base = model.base
+    points = {(): zero_subrep(model.rep)}
+    for vt, word in _orbit(base, _tup(base, model.w), length_cap):
+        if word and word[1:] in points:
+            try:
+                points[word] = extend_step(model, points[word[1:]], word[0])
+            except DimensionMismatchError:
+                continue
+        if word in points:
+            yield vt, word, points[word]
+
+
 def demazure_module(
     q: Quiver, w: dict, word, trunc: int | None = None
 ) -> DemazureChain:
@@ -160,8 +185,8 @@ def check_nesting(chain1: DemazureChain, chain2: DemazureChain) -> bool:
     )
 
 
-def _stage_counts(stage: Subrep, v: dict, primes, cap) -> tuple:
-    target = _check_dim_vector(stage.ambient.quiver, v)
+def _stage_counts(stage: Subrep, target: dict, primes, cap) -> tuple:
+    """The stage's submodule counts at a checked target, one per prime."""
     setup = _CountSetup(restrict(stage.ambient, stage))
     return tuple(setup.count(p, target, cap) for p in primes)
 
@@ -175,76 +200,30 @@ def stabilization_sigma(
     cap: int | None = None,
     max_len: int = 8,
 ) -> tuple:
-    """Shortest word whose stage already carries the stable submodule counts.
+    """Shortest word whose stage already has every point of Gr_v of the model.
 
-    In finite type the search walks a fixed reduced word for the longest
-    element: the returned word is the shortest trailing segment whose counts
-    (at every test prime) match all later stages and every reduced one-letter
-    extension.  Otherwise a breadth-first search over reduced words applies
-    the one-letter-extension criterion up to a length cap.
+    A stage is stable when its counts equal the model's at every test prime.
+    In finite type the candidates are the stages of one walk along a fixed
+    reduced word for the longest element, shortest trailing segment first;
+    the last of them is the model.  Otherwise they are the extremal points
+    in shortest-word order, for words of length at most `max_len`; a point
+    past the truncation is skipped.
     """
     plist = _check_primes(primes)
-    kind = cartan_matrix(q).kind
+    target = _check_dim_vector(q, v)
     model = injective_hull(q, w, trunc)
-    if kind == "finite":
+    setup = _CountSetup(model.rep)
+    stable = tuple(setup.count(p, target, cap) for p in plist)
+    if cartan_matrix(q).kind == "finite":
         word0 = longest_element(q)
-        chain = _walk(model, word0)
-        length = len(word0)
-        counts = [
-            _stage_counts(chain.stages[k], v, plist, cap)
-            for k in range(length + 1)
-        ]
-        for k in range(length + 1):
-            if any(counts[k2] != counts[k] for k2 in range(k + 1, length + 1)):
-                continue
-            suffix = word0[length - k :]
-            ok = True
-            for letter in q.vertices:
-                extended = suffix + (letter,)
-                if not is_reduced(q, extended):
-                    continue
-                ext_chain = _walk(model, extended)
-                ext_counts = _stage_counts(ext_chain.stages[-1], v, plist, cap)
-                if ext_counts != counts[k]:
-                    ok = False
-                    break
-            if ok:
-                return suffix
-        return word0
-    # Breadth-first over reduced words, deduplicated by the reflection matrix.
-    frontier = [()]
-    seen = {word_matrix(q, ())}
-    cache: dict = {}
-
-    def word_counts(word: tuple) -> tuple:
-        key = word_matrix(q, word)
-        if key not in cache:
-            cache[key] = _stage_counts(_walk(model, word).stages[-1], v, plist, cap)
-        return cache[key]
-
-    while frontier:
-        nxt = []
-        for word in frontier:
-            base_counts = word_counts(word)
-            stable = True
-            for letter in q.vertices:
-                extended = word + (letter,)
-                if not is_reduced(q, extended):
-                    continue
-                if word_counts(extended) != base_counts:
-                    stable = False
-            if stable:
-                return word
-            if len(word) < max_len:
-                for letter in q.vertices:
-                    extended = word + (letter,)
-                    if not is_reduced(q, extended):
-                        continue
-                    key = word_matrix(q, extended)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(extended)
-        frontier = nxt
+        stages = _walk(model, word0).stages
+        candidates = ((word0[len(word0) - k :], s) for k, s in enumerate(stages))
+    else:
+        candidates = ((word, s) for _, word, s in _extremal_points(model, max_len))
+    for word, stage in candidates:
+        if _stage_counts(stage, target, plist, cap) == stable:
+            return word
     raise SearchExhaustedError(
-        f"no stabilization point found among reduced words of length <= {max_len}"
+        f"no stage among words of length <= {max_len} within truncation "
+        f"{model.trunc} has the model's counts"
     )

@@ -10,21 +10,21 @@ is compared against extension by zero, and the codimension bijection between
 a framing and its diagram twist swaps raising with lowering while negating the
 torus.
 
-Every point is the endpoint of a walk of `extend_step` along the extremal
-orbit: a weight is finite only when it holds that one point, or none.  No
-other weight can be finite.  Gr_v(I(w)) is the lagrangian L(v, w), of pure
-dimension ½((λ,λ) − (μ,μ)), which in finite type is zero exactly on the
-extremal weights W·λ; elsewhere a nonempty stratum is positive-dimensional,
-whatever its count at the test primes.
+Every point comes from `demazure`'s orbit walk (`_extremal_points`), one
+`extend_step` from its shortest word's parent: a weight is finite only when
+it holds that one point, or none.  No other weight can be finite.
+Gr_v(I(w)) is the lagrangian L(v, w), of pure dimension ½((λ,λ) − (μ,μ)),
+which in finite type is zero exactly on the extremal weights W·λ; elsewhere
+a nonempty stratum is positive-dimensional, whatever its count at the test
+primes.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .demazure import _as_word, _walk, extend_step
+from .demazure import _as_word, _extremal_points, _walk
 from .errors import (
-    DimensionMismatchError,
     InternalCheckError,
     NotFiniteRegimeError,
     TruncationTooSmallError,
@@ -206,27 +206,6 @@ def _vertex_operators(q: Quiver, w: dict, points: list) -> dict:
 
 # -- finite-point detection ----------------------------------------------------
 
-def _extremal_points(model: InjectiveModel, orbit: dict) -> dict:
-    """The unique submodule at each extremal weight, by one walk of the orbit.
-
-    The orbit lists each weight with its shortest word in BFS order, and a
-    shortest word is one letter plus its parent's word, so each point is
-    one `extend_step` from its parent's point. A weight whose step misses
-    its dimensions, or whose parent has no point, gets none.
-    """
-    by_word = {word: vt for vt, word in orbit.items()}
-    points = {}
-    for vt, word in orbit.items():
-        if not word:
-            points[vt] = zero_subrep(model.rep)
-        elif by_word[word[1:]] in points:
-            try:
-                points[vt] = extend_step(model, points[by_word[word[1:]]], word[0])
-            except DimensionMismatchError:
-                pass
-    return points
-
-
 def finite_points(
     q: Quiver,
     w: dict,
@@ -246,7 +225,7 @@ def finite_points(
     model = injective_hull(q, w, trunc)
     census = weight_census(q, w)
     orbit = extremal_orbit(q, w)
-    points = _extremal_points(model, orbit)
+    points = {vt: point for vt, _, point in _extremal_points(model, None)}
     verts = list(q.vertices)
     setup = _CountSetup(model.rep)
     statuses = {}

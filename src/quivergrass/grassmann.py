@@ -510,10 +510,6 @@ class CountPoly(NamedTuple):
     counts: tuple  # ((prime, count), ...) over every prime touched
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def chi(self) -> int:
         return sum(self.coeffs)
 

@@ -60,7 +60,6 @@ def compose(p: Path, q: Path) -> Path | None:
 
 class SliceBlock(NamedTuple):
     paths: list[Path]
-    index: dict[Path, int]
 
 
 class AlgSlice:
@@ -71,13 +70,12 @@ class AlgSlice:
     composite over this degree's basis, as a {basis path: coefficient} dict.
     """
 
-    def __init__(self, degree: int):
-        self.degree = degree
+    def __init__(self):
         self.blocks: dict[tuple[str, str], SliceBlock] = {}
         self.lmul: dict[tuple[str, Path], dict[Path, object]] = {}
 
     def block(self, src: str, dst: str) -> SliceBlock:
-        return self.blocks.get((src, dst)) or SliceBlock([], {})
+        return self.blocks.get((src, dst)) or SliceBlock([])
 
     def basis(self) -> list[Path]:
         out: list[Path] = []
@@ -114,17 +112,16 @@ class PathAlgebra:
 
     def _build(self, n: int) -> AlgSlice:
         dq = self.dq
-        sl = AlgSlice(n)
+        sl = AlgSlice()
         if n == 0:
             for v in dq.vertices:
                 p = trivial_path(v)
-                sl.blocks[(v, v)] = SliceBlock([p], {p: 0})
+                sl.blocks[(v, v)] = SliceBlock([p])
             return sl
         if n == 1:
             for a in sorted(dq.arrows, key=lambda a: a.name):
-                blk = sl.blocks.setdefault((a.src, a.dst), SliceBlock([], {}))
+                blk = sl.blocks.setdefault((a.src, a.dst), SliceBlock([]))
                 p = arrow_path(dq, a.name)
-                blk.index[p] = len(blk.paths)
                 blk.paths.append(p)
                 sl.lmul[(a.name, trivial_path(a.src))] = {p: QQ.one}
             return sl
@@ -168,8 +165,7 @@ class PathAlgebra:
                 Path((pairs[i][0],) + pairs[i][1].arrows, key[0], key[1])
                 for i in reps
             ]
-            blk_out = SliceBlock(paths, {p: i for i, p in enumerate(paths)})
-            sl.blocks[key] = blk_out
+            sl.blocks[key] = SliceBlock(paths)
             for i, (b, kappa) in enumerate(pairs):
                 vec = {
                     paths[j]: coeff

@@ -27,10 +27,16 @@ def _cartan(q: Quiver):
 
 
 def _tup(q: Quiver, v) -> tuple:
-    """v in vertex order; a dict is checked by `_check_dim_vector`."""
-    if isinstance(v, dict):
-        return tuple(_check_dim_vector(q, v).values())
-    return tuple(int(x) for x in v)
+    """v in vertex order, checked by `_check_dim_vector`: a dict, or a
+    sequence with one entry per vertex."""
+    if not isinstance(v, dict):
+        v = tuple(v)
+        if len(v) != len(q.vertices):
+            raise ValidationError(
+                f"expected {len(q.vertices)} entries, one per vertex, got {len(v)}"
+            )
+        v = dict(zip(q.vertices, v))
+    return tuple(_check_dim_vector(q, v).values())
 
 
 def _dict(q: Quiver, t) -> dict:
@@ -97,6 +103,31 @@ def _orbit(q: Quiver, wt: tuple, length_cap: int | None) -> tuple:
                     nxt.append(out)
         frontier = nxt
     return tuple(found.items())
+
+
+def _is_extremal(q: Quiver, w, v) -> bool:
+    """Whether v lies in the orbit of zero, with no orbit built.
+
+    The weight w - Cv lies in W·w exactly when reflecting it toward the
+    dominant chamber reaches w (Kac, *Infinite dimensional Lie algebras*,
+    ch. 3). Each reflection at a vertex of negative pairing lowers v there,
+    so the walk ends: at zero, at a negative entry, or at a dominant weight
+    other than w.
+    """
+    wt, vt = _tup(q, w), _tup(q, v)
+    c = _cartan(q)
+    n = len(vt)
+    while any(vt):
+        if min(vt) < 0:
+            return False
+        for k in range(n):
+            pairing = wt[k] - sum(c[k][j] * vt[j] for j in range(n))
+            if pairing < 0:
+                vt = vt[:k] + (vt[k] + pairing,) + vt[k + 1 :]
+                break
+        else:
+            return False
+    return True
 
 
 def orbit_maximum(q: Quiver, w) -> dict:

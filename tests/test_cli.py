@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from quivergrass import weyl
 from quivergrass.cli import main
 
 
@@ -118,6 +119,24 @@ def test_demazure_stages(capsys, a2_path):
     last = obj["stages"][-1]["subrep"]
     assert last["dims"] == {"1": 2, "2": 2}
     assert set(last["bases"]) == {"1", "2"}
+
+
+def test_demazure_on_a_wild_quiver(capsys, tmp_path, monkeypatch):
+    wild = {
+        "vertices": ["1", "2", "3"],
+        "arrows": [
+            {"name": "a", "from": "1", "to": "2"},
+            {"name": "b", "from": "1", "to": "2"},
+            {"name": "c", "from": "2", "to": "3"},
+            {"name": "d", "from": "2", "to": "3"},
+        ],
+    }
+    path = tmp_path / "wild.json"
+    path.write_text(json.dumps(wild))
+    # The wild framing's orbit is infinite; the verb must not enumerate it.
+    monkeypatch.setattr(weyl, "_orbit", lambda *args: pytest.fail("an orbit was built"))
+    obj = run_json(capsys, ["demazure", str(path), "--w", "1,0,0", "--word", "2 1"])
+    assert obj["stages"][-1]["dims"] == {"1": 1, "2": 2, "3": 0}
 
 
 def test_count_fields(capsys, a2_path):

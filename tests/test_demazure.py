@@ -16,11 +16,11 @@ from quivergrass.errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from quivergrass import grassmann, linalg
+from quivergrass import grassmann, linalg, weyl
 from quivergrass.grassmann import count_submodules, enumerate_submodules
 from quivergrass.hull import framed_point, injective_hull
 from quivergrass.linalg import subspace_contains
-from quivergrass.quiver import kronecker_quiver, line_quiver, star_quiver
+from quivergrass.quiver import build_quiver, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.repmod import (
     is_nilpotent,
     make_subrep,
@@ -35,6 +35,9 @@ A1 = line_quiver(1)
 A2 = line_quiver(2)
 A3 = line_quiver(3)
 W11 = {"1": 1, "2": 1}
+WILD = build_quiver(
+    ["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")]
+)
 
 
 def _dims_tuple(q, d):
@@ -249,6 +252,34 @@ def test_stabilization_bfs_branch_on_affine_quiver():
     K = kronecker_quiver()
     word = stabilization_sigma(K, {"1": 1, "2": 0}, {"1": 1, "2": 0}, [2], max_len=4)
     assert word == ("1",)
+
+
+@pytest.mark.parametrize("v", [{"1": 1, "2": 1}, {"1": 2, "2": 1}], ids=["11", "21"])
+def test_a_stable_kronecker_stage_has_the_hull_counts(v):
+    K = kronecker_quiver()
+    w = {"1": 1, "2": 0}
+    word = stabilization_sigma(K, w, v, [2, 3])
+    chain = demazure_module(K, w, word)
+    stage = restrict(chain.model.rep, chain.stages[-1])
+    for p in (2, 3):
+        assert count_submodules(reduce_mod(stage, p), v) == grassmann.hull_count(K, w, v, p)
+
+
+def _no_orbit(*args):
+    raise AssertionError("an orbit was built")
+
+
+def test_extend_step_builds_no_orbit(monkeypatch):
+    monkeypatch.setattr(weyl, "_orbit", _no_orbit)
+    chain = demazure_module(A3, {"1": 1, "2": 1, "3": 1}, ("1", "2", "1", "3", "2", "1"))
+    assert chain.stages[-1].dims() == {"1": 3, "2": 4, "3": 3}
+
+
+def test_a_wild_chain_is_walked_without_its_orbit(monkeypatch):
+    # The orbit of a wild framing is infinite; a step must not enumerate it.
+    monkeypatch.setattr(weyl, "_orbit", _no_orbit)
+    chain = demazure_module(WILD, {"1": 1, "2": 0, "3": 0}, ("2", "1"))
+    assert chain.stages[-1].dims() == {"1": 1, "2": 2, "3": 0}
 
 
 def test_stabilization_validates_primes():

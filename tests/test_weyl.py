@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from oracles import textbook_rref
@@ -151,6 +153,42 @@ def test_a_weight_with_a_non_integer_or_unknown_entry_is_refused():
         weight_multiplicity(A2, {"1": 1, "2": 1}, {"9": 1})
     with pytest.raises(ValidationError, match="unknown vertex '9'"):
         act(A2, ["1"], {"1": 1, "9": 1}, zero_vector(A2))
+
+
+def test_a_positional_weight_with_a_non_integer_entry_is_refused():
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        weight_multiplicity(A2, (1.5, 1), (1, 0))
+
+
+def test_a_positional_weight_with_an_entry_too_many_is_refused():
+    with pytest.raises(ValidationError, match="one per vertex"):
+        weight_multiplicity(A2, (1, 1, 7), (1, 0))
+
+
+def test_a_positional_vector_with_an_entry_too_few_is_refused():
+    with pytest.raises(ValidationError, match="one per vertex"):
+        act(A2, ("1",), (1, 0), (0,))
+
+
+@pytest.mark.parametrize("q, values", [(A2, (0, 1, 2)), (A3, (0, 1, 2)), (D4, (0, 1))],
+                         ids=["A2", "A3", "D4"])
+def test_extremality_without_the_orbit_is_orbit_membership(q, values):
+    for bits in itertools.product(values, repeat=len(q.vertices)):
+        w = dict(zip(q.vertices, bits))
+        orbit = extremal_orbit(q, w)
+        tops = [max(vt[k] for vt in orbit) + 1 for k in range(len(q.vertices))]
+        for vt in itertools.product(*(range(top + 1) for top in tops)):
+            assert weyl._is_extremal(q, w, vt) == (vt in orbit), (bits, vt)
+
+
+def test_extremality_past_finite_type_is_orbit_membership():
+    # Every vector of the box has a shortest word far below the orbit's depth
+    # cap.  At level zero the walk must stop at the first negative entry.
+    kron = kronecker_quiver()
+    for w in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
+        orbit = extremal_orbit(kron, w)
+        for vt in itertools.product(range(10), repeat=2):
+            assert weyl._is_extremal(kron, w, vt) == (vt in orbit), (w, vt)
 
 
 def test_bruhat_order():
