@@ -40,7 +40,7 @@ _EXPORTS = {
                "restrict", "socle", "socle_filtration", "sub_generated", "subrep_to_obj",
                "zero_subrep"),
     "weyl": ("act", "apply_involution", "bruhat_leq", "diagram_involution", "extremal_orbit",
-             "is_reduced", "longest_element", "positive_roots", "reduce_word", "weight_census",
+             "is_reduced", "longest_element", "positive_roots", "weight_census",
              "weight_multiplicity"),
 }
 

@@ -49,10 +49,6 @@ from .repmod import (
     zero_subrep,
 )
 from .weyl import (
-    _int_add,
-    _int_identity,
-    _int_mul,
-    _int_sub,
     apply_involution,
     diagram_involution,
     dot_step,
@@ -315,6 +311,33 @@ def fiber_euler(
 
 
 # -- consequence checks ----------------------------------------------------------
+# The operators are exact integer matrices, tuples of row tuples; the helpers
+# below multiply, add and subtract them and build scaled identities.
+
+def _int_mul(a, b) -> tuple:
+    width = len(b[0]) if b else 0
+    out = []
+    for ar in a:
+        row = [0] * width
+        for x, bt in zip(ar, b):
+            if x:
+                for c in range(width):
+                    row[c] += x * bt[c]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _int_sub(a, b) -> tuple:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _int_add(a, b) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _int_identity(n: int, scale: int = 1) -> tuple:
+    return tuple(tuple(scale if r == c else 0 for c in range(n)) for r in range(n))
+
 
 def _commutator(a: tuple, b: tuple) -> tuple:
     return _int_sub(_int_mul(a, b), _int_mul(b, a))

@@ -584,8 +584,12 @@ def expected_dimension(q: Quiver, w: dict, v: dict) -> int:
 
 
 def _check_primes(primes) -> list:
-    """The primes as a sorted list of ints; at least one, distinct, all prime."""
-    out = [int(p) for p in primes]
+    """The primes as a sorted list of ints; at least one, distinct, all prime.
+    An entry that is not an int, a bool included, is refused, not coerced."""
+    out = list(primes)
+    for p in out:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValidationError(f"prime {p!r} must be an integer")
     if not out:
         raise ValidationError("at least one prime is required")
     if len(set(out)) != len(out):

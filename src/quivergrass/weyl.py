@@ -6,10 +6,12 @@ dimension vectors sends v to v + (w - Cv)_i at the reflected vertex, where
 w is the framing vector and C the Cartan matrix; the orbit of the zero
 vector consists of the extremal dimension vectors.
 
-Reflections on root-lattice coordinates are kept as exact integer matrices;
-word reduction and Bruhat order use the positivity criterion (prepending
-s_j increases length exactly when the inverse sends the j-th simple root to
-a positive vector).
+A Weyl-group element u is its vector v_u on the regular orbit, the orbit of
+zero under the framing rho = all ones, on which W acts simply transitively.
+The weight rho - C·v_u is u·rho, so s_k u is longer than u exactly when the
+pairing rho_k - (C·v_u)_k is positive: reduced words, Bruhat order and the
+diagram involution are all read off dot steps, for any symmetric Cartan
+matrix (Kac, *Infinite dimensional Lie algebras*, ch. 3).
 """
 
 from __future__ import annotations
@@ -62,12 +64,16 @@ def dot_step(q: Quiver, i: str, w, v) -> dict:
 
 def act(q: Quiver, word, w, v) -> dict:
     """Apply a word right to left to a dimension vector."""
-    wt, cur = _tup(q, w), _tup(q, v)
+    return _dict(q, _act(q, word, _tup(q, w), _tup(q, v)))
+
+
+def _act(q: Quiver, word, wt: tuple, vt: tuple) -> tuple:
+    """`act` on vertex-ordered tuples."""
     for i in reversed(list(word)):
         if i not in q.vertices:
             raise ValidationError(f"unknown vertex {i!r} in word")
-        cur = _step(q, i, wt, cur)
-    return _dict(q, cur)
+        vt = _step(q, i, wt, vt)
+    return vt
 
 
 def extremal_orbit(q: Quiver, w) -> dict:
@@ -136,69 +142,26 @@ def orbit_maximum(q: Quiver, w) -> dict:
     return act(q, longest_element(q), w, zero_vector(q))
 
 
-# -- exact integer matrices as tuples of row tuples ---------------------------
+# -- the regular orbit: one vector per Weyl-group element --------------------
 
-def _int_mul(a, b) -> tuple:
-    width = len(b[0]) if b else 0
-    out = []
-    for ar in a:
-        row = [0] * width
-        for x, bt in zip(ar, b):
-            if x:
-                for c in range(width):
-                    row[c] += x * bt[c]
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _int_sub(a, b) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _int_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _int_identity(n: int, scale: int = 1) -> tuple:
-    return tuple(tuple(scale if r == c else 0 for c in range(n)) for r in range(n))
-
-
-# -- reflection matrices on root coordinates ---------------------------------
-
-def _reflection(q: Quiver, i: str) -> tuple:
-    c = _cartan(q)
-    n = len(q.vertices)
+def _regular_step(q: Quiver, i: str, vt: tuple) -> tuple[int, tuple]:
+    """The dot step at i under the framing rho = all ones, and the pairing
+    rho_i - (C·vt)_i it adds at i: positive exactly when s_i lengthens the
+    element whose vector is vt."""
+    out = _step(q, i, (1,) * len(vt), vt)
     k = q.vindex(i)
-    return tuple(
-        tuple((1 if r == j else 0) - (c[k][j] if r == k else 0) for j in range(n))
-        for r in range(n)
-    )
-
-
-def word_matrix(q: Quiver, word) -> tuple:
-    """Integer matrix of the word's action on root coordinates."""
-    n = len(q.vertices)
-    m = _int_identity(n)
-    for i in word:
-        m = _int_mul(m, _reflection(q, i))
-    return m
-
-
-def _column(m, j):
-    return tuple(row[j] for row in m)
+    return out[k] - vt[k], out
 
 
 def is_reduced(q: Quiver, word) -> bool:
-    """Positivity test: each prepended letter must increase the length."""
-    n = len(q.vertices)
-    minv = _int_identity(n)
+    """Each letter, applied right to left, must lengthen the element so far."""
+    vt = (0,) * len(q.vertices)
     for i in reversed(list(word)):
         if i not in q.vertices:
             raise ValidationError(f"unknown vertex {i!r} in word")
-        col = _column(minv, q.vindex(i))
-        if not (any(col) and all(x >= 0 for x in col)):
+        pairing, vt = _regular_step(q, i, vt)
+        if pairing <= 0:
             return False
-        minv = _int_mul(minv, _reflection(q, i))
     return True
 
 
@@ -207,68 +170,59 @@ def require_reduced(q: Quiver, word) -> None:
         raise NotReducedError(f"word {list(word)!r} is not reduced")
 
 
-def left_multiply(q: Quiver, j: str, word: tuple) -> tuple:
-    """Reduced word for s_j times the (reduced) given word."""
-    n = len(q.vertices)
-    minv = _int_identity(n)
-    for i in reversed(word):
-        minv = _int_mul(minv, _reflection(q, i))
-    col = _column(minv, q.vindex(j))
-    if any(col) and all(x >= 0 for x in col):
-        return (j,) + tuple(word)
-    # length drops: delete the letter whose prefix-transported root is alpha_j
-    target = tuple(1 if k == q.vindex(j) else 0 for k in range(n))
-    prefix = _int_identity(n)
-    for t, letter in enumerate(word):
-        if _column(prefix, q.vindex(letter)) == target:
-            return tuple(word[:t]) + tuple(word[t + 1 :])
-        prefix = _int_mul(prefix, _reflection(q, letter))
-    raise NotReducedError(f"word {list(word)!r} is not reduced")
-
-
-def reduce_word(q: Quiver, word) -> tuple:
-    """A reduced word for the same element, by folding letters from the right."""
-    out: tuple = ()
-    for i in reversed(list(word)):
-        out = left_multiply(q, i, out)
-    return out
-
-
 def bruhat_leq(q: Quiver, u, v) -> bool:
-    """Bruhat order: u at or below v; v must be reduced."""
+    """Bruhat order: u at or below v; v must be reduced, u need not be.
+
+    The lifting property (Björner–Brenti, §2.2): with v = s_j v', u <= v
+    exactly when s_j u <= v' if s_j shortens u, and u <= v' otherwise.  So
+    scan v left to right, step u's vector wherever the pairing is negative,
+    and ask whether u has become the identity.
+    """
     v = tuple(v)
     require_reduced(q, v)
-    u = reduce_word(q, u)
-    while True:
-        if not u:
-            return True
-        if not v:
-            return False
-        j, v = v[0], v[1:]
-        su = left_multiply(q, j, u)
-        if len(su) < len(u):
-            u = su
+    n = len(q.vertices)
+    ut = _act(q, u, (1,) * n, (0,) * n)
+    for j in v:
+        pairing, nxt = _regular_step(q, j, ut)
+        if pairing < 0:
+            ut = nxt
+    return not any(ut)
 
 
 def longest_element(q: Quiver) -> tuple:
-    """A reduced word for the longest element, via the regular orbit."""
+    """A reduced word for w0: every element lies below it, so stepping at the
+    first vertex of positive pairing until none is left ends there, along
+    w0's least reduced word (letters in acting order, ranked by `q.vertices`)."""
     require_finite_type(q)
-    w = {x: 1 for x in q.vertices}
-    orbit = extremal_orbit(q, w)
-    best = max(orbit.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    return best[1]
+    vt, word = (0,) * len(q.vertices), ()
+    while True:
+        for i in q.vertices:
+            pairing, nxt = _regular_step(q, i, vt)
+            if pairing > 0:
+                vt, word = nxt, (i,) + word
+                break
+        else:
+            return word
 
 
 def diagram_involution(q: Quiver) -> dict:
-    """The vertex permutation of the negated longest-element action."""
+    """The vertex permutation theta with w0·ϖ_j = -ϖ_theta(j).
+
+    The weight of w0 at ϖ_j is e_j - C·v, with v the dot action of the
+    longest word on zero under the framing e_j.
+    """
     require_finite_type(q)
-    m = word_matrix(q, longest_element(q))
+    top = longest_element(q)
+    c = _cartan(q)
+    n = len(q.vertices)
     out = {}
     for j, x in enumerate(q.vertices):
-        col = _column(m, j)
-        hits = [r for r, val in enumerate(col) if val != 0]
-        if len(hits) != 1 or col[hits[0]] != -1:
-            raise ValidationError("longest element does not negate the simple roots")
+        ej = tuple(int(k == j) for k in range(n))
+        vt = _act(q, top, ej, (0,) * n)
+        weight = [ej[r] - sum(c[r][k] * vt[k] for k in range(n)) for r in range(n)]
+        hits = [r for r, val in enumerate(weight) if val]
+        if len(hits) != 1 or weight[hits[0]] != -1:
+            raise ValidationError("longest element does not negate the fundamental weights")
         out[x] = q.vertices[hits[0]]
     return out
 

@@ -401,3 +401,58 @@ def fraction_lagrange(points):
                 basis = [(a - xk * b) * scale for a, b in zip([Fraction(0)] + basis, basis + [0])]
         coeffs = [c + b for c, b in zip(coeffs, basis)]
     return coeffs
+
+
+# -- Weyl groups by hand -------------------------------------------------------------
+
+def type_a_permutation(word, n):
+    """The permutation of 0..n of a word in the vertices "1".."n" of A_n,
+    letter "i" the transposition of positions i-1 and i, composed left to
+    right: the word s_i1 ... s_ik as the one-line tuple of its values."""
+    perm = list(range(n + 1))
+    for letter in word:
+        i = int(letter)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
+
+
+def type_a_is_reduced(word, n):
+    """A word is reduced iff its permutation has as many inversions as letters."""
+    perm = type_a_permutation(word, n)
+    inversions = sum(1 for a, b in combinations(range(n + 1), 2) if perm[a] > perm[b])
+    return inversions == len(word)
+
+
+def type_a_bruhat_leq(u, v, n):
+    """The tableau criterion: u <= v iff #{a <= i : u(a) >= j} is at most the
+    same count for v at every i and j (Björner–Brenti, Thm 2.1.5)."""
+    pu, pv = type_a_permutation(u, n), type_a_permutation(v, n)
+
+    def rank(perm, i, j):
+        return sum(1 for a in range(i + 1) if perm[a] >= j)
+
+    return all(rank(pu, i, j) <= rank(pv, i, j)
+               for i in range(n + 1) for j in range(n + 1))
+
+
+def dihedral_reduction(word):
+    """The infinite dihedral group <s, t | s², t²>: cancel equal adjacent
+    letters until none are left, which gives the one reduced word."""
+    out = []
+    for letter in word:
+        if out and out[-1] == letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def dihedral_is_reduced(word):
+    """A word is reduced iff no two adjacent letters are equal."""
+    return all(a != b for a, b in zip(word, word[1:]))
+
+
+def dihedral_bruhat_leq(u, v):
+    """u <= v iff u = v or u is strictly shorter, once both are reduced."""
+    ru, rv = dihedral_reduction(u), dihedral_reduction(v)
+    return ru == rv or len(ru) < len(rv)

@@ -28,6 +28,7 @@ from quivergrass.repmod import (
     reduce_subrep,
     restrict,
     socle,
+    socle_filtration,
 )
 from quivergrass.weyl import extremal_orbit, longest_element
 
@@ -263,6 +264,17 @@ def test_a_stable_kronecker_stage_has_the_hull_counts(v):
     stage = restrict(chain.model.rep, chain.stages[-1])
     for p in (2, 3):
         assert count_submodules(reduce_mod(stage, p), v) == grassmann.hull_count(K, w, v, p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kronecker_demazure_stages_are_the_socle_layers(n):
+    # The Loewy bound: a submodule of Loewy length n lies in soc^n I(w).  On
+    # the Kronecker quiver with w at vertex 1 the stage of the alternating
+    # word of length n, ending in "1", is all of soc^n (dims (1,0), (1,2),
+    # (4,2), (4,6), (9,6), (9,12)); on affine A2 this already fails at n = 2.
+    word = tuple("1" if (n - 1 - k) % 2 == 0 else "2" for k in range(n))
+    chain = demazure_module(kronecker_quiver(), {"1": 1, "2": 0}, word, trunc=7)
+    assert chain.stages[-1].bases == socle_filtration(chain.model.rep)[n].bases
 
 
 def _no_orbit(*args):

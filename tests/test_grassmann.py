@@ -451,6 +451,21 @@ def test_count_polynomial_rejects_bad_primes():
         count_polynomial(A1, {"1": 2}, {"1": 1}, [2, 2, 3])
 
 
+def test_count_polynomial_refuses_primes_that_are_floats():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        count_polynomial(line_quiver(2), {"1": 1, "2": 1}, {"1": 1, "2": 1}, [2.9, 3.2, 5.7])
+
+
+def test_a_prime_given_as_a_string_is_refused():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        grassmann._check_primes(["7", 3])
+
+
+def test_a_prime_given_as_a_bool_is_refused():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        grassmann._check_primes([True, 3])
+
+
 def test_interpolation_plan_rejects_a_dimension_vector_that_does_not_exist():
     w = {"1": 1, "2": 1}
     for v in ({"9": 5}, {"1": -3}):

@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from oracles import textbook_rref
+from oracles import (
+    dihedral_bruhat_leq,
+    dihedral_is_reduced,
+    textbook_rref,
+    type_a_bruhat_leq,
+    type_a_is_reduced,
+)
 
 import quivergrass.weyl as weyl
 from quivergrass.errors import NotFiniteTypeError, NotReducedError, ValidationError
@@ -18,7 +24,6 @@ from quivergrass.weyl import (
     longest_element,
     orbit_maximum,
     positive_roots,
-    reduce_word,
     weight_census,
     weight_multiplicity,
     zero_vector,
@@ -136,8 +141,6 @@ def test_reduced_words():
     assert is_reduced(A2, [])
     assert not is_reduced(A2, ["1", "1"])
     assert not is_reduced(A2, ["1", "2", "1", "2"])
-    assert reduce_word(A2, ["1", "1"]) == ()
-    assert reduce_word(A2, ["1", "2", "1", "2"]) == ("2", "1")
 
 
 def test_braid_words_act_identically():
@@ -206,6 +209,31 @@ def test_bruhat_order():
 def test_bruhat_reflexive_on_reduced_words():
     for word in (["1"], ["2", "1"], ["1", "2", "1"]):
         assert bruhat_leq(A2, word, word)
+
+
+def _words(q, longest):
+    return [w for n in range(longest + 1) for w in itertools.product(q.vertices, repeat=n)]
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["A2", "A3"])
+def test_type_a_words_and_bruhat_order_match_permutations(n):
+    q = line_quiver(n)
+    words = _words(q, 5)
+    reduced = [w for w in words if type_a_is_reduced(w, n)]
+    assert [w for w in words if is_reduced(q, w)] == reduced
+    for u in words:
+        for v in reduced:
+            assert bruhat_leq(q, u, v) == type_a_bruhat_leq(u, v, n), (u, v)
+
+
+def test_kronecker_words_and_bruhat_order_match_the_infinite_dihedral_group():
+    kron = kronecker_quiver()
+    words = _words(kron, 8)
+    reduced = [w for w in words if dihedral_is_reduced(w)]
+    assert [w for w in words if is_reduced(kron, w)] == reduced
+    for u in words:
+        for v in reduced:
+            assert bruhat_leq(kron, u, v) == dihedral_bruhat_leq(u, v), (u, v)
 
 
 def test_positive_root_counts():
