@@ -46,7 +46,7 @@ from .errors import (
     QuivergrassError,
     ValidationError,
 )
-from .quiver import Quiver, parse_dimvec, quiver_from_json
+from .quiver import Quiver, _is_int, parse_dimvec, quiver_from_json
 
 _CONFIG_KEYS = ("trunc", "cap", "workers")
 
@@ -84,7 +84,7 @@ def _load_config(path: str | None) -> dict:
             raise ValidationError(
                 f"unknown config key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}"
             )
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ValidationError(f"config key {key!r} must be a positive integer")
     return obj
 
@@ -284,9 +284,9 @@ def _cmd_rep_matrices(args) -> int:
                 }
                 for k, (vt, pt) in enumerate(points)
             ],
-            "E": {i: ops[i].raising for i in verts},
-            "F": {i: ops[i].lowering for i in verts},
-            "H": {i: ops[i].torus for i in verts},
+            "E": {i: ops[i].raising.a for i in verts},
+            "F": {i: ops[i].lowering.a for i in verts},
+            "H": {i: ops[i].torus.a for i in verts},
         }
     )
     return 0

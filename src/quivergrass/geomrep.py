@@ -1,10 +1,11 @@
-"""Integer raising/lowering/torus matrices on finite grassmannian point sets.
+"""Raising/lowering/torus matrices on finite grassmannian point sets.
 
 When every nonempty submodule stratum of a hull truncation is a single
 point, delta functions on those points carry an exact Lie-algebra action: the
 raising and lowering matrices have a 1 exactly at nested point pairs whose
 dimension vectors differ by one vertex, and the torus operator is diagonal
-with entries given by the framing minus the Cartan pairing.  Fiber Euler
+with entries given by the framing minus the Cartan pairing.  All three are
+integer `Mat`s over QQ, and every audit is a `Mat` identity.  Fiber Euler
 numbers are interpolated from prime-field counts, restriction to a chain stage
 is compared against extension by zero, and the codimension bijection between
 a framing and its diagram twist swaps raising with lowering while negating the
@@ -39,7 +40,7 @@ from .grassmann import (
     count_polynomial,
 )
 from .hull import InjectiveModel, injective_hull
-from .linalg import pivot_rows, subspace_contains
+from .linalg import Mat, pivot_rows, subspace_contains
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
     Subrep,
@@ -118,11 +119,13 @@ class FiniteRealization(NamedTuple):
 
 
 class VertexOperators(NamedTuple):
-    """Raising, lowering, and torus matrices at one vertex."""
+    """Raising, lowering, and torus matrices at one vertex: integer `Mat`s
+    over QQ on the point basis, lowering the transpose of raising and torus
+    diagonal."""
 
-    raising: tuple
-    lowering: tuple
-    torus: tuple
+    raising: Mat
+    lowering: Mat
+    torus: Mat
 
 
 class CheckItem(NamedTuple):
@@ -166,8 +169,8 @@ def _vertex_operators(q: Quiver, w: dict, points: list) -> dict:
     n = len(points)
     out = {}
     for a, i in enumerate(verts):
-        diagonal = []
-        for vr, _ in points:
+        torus = Mat.zeros(QQ, n, n)
+        for k, (vr, _) in enumerate(points):
             h = int(w.get(i, 0)) - sum(cmat[a][b] * vr[b] for b in range(len(verts)))
             # independent check through the reflection-step arithmetic
             vdict = {verts[b]: vr[b] for b in range(len(verts))}
@@ -175,9 +178,9 @@ def _vertex_operators(q: Quiver, w: dict, points: list) -> dict:
                 raise InternalCheckError(
                     "torus entry disagrees with the reflection step"
                 )
-            diagonal.append(h)
-        raising = tuple(
-            tuple(
+            torus.a[k][k] = h
+        raising = Mat(QQ, n, n, [
+            [
                 1
                 if all(
                     vc[b] - vr[b] == (1 if b == a else 0)
@@ -186,17 +189,10 @@ def _vertex_operators(q: Quiver, w: dict, points: list) -> dict:
                 and _point_contained(pr, pc)
                 else 0
                 for vc, pc in points
-            )
+            ]
             for vr, pr in points
-        )
-        out[i] = VertexOperators(
-            raising=raising,
-            lowering=tuple(zip(*raising)),
-            torus=tuple(
-                tuple(h if r == c else 0 for c in range(n))
-                for r, h in enumerate(diagonal)
-            ),
-        )
+        ])
+        out[i] = VertexOperators(raising=raising, lowering=raising.t(), torus=torus)
     return out
 
 
@@ -257,7 +253,7 @@ def finite_points(
 
 
 def operator_matrices(real: FiniteRealization) -> dict:
-    """Integer raising/lowering/torus matrices on the global point basis."""
+    """Raising/lowering/torus `Mat`s on the global point basis."""
     points = real.point_list()
     return _vertex_operators(real.model.base, real.w, points)
 
@@ -311,37 +307,6 @@ def fiber_euler(
 
 
 # -- consequence checks ----------------------------------------------------------
-# The operators are exact integer matrices, tuples of row tuples; the helpers
-# below multiply, add and subtract them and build scaled identities.
-
-def _int_mul(a, b) -> tuple:
-    width = len(b[0]) if b else 0
-    out = []
-    for ar in a:
-        row = [0] * width
-        for x, bt in zip(ar, b):
-            if x:
-                for c in range(width):
-                    row[c] += x * bt[c]
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _int_sub(a, b) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _int_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _int_identity(n: int, scale: int = 1) -> tuple:
-    return tuple(tuple(scale if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def _commutator(a: tuple, b: tuple) -> tuple:
-    return _int_sub(_int_mul(a, b), _int_mul(b, a))
-
 
 def verify_sl2(
     q: Quiver,
@@ -401,13 +366,13 @@ def verify_sl2(
         total_points = len(points)
         ops = _vertex_operators(q, w, points)
         n = len(points)
-        zero = _int_identity(n, 0)
+        zero = Mat.zeros(QQ, n, n)
 
         comm_fail = []
         for i in verts:
             for j in verts:
-                comm = _commutator(ops[i].raising, ops[j].lowering)
-                if comm != (ops[i].torus if i == j else zero):
+                e, f = ops[i].raising, ops[j].lowering
+                if e @ f - f @ e != (ops[i].torus if i == j else zero):
                     comm_fail.append(f"({i},{j})")
         items.append(
             CheckItem(
@@ -417,13 +382,11 @@ def verify_sl2(
             )
         )
 
+        two = Mat.identity(QQ, n).scale(2)
         shift_fail = []
         for i in verts:
-            lhs = _int_mul(ops[i].torus, ops[i].raising)
-            rhs = _int_mul(
-                ops[i].raising, _int_add(ops[i].torus, _int_identity(n, 2))
-            )
-            if lhs != rhs:
+            e, h = ops[i].raising, ops[i].torus
+            if h @ e != e @ (h + two):
                 shift_fail.append(i)
         items.append(
             CheckItem(
@@ -441,9 +404,9 @@ def verify_sl2(
                     continue
                 power = 1 - cmat[a][b]
                 for kind in ("raising", "lowering"):
-                    acc = getattr(ops[j], kind)
+                    x, acc = getattr(ops[i], kind), getattr(ops[j], kind)
                     for _ in range(power):
-                        acc = _commutator(getattr(ops[i], kind), acc)
+                        acc = x @ acc - acc @ x
                     if acc != zero:
                         serre_fail.append(f"({i},{j},{kind})")
         items.append(
@@ -528,16 +491,11 @@ def restricted_compat(
     ops_amb = _vertex_operators(q, w, amb_points)
     ops_sub = _vertex_operators(q, w, sub_points)
     idx = [k for k, inside in enumerate(flags) if inside]
-    for i in verts:
-        for kind in ("raising", "lowering", "torus"):
-            amb = getattr(ops_amb[i], kind)
-            sub = getattr(ops_sub[i], kind)
-            cut = tuple(
-                tuple(amb[r][c] for c in idx) for r in idx
-            )
-            if cut != sub:
-                return False
-    return True
+    return all(
+        amb.take_rows(idx).take_cols(idx) == sub
+        for i in verts
+        for amb, sub in zip(ops_amb[i], ops_sub[i])
+    )
 
 
 # -- involution comparison ---------------------------------------------------------
@@ -607,30 +565,25 @@ def chevalley_compare(
     ops_t = _vertex_operators(q, tw, pts_t)
     n = len(pts_w)
 
-    swap_fail = []
-    for i in verts:
-        for r in range(n):
-            for c in range(n):
-                if (
-                    ops_w[i].raising[r][c]
-                    != ops_t[i].lowering[pairing[r]][pairing[c]]
-                    or ops_w[i].lowering[r][c]
-                    != ops_t[i].raising[pairing[r]][pairing[c]]
-                ):
-                    swap_fail.append(f"{i}[{r}][{c}]")
+    def paired(m: Mat, order=pairing) -> Mat:
+        return m.take_rows(order).take_cols(order)
+
+    swap_fail = [
+        i for i in verts
+        if paired(ops_t[i].lowering) != ops_w[i].raising
+        or paired(ops_t[i].raising) != ops_w[i].lowering
+    ]
     items.append(
         CheckItem(
             "raising and lowering swap under the pairing",
             not swap_fail,
-            "; ".join(swap_fail[:8]),
+            "; ".join(swap_fail),
         )
     )
 
-    torus_fail = []
-    for i in verts:
-        for r in range(n):
-            if ops_t[i].torus[pairing[r]][pairing[r]] != -ops_w[i].torus[r][r]:
-                torus_fail.append(f"{i}[{r}]")
+    torus_fail = [
+        i for i in verts if paired(ops_t[i].torus) != ops_w[i].torus.scale(-1)
+    ]
     items.append(
         CheckItem(
             "torus entries negate under the pairing",
@@ -639,12 +592,11 @@ def chevalley_compare(
         )
     )
 
-    reversal_fail = []
-    for i in verts:
-        diag_w = [ops_w[i].torus[r][r] for r in range(n)]
-        diag_t = [ops_t[i].torus[r][r] for r in range(n)]
-        if diag_t != [-h for h in reversed(diag_w)]:
-            reversal_fail.append(i)
+    reversed_order = list(range(n - 1, -1, -1))
+    reversal_fail = [
+        i for i in verts
+        if ops_t[i].torus != paired(ops_w[i].torus.scale(-1), reversed_order)
+    ]
     items.append(
         CheckItem(
             "torus eigenvalue lists negate and reverse",

@@ -95,7 +95,7 @@ from .errors import (
 from .fields import PrimeField, is_prime
 from .hull import Grading, InjectiveModel, _framing, _resolve_trunc, injective_hull
 from .linalg import Mat, Subspace, _image, _lanes, col_space, sparse_columns
-from .quiver import Arrow, Quiver, _check_dim_vector, cartan_matrix
+from .quiver import Arrow, Quiver, _check_dim_vector, _is_int, cartan_matrix
 from .repmod import (
     Rep,
     Subrep,
@@ -367,7 +367,11 @@ def _columns_mod(fp: PrimeField, n: int, xcols: list) -> list:
 
 
 def _cap(cap: int | None) -> int:
-    return DEFAULT_CANDIDATE_CAP if cap is None else int(cap)
+    if cap is None:
+        return DEFAULT_CANDIDATE_CAP
+    if not _is_int(cap):
+        raise ValidationError(f"the candidate cap must be an integer, got {cap!r}")
+    return cap
 
 
 def _prime_of(v_rep: Rep) -> int:
@@ -588,7 +592,7 @@ def _check_primes(primes) -> list:
     An entry that is not an int, a bool included, is refused, not coerced."""
     out = list(primes)
     for p in out:
-        if isinstance(p, bool) or not isinstance(p, int):
+        if not _is_int(p):
             raise ValidationError(f"prime {p!r} must be an integer")
     if not out:
         raise ValidationError("at least one prime is required")

@@ -50,7 +50,7 @@ from .errors import (
 from .fields import QQ
 from .linalg import Mat, kernel, rank, row_times, subspace_intersect
 from .palg import Path, algebra, compose, default_truncation, trivial_path, vanishing_bound
-from .quiver import Quiver, _check_dim_vector, cartan_matrix
+from .quiver import Quiver, _check_dim_vector, _is_int, cartan_matrix
 from .repmod import (
     Rep,
     Subrep,
@@ -120,8 +120,8 @@ def vertex_projective(q: Quiver, i: str, trunc: int | None = None) -> Rep:
 
 def _resolve_trunc(q: Quiver, trunc: int | None) -> tuple[int, bool]:
     """The truncation to use and whether it keeps the whole module."""
-    if trunc is not None and trunc < 1:
-        raise ValidationError(f"the truncation must be a positive integer, got {trunc}")
+    if trunc is not None and (not _is_int(trunc) or trunc < 1):
+        raise ValidationError(f"the truncation must be a positive integer, got {trunc!r}")
     if cartan_matrix(q).kind == "finite":
         bound = vanishing_bound(q)
         return (bound if trunc is None else trunc), trunc is None or trunc >= bound

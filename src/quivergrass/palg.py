@@ -77,12 +77,6 @@ class AlgSlice:
     def block(self, src: str, dst: str) -> SliceBlock:
         return self.blocks.get((src, dst)) or SliceBlock([])
 
-    def basis(self) -> list[Path]:
-        out: list[Path] = []
-        for key in sorted(self.blocks):
-            out.extend(self.blocks[key].paths)
-        return out
-
     def dim(self) -> int:
         return sum(len(b.paths) for b in self.blocks.values())
 

@@ -268,14 +268,22 @@ def parse_dimvec(q: Quiver, text: str) -> tuple[int, ...]:
     return tuple(_nonneg(p) for p in parts)
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool: the one test of every count,
+    size and prime a caller hands over."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_dim_vector(q: Quiver, v: dict) -> dict:
     """v over every vertex of q, in vertex order, missing entries 0; refuses an
-    unknown vertex and an entry that is not a non-negative int."""
+    unknown vertex and an entry that is not a non-negative int, a bool included."""
     for key, val in (v or {}).items():
         if key not in q.vertices:
             raise ValidationError(f"unknown vertex {key!r} in dimension vector")
-        if not isinstance(val, int) or val < 0:
-            raise ValidationError(f"dimension at vertex {key!r} must be a non-negative integer")
+        if not _is_int(val) or val < 0:
+            raise ValidationError(
+                f"dimension at vertex {key!r} must be a non-negative integer, got {val!r}"
+            )
     return {u: int((v or {}).get(u, 0)) for u in q.vertices}
 
 

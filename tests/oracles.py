@@ -456,3 +456,30 @@ def dihedral_bruhat_leq(u, v):
     """u <= v iff u = v or u is strictly shorter, once both are reduced."""
     ru, rv = dihedral_reduction(u), dihedral_reduction(v)
     return ru == rv or len(ru) < len(rv)
+
+
+# -- sl_(n+1) on an exterior power ------------------------------------------------------
+
+def wedge_action(n, k):
+    """sl_(n+1) acting on Λ^k C^(n+1), by hand: (subsets, E, F, H).
+
+    The basis is the k-subsets S of 1..n+1, in lexicographic order. E_i sends
+    e_S to e_(S - {i+1} + {i}) when i+1 is in S and i is not, F_i does the
+    reverse, and H_i e_S = ([i in S] - [i+1 in S]) e_S. Each of E, F and H maps
+    the vertex name str(i) to a dense list of rows, entry [r][c] the
+    coefficient of e_(S_r) in the image of e_(S_c).
+    """
+    subsets = [frozenset(c) for c in combinations(range(1, n + 2), k)]
+    index = {s: r for r, s in enumerate(subsets)}
+    size = len(subsets)
+    E, F, H = {}, {}, {}
+    for i in range(1, n + 1):
+        e, f, h = ([[0] * size for _ in range(size)] for _ in range(3))
+        for c, s in enumerate(subsets):
+            h[c][c] = (i in s) - (i + 1 in s)
+            if i + 1 in s and i not in s:
+                e[index[s - {i + 1} | {i}]][c] = 1
+            if i in s and i + 1 not in s:
+                f[index[s - {i} | {i + 1}]][c] = 1
+        E[str(i)], F[str(i)], H[str(i)] = e, f, h
+    return subsets, E, F, H

@@ -20,6 +20,8 @@ from quivergrass.quiver import line_quiver, star_quiver
 from quivergrass.repmod import full_subrep, reduce_mod, socle, zero_subrep
 from quivergrass.weyl import extremal_orbit, weight_census
 
+from oracles import wedge_action
+
 A1 = line_quiver(1)
 A2 = line_quiver(2)
 A3 = line_quiver(3)
@@ -62,19 +64,19 @@ def test_varying_count_is_reported_not_raised():
 def test_operator_matrices_frozen_values():
     real = finite_points(A2, W10)
     ops = operator_matrices(real)
-    assert ops["1"].raising == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
-    assert ops["1"].lowering == ((0, 0, 0), (1, 0, 0), (0, 0, 0))
-    assert ops["1"].torus == ((1, 0, 0), (0, -1, 0), (0, 0, 0))
-    assert ops["2"].raising == ((0, 0, 0), (0, 0, 1), (0, 0, 0))
-    assert ops["2"].lowering == ((0, 0, 0), (0, 0, 0), (0, 1, 0))
-    assert ops["2"].torus == ((0, 0, 0), (0, 1, 0), (0, 0, -1))
+    assert ops["1"].raising.a == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert ops["1"].lowering.a == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    assert ops["1"].torus.a == [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
+    assert ops["2"].raising.a == [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+    assert ops["2"].lowering.a == [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
+    assert ops["2"].torus.a == [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
 
 
 def test_torus_sequence_along_the_chain():
     real = finite_points(A2, W10)
     ops = operator_matrices(real)
     pairs = [
-        (ops["1"].torus[k][k], ops["2"].torus[k][k]) for k in range(3)
+        (ops["1"].torus.a[k][k], ops["2"].torus.a[k][k]) for k in range(3)
     ]
     assert pairs == [(1, 0), (-1, 1), (0, -1)]
 
@@ -95,12 +97,12 @@ def test_commutators_against_torus():
             comm = [
                 [x - y for x, y in zip(ra, rb)]
                 for ra, rb in zip(
-                    mul(ops[i].raising, ops[j].lowering),
-                    mul(ops[j].lowering, ops[i].raising),
+                    mul(ops[i].raising.a, ops[j].lowering.a),
+                    mul(ops[j].lowering.a, ops[i].raising.a),
                 )
             ]
             expect = (
-                [list(r) for r in ops[i].torus]
+                ops[i].torus.a
                 if i == j
                 else [[0] * 3 for _ in range(3)]
             )
@@ -111,9 +113,32 @@ def test_raising_annihilates_the_vacuum():
     real = finite_points(A2, W10)
     ops = operator_matrices(real)
     for i in ("1", "2"):
-        assert all(row[0] == 0 for row in ops[i].raising)
+        assert all(row[0] == 0 for row in ops[i].raising.a)
         # and nothing lowers into the vacuum either
-        assert all(ops[i].lowering[0][c] == 0 for c in range(3))
+        assert all(ops[i].lowering.a[0][c] == 0 for c in range(3))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in range(1, 5) for k in range(1, n + 1)],
+    ids=[f"A{n}-k{k}" for n in range(1, 5) for k in range(1, n + 1)],
+)
+def test_operators_match_the_exterior_power_by_hand(n, k):
+    # The framing e_k realizes the fundamental weight ϖ_k, which is minuscule:
+    # its weights are distinct, so they match each point to one k-subset.
+    q = line_quiver(n)
+    verts = [str(i) for i in range(1, n + 1)]
+    assert list(q.vertices) == verts
+    ops = operator_matrices(finite_points(q, {i: int(i == str(k)) for i in verts}))
+    subsets, E, F, H = wedge_action(n, k)
+    size = len(subsets)
+    by_weight = {tuple(H[i][c][c] for i in verts): c for c in range(size)}
+    assert len(by_weight) == size == ops["1"].torus.rows
+    order = [by_weight[tuple(ops[i].torus.a[r][r] for i in verts)] for r in range(size)]
+    assert sorted(order) == list(range(size))
+    for i in verts:
+        for mine, theirs in ((ops[i].raising, E[i]), (ops[i].lowering, F[i]), (ops[i].torus, H[i])):
+            assert mine.a == [[theirs[r][c] for c in order] for r in order], i
 
 
 def test_fiber_euler_values():
@@ -181,6 +206,51 @@ def test_restricted_compat_all_word_segments():
         assert restricted_compat(A2, W10, word[k:])
         assert restricted_compat(A2, W10, word[: len(word) - k])
     assert restricted_compat(A3, {"1": 1, "2": 0, "3": 0}, ("1", "2", "1"))
+
+
+def _zero_e1_f1(monkeypatch, perturbed):
+    """Make `_vertex_operators` return E_1 = F_1 = 0 on the calls that
+    `perturbed(call number, w)` picks, and the true operators on the rest."""
+    assemble = geomrep._vertex_operators
+    calls = []
+
+    def assemble_some_wrong(q, w, points):
+        ops = assemble(q, w, points)
+        calls.append(w)
+        if perturbed(len(calls), w):
+            zero = ops["1"].torus.scale(0)
+            ops["1"] = ops["1"]._replace(raising=zero, lowering=zero)
+        return ops
+
+    monkeypatch.setattr(geomrep, "_vertex_operators", assemble_some_wrong)
+
+
+def test_verify_sl2_fails_on_a_wrong_commutator(monkeypatch):
+    _zero_e1_f1(monkeypatch, lambda call, w: True)
+    rep = verify_sl2(A2, W10)
+    assert not rep.passed
+    failed = [it for it in rep.items if not it.passed]
+    assert [it.name for it in failed] == ["raising/lowering commutators equal the torus table"]
+    assert "(1,1)" in failed[0].details
+
+
+def test_chevalley_compare_names_the_vertex_whose_swap_fails(monkeypatch):
+    # Only the twisted framing's realization is wrong; perturbing both sides
+    # alike would keep them each other's swap.
+    twist = {"1": 0, "2": 1}
+    _zero_e1_f1(monkeypatch, lambda call, w: w == twist)
+    rep = chevalley_compare(A2, W10)
+    assert not rep.passed
+    failed = [it for it in rep.items if not it.passed]
+    assert [(it.name, it.details) for it in failed] == [
+        ("raising and lowering swap under the pairing", "1")
+    ]
+
+
+def test_restricted_compat_fails_on_a_wrong_stage_assembly(monkeypatch):
+    # The ambient assembly comes first, the stage's second.
+    _zero_e1_f1(monkeypatch, lambda call, w: call == 2)
+    assert not restricted_compat(A2, W10, ("1",))
 
 
 def test_restricted_compat_needs_finite_regime():

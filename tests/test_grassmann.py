@@ -466,6 +466,19 @@ def test_a_prime_given_as_a_bool_is_refused():
         grassmann._check_primes([True, 3])
 
 
+def test_a_dimension_given_as_a_bool_is_refused():
+    # True once passed as a dimension of 1 and False as 0.
+    with pytest.raises(ValidationError, match="non-negative integer, got True"):
+        count_polynomial(line_quiver(2), {"1": True, "2": 1}, {"1": True, "2": False}, [2, 3, 5])
+
+
+@pytest.mark.parametrize("cap", ["50", 2.9, True], ids=["str", "float", "bool"])
+def test_a_candidate_cap_that_is_not_an_int_is_refused(cap):
+    rep = reduce_mod(injective_hull(A2, {"1": 1, "2": 1}).rep, 3)
+    with pytest.raises(ValidationError, match=f"cap must be an integer, got {cap!r}"):
+        count_submodules(rep, {"1": 1, "2": 1}, cap)
+
+
 def test_interpolation_plan_rejects_a_dimension_vector_that_does_not_exist():
     w = {"1": 1, "2": 1}
     for v in ({"9": 5}, {"1": -3}):

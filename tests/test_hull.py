@@ -324,6 +324,12 @@ def test_a_framing_with_a_non_integer_entry_is_refused():
         injective_hull(A2, {"1": 1.5})
 
 
+@pytest.mark.parametrize("trunc", [True, 2.5, "3"], ids=["bool", "float", "str"])
+def test_a_truncation_that_is_not_an_int_is_refused(trunc):
+    with pytest.raises(ValidationError, match=f"positive integer, got {trunc!r}"):
+        injective_hull(A2, {"1": 1, "2": 0}, trunc)
+
+
 def test_with_projection_rejects_bad_socle_restriction():
     m = injective_hull(A2, {"1": 1, "2": 1})
     with pytest.raises(ValidationError):

@@ -158,6 +158,12 @@ def test_a_weight_with_a_non_integer_or_unknown_entry_is_refused():
         act(A2, ["1"], {"1": 1, "9": 1}, zero_vector(A2))
 
 
+def test_a_weight_with_a_bool_entry_is_refused():
+    # True once passed as 1, so this asked for the multiplicity 2.
+    with pytest.raises(ValidationError, match="non-negative integer, got True"):
+        weight_multiplicity(A2, {"1": True, "2": True}, {"1": True, "2": True})
+
+
 def test_a_positional_weight_with_a_non_integer_entry_is_refused():
     with pytest.raises(ValidationError, match="non-negative integer"):
         weight_multiplicity(A2, (1.5, 1), (1, 0))
