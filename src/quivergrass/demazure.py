@@ -35,8 +35,8 @@ from .errors import (
     TruncationTooSmallError,
     ValidationError,
 )
-from .grassmann import _CountSetup, _check_primes
-from .hull import InjectiveModel, injective_hull
+from .grassmann import _CountSetup, _check_primes, _hull, _hull_key
+from .hull import InjectiveModel
 from .linalg import subspace_contains
 from .quiver import Quiver, _check_dim_vector, cartan_matrix
 from .repmod import Subrep, _mapped_into, make_subrep, restrict, zero_subrep
@@ -156,10 +156,11 @@ def _extremal_points(model: InjectiveModel, length_cap: int | None):
 def demazure_module(
     q: Quiver, w: dict, word, trunc: int | None = None
 ) -> DemazureChain:
-    """Build the submodule chain along a reduced word, last letter first."""
+    """Build the submodule chain along a reduced word, last letter first,
+    in the key's shared hull (`grassmann._hull`)."""
     base_word = _as_word(q, word)
     require_reduced(q, base_word)
-    return _walk(injective_hull(q, w, trunc), base_word)
+    return _walk(_hull(*_hull_key(q, w, trunc))[0], base_word)
 
 
 def check_nesting(chain1: DemazureChain, chain2: DemazureChain) -> bool:
@@ -211,8 +212,7 @@ def stabilization_sigma(
     """
     plist = _check_primes(primes)
     target = _check_dim_vector(q, v)
-    model = injective_hull(q, w, trunc)
-    setup = _CountSetup(model.rep)
+    model, setup = _hull(*_hull_key(q, w, trunc))
     stable = tuple(setup.count(p, target, cap) for p in plist)
     if cartan_matrix(q).kind == "finite":
         word0 = longest_element(q)

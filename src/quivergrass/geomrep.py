@@ -36,10 +36,13 @@ from .grassmann import (
     _certified_fit,
     _check_primes,
     _CountSetup,
-    _next_prime,
+    _hull,
+    _hull_key,
+    _primes_for,
     count_polynomial,
+    expected_dimension,
 )
-from .hull import InjectiveModel, injective_hull
+from .hull import InjectiveModel
 from .linalg import Mat, pivot_rows, subspace_contains
 from .quiver import Quiver, cartan_matrix
 from .repmod import (
@@ -210,16 +213,16 @@ def finite_points(
     A weight is in the finite regime when its prime-field counts agree across
     all test primes and are either 1 at an extremal weight, whose one point
     is the walk endpoint, or 0, with the empty list.  Every other weight
-    carries a reason instead of a list.  The counts run on a set-up of this
-    call's own model, so each prime's slots are built once.
+    carries a reason instead of a list.  The model and its set-up are the
+    key's shared hull (`grassmann._hull`), so each prime's slots are built
+    once.
     """
     plist = _check_primes(primes)
-    model = injective_hull(q, w, trunc)
+    model, setup = _hull(*_hull_key(q, w, trunc))
     census = weight_census(q, w)
     orbit = extremal_orbit(q, w)
     points = {vt: point for vt, _, point in _extremal_points(model, None)}
     verts = list(q.vertices)
-    setup = _CountSetup(model.rep)
     statuses = {}
     for vt in sorted(census):
         vdict = dict(zip(verts, vt))
@@ -262,11 +265,8 @@ def operator_matrices(real: FiniteRealization) -> dict:
 
 def _interpolated_chi(rep, target: dict, bound: int, primes, cap) -> int:
     """Euler number as the value at one of the interpolated count polynomial."""
-    plist = _check_primes(primes)
-    while len(plist) < bound + 2:
-        plist.append(_next_prime(plist[-1]))
     setup = _CountSetup(rep)
-    counts = [(p, setup.count(p, target, cap)) for p in plist]
+    counts = [(p, setup.count(p, target, cap)) for p in _primes_for(primes, bound)]
     return sum(_certified_fit(counts, bound))
 
 
@@ -323,7 +323,9 @@ def verify_sl2(
     the commutator table, the torus shift under raising, the adjacent-vertex
     nilpotency of repeated brackets, and the per-weight point census.
     The count polynomials reuse the counts of `finite_points`, so each
-    weight is counted once per test prime.
+    weight is counted once per test prime; a weight whose degree needs more
+    primes than given also counts the least primes above them, as
+    `fiber_euler` does.
     """
     plist = _check_primes(primes)
     real = finite_points(q, w, trunc, plist, cap)
@@ -334,7 +336,8 @@ def verify_sl2(
     mismatches = []
     for vt in sorted(census):
         vdict = dict(zip(verts, vt))
-        poly = count_polynomial(q, w, vdict, plist, trunc, cap,
+        degree = max(expected_dimension(q, w, vdict), 0)
+        poly = count_polynomial(q, w, vdict, _primes_for(plist, degree), trunc, cap,
                                 known_counts=dict(real.statuses[vt].counts))
         if poly.leading != census[vt]:
             mismatches.append(f"{vt}: {poly.leading} != {census[vt]}")

@@ -53,23 +53,22 @@ each cell by `Subspace.merge` of two canonical column sets with disjoint
 pivot rows, with no elimination.  A basis column is one int, each entry in
 its own lane, stored reduced, so the column tuple is the memo key.  Arrow
 maps enter as packed image columns (j, X·e_j), which the walk's set-up
-packs from their `sparse_columns` once per prime (`_columns_mod`).  A leaf
-becomes a `Mat` only where a `Subrep` is built, and `Subspace.to_mat`
-unpacks the basis `col_space` gives, so `Subrep.key()` and the output
-order do not depend on the walk.
+packs from their `sparse_columns` once per prime (`_CountSetup.slots`).
+A leaf becomes a `Mat` only where a `Subrep` is built, and
+`Subspace.to_mat` unpacks the basis `col_space` gives, so `Subrep.key()`
+and the output order do not depend on the walk.
 
 Set-up rule: every walk runs on the `_CountSetup` of one representation,
-over Q or F_p (over F_p only at its own prime), and takes its slots from
-it; a graded walk runs on the set-up of the grading's cover.  A set-up
-holds the arrow maps split once into `sparse_columns`, and at each prime
-walked their packed image columns and the walk's (upper, incoming,
-outgoing), built the first time.  `count_polynomial` and `hull_count`
-share one set-up per hull for the life of the process, keyed by the
-quiver, the framing w in vertex order and the truncation, at most 64 kept
-(`_count_setup`, a bounded `lru_cache`); every other caller builds one
-per call and walks each of its weights and primes on it.  The walk only
-reads the set-up; the target, checked once per call, the cap, the walk
-and its memo belong to one count.  Counts are never kept.
+over Q or F_p (over F_p only at its own prime), which `_leaves` takes with
+the prime; a graded walk runs on the set-up of the grading's cover.  A
+set-up holds the arrow maps split once into `sparse_columns`, and at each
+prime walked the walk's slots, built the first time.  A hull's model and
+set-up are shared for the life of the process by one key, the quiver, the
+framing w in vertex order and the truncation (`_hull`, a bounded
+`lru_cache`, at most 64 kept): every entry that walks a hull takes it from
+there, and any other representation gets a set-up per call.  The walk
+only reads the set-up; the target, checked once per call, the cap, the
+walk and its memo belong to one count.  Counts are never kept.
 
 Point counts at several primes feed a Lagrange interpolation, run in
 integers over one common denominator, whose value at 1 is the Euler
@@ -241,15 +240,13 @@ _LIST = _Combine(
 )
 
 
-def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
+def _leaves(setup: _CountSetup, p: int, target: dict, cap: int | None,
             combine: _Combine):
-    """Every arrow-closed choice of slot subspaces, folded by `combine`.
+    """Every arrow-closed choice of slot subspaces over F_p, folded by `combine`.
 
-    The slots are the vertices of one quiver, and (upper, incoming,
-    outgoing) a `_CountSetup`'s `slots(p)`: `upper` maps each slot to its
-    whole space (a `Subspace`) and `target` to its dimension; `incoming[s]`
-    and `outgoing[s]` list (map, slot) pairs for the arrows ending and
-    starting at s, each map as packed image columns (`_columns_mod`).
+    The slots are the vertices of the set-up's quiver, read from
+    `setup.slots(p)`, and `target` maps each to its dimension; the cap is
+    checked here, after the slots are built.
 
     Placing a slot moves each unplaced neighbour's bounds: its lower bound
     takes in the image of the choice, its upper bound is cut to the
@@ -268,6 +265,8 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
     charged for the cells walked: those of every branching slot, and those
     of the free slots that `combine` walks.
     """
+    upper, incoming, outgoing = setup.slots(p)
+    cap = _cap(cap)
     # The walk's state maps each unplaced slot to (lo, hi, its cell count).
     links = {s: {t for _, t in incoming[s] + outgoing[s]} for s in upper}
     memo: dict = {}
@@ -342,30 +341,6 @@ def _leaves(upper: dict, incoming: dict, outgoing: dict, target: dict, cap: int,
     return value(start, root=True)
 
 
-def _slots(fp: PrimeField, packed: dict, q: Quiver, dims: dict) -> tuple:
-    """(upper, incoming, outgoing) of `_leaves`, one slot per vertex, each
-    arrow's map given in `packed` as image columns over `fp`."""
-    upper = {u: Subspace.whole(fp, dims[u]) for u in q.vertices}
-    incoming: dict = {u: [] for u in q.vertices}
-    outgoing: dict = {u: [] for u in q.vertices}
-    for a in q.arrows:
-        incoming[a.dst].append((packed[a.name], a.src))
-        outgoing[a.src].append((packed[a.name], a.dst))
-    return upper, incoming, outgoing
-
-
-def _columns_mod(fp: PrimeField, n: int, xcols: list) -> list:
-    """`sparse_columns` of a map into F^n, over Q or F_p, reduced into F_p and
-    packed as image columns (j, X·e_j) in `Subspace` lanes; zero ones dropped."""
-    sh = _lanes(fp.p, n).shifts
-    out = []
-    for j, col in xcols:
-        c = sum(y << sh[i] for i, x in col if (y := fp.of(x)))
-        if c:
-            out.append((j, c))
-    return out
-
-
 def _cap(cap: int | None) -> int:
     if cap is None:
         return DEFAULT_CANDIDATE_CAP
@@ -396,7 +371,7 @@ def enumerate_submodules(v_rep: Rep, v: dict, cap: int | None = None) -> list:
     """All arrow-closed subspaces of dims v, canonically ordered and validated."""
     p = _prime_of(v_rep)
     target = _check_dim_vector(v_rep.quiver, v)
-    leaves = _leaves(*_CountSetup(v_rep).slots(p), target, _cap(cap), _LIST)
+    leaves = _leaves(_CountSetup(v_rep), p, target, cap, _LIST)
     return _subreps(v_rep, leaves, lambda leaf, u: leaf[u].to_mat())
 
 
@@ -435,57 +410,65 @@ class _CountSetup:
     """The one way a representation, over Q or F_p, becomes an F_p walk.
 
     Its arrow maps are split into `sparse_columns` once.  The first time p
-    is walked they are packed into image columns over F_p (`columns`), and
-    the walk's slots are built from those (`slots`); both are kept per
-    prime.  A representation over F_p is walked only at its own prime.
+    is walked, `slots(p)` packs them into image columns over F_p and builds
+    the walk's slots from those, kept per prime.  A representation over F_p
+    is walked only at its own prime.
     """
 
     def __init__(self, rep: Rep):
         self.rep = rep
         self._cols = {a.name: sparse_columns(rep.map(a.name)) for a in rep.quiver.arrows}
-        self._packed: dict = {}
         self._by_prime: dict = {}
 
-    def columns(self, p: int) -> tuple:
-        """(F_p, {arrow: its packed image columns over F_p}), packed once."""
-        out = self._packed.get(p)
+    def slots(self, p: int) -> tuple:
+        """(upper, incoming, outgoing) of `_leaves` over F_p, built once.
+
+        `upper` maps each vertex to its whole space (a `Subspace`);
+        `incoming[u]` and `outgoing[u]` list (map, vertex) pairs for the
+        arrows ending and starting at u, each map as its nonzero image
+        columns (j, X·e_j), reduced into F_p and packed in `Subspace` lanes.
+        """
+        out = self._by_prime.get(p)
         if out is None:
             field = self.rep.field
             fp = field if field.char else PrimeField(p)
             if fp.p != p:
                 raise InternalCheckError(f"a representation over F_{fp.p} walked over F_{p}")
-            dims = self.rep.dims
-            out = self._packed[p] = (fp, {
-                a.name: _columns_mod(fp, dims[a.dst], self._cols[a.name])
-                for a in self.rep.quiver.arrows
-            })
-        return out
-
-    def slots(self, p: int) -> tuple:
-        """(upper, incoming, outgoing) of `_leaves` over F_p, built once."""
-        out = self._by_prime.get(p)
-        if out is None:
-            out = self._by_prime[p] = _slots(*self.columns(p), self.rep.quiver, self.rep.dims)
+            q, dims = self.rep.quiver, self.rep.dims
+            upper = {u: Subspace.whole(fp, dims[u]) for u in q.vertices}
+            incoming: dict = {u: [] for u in q.vertices}
+            outgoing: dict = {u: [] for u in q.vertices}
+            for a in q.arrows:
+                sh = _lanes(p, dims[a.dst]).shifts
+                packed = [(j, c) for j, col in self._cols[a.name]
+                          if (c := sum(y << sh[i] for i, x in col if (y := fp.of(x))))]
+                incoming[a.dst].append((packed, a.src))
+                outgoing[a.src].append((packed, a.dst))
+            out = self._by_prime[p] = (upper, incoming, outgoing)
         return out
 
     def count(self, p: int, target: dict, cap: int | None = None) -> int:
         """The number of submodules over F_p of dims target, checked."""
-        return _leaves(*self.slots(p), target, _cap(cap), _COUNT)
+        return _leaves(self, p, target, cap, _COUNT)
 
 
 @lru_cache(maxsize=64)
-def _count_setup(base: Quiver, wt: tuple, trunc: int | None) -> _CountSetup:
-    """The shared set-up of the hull of `base` framed by wt, in vertex order.
+def _hull(base: Quiver, wt: tuple, trunc: int | None) -> tuple:
+    """The shared hull of `base` framed by wt, in vertex order: (model, set-up).
 
-    One per (quiver, framing, truncation), at most 64 kept; an evicted one
-    is rebuilt on demand.  The hull is the set-up's own, built from the key
-    alone; `injective_hull` still gives every other caller a new model.
+    One pair per (quiver, framing, truncation), at most 64 kept; an evicted
+    pair is rebuilt on demand.  The model is built from the key alone and
+    every caller of the key reads it, so none may change it; `injective_hull`
+    still gives every other caller a model of its own.  `count_polynomial`,
+    `hull_count`, `geomrep.finite_points`, `demazure.demazure_module` and
+    `demazure.stabilization_sigma` take their hull here, on a `_hull_key`.
     """
-    return _CountSetup(injective_hull(base, dict(zip(base.vertices, wt)), trunc).rep)
+    model = injective_hull(base, dict(zip(base.vertices, wt)), trunc)
+    return model, _CountSetup(model.rep)
 
 
 def _hull_key(q: Quiver, w: dict, trunc: int | None) -> tuple:
-    """The `_count_setup` key of the hull of q framed by w, checked as
+    """The `_hull` key of the hull of q framed by w, checked as
     `injective_hull` checks it."""
     base, wt = _framing(q, w)
     _resolve_trunc(base, trunc)
@@ -500,7 +483,7 @@ def hull_count(q: Quiver, w: dict, v: dict, p: int, trunc: int | None = None,
     """
     key = _hull_key(q, w, trunc)
     (p,) = _check_primes([p])
-    return _count_setup(*key).count(p, _check_dim_vector(key[0], v), cap)
+    return _hull(*key)[1].count(p, _check_dim_vector(key[0], v), cap)
 
 
 # -- point-count interpolation ------------------------------------------------
@@ -534,6 +517,16 @@ def _next_prime(n: int) -> int:
             f"whether {m} is prime cannot be decided; pass one more prime"
         ) from None
     return m
+
+
+def _primes_for(primes, degree: int) -> list:
+    """The checked primes, extended when fewer by the least primes above
+    them to degree + 2: enough to fit a polynomial of that degree and to
+    certify it at a spare prime."""
+    plist = _check_primes(primes)
+    while len(plist) < degree + 2:
+        plist.append(_next_prime(plist[-1]))
+    return plist
 
 
 def _certified_fit(counts: list, degree: int) -> tuple:
@@ -648,7 +641,7 @@ def count_polynomial(
     `known_counts` is an optional {prime: count} cache consulted before
     counting; missing primes are still counted here, and every value feeds
     the same consistency certification either way.  The primes left to count
-    are counted on the hull's shared set-up (`_count_setup`); when none is
+    are counted on the hull's shared set-up (`_hull`); when none is
     left, no set-up is built.
     """
     key = _hull_key(q, w, trunc)
@@ -658,7 +651,7 @@ def count_polynomial(
     for p in interp + extras:
         n = None if known_counts is None else known_counts.get(p)
         if n is None:
-            n = _count_setup(*key).count(p, target, cap)
+            n = _hull(*key)[1].count(p, target, cap)
         counts.append((p, int(n)))
     return CountPoly(
         coeffs=_certified_fit(counts, bound),
@@ -731,7 +724,7 @@ def graded_submodules(
         if len({fp.of(lam) for lam, _ in grading[v]}) != len(grading[v]):
             raise BadPrimeError(f"grading eigenvalues collide mod {p} at vertex {v!r}")
     target = _check_dim_vector(cover.quiver, d)
-    leaves = _leaves(*_CountSetup(cover).slots(p), target, _cap(cap), _LIST)
+    leaves = _leaves(_CountSetup(cover), p, target, cap, _LIST)
 
     def basis(leaf, v):
         cols = [dict(zip(rows[v, k], c))

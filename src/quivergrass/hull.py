@@ -161,7 +161,7 @@ def _path_basis(q: Quiver, w: dict, trunc: int | None, ends) -> tuple:
     summands = tuple(v for v, m in zip(base.vertices, wt) for _ in range(m))
     labels = {
         v: [(k, p) for k, i in enumerate(summands) for sl in slices
-            for p in sl.block(*ends(i, v)).paths]
+            for p in sl.block(*ends(i, v))]
         for v in alg.dq.vertices
     }
     index = {v: {lab: pos for pos, lab in enumerate(labels[v])} for v in labels}

@@ -58,10 +58,6 @@ def compose(p: Path, q: Path) -> Path | None:
     return Path(p.arrows + q.arrows, q.src, p.dst)
 
 
-class SliceBlock(NamedTuple):
-    paths: list[Path]
-
-
 class AlgSlice:
     """Basis data for one degree of the preprojective quotient.
 
@@ -71,14 +67,14 @@ class AlgSlice:
     """
 
     def __init__(self):
-        self.blocks: dict[tuple[str, str], SliceBlock] = {}
+        self.blocks: dict[tuple[str, str], list[Path]] = {}
         self.lmul: dict[tuple[str, Path], dict[Path, object]] = {}
 
-    def block(self, src: str, dst: str) -> SliceBlock:
-        return self.blocks.get((src, dst)) or SliceBlock([])
+    def block(self, src: str, dst: str) -> list[Path]:
+        return self.blocks.get((src, dst), [])
 
     def dim(self) -> int:
-        return sum(len(b.paths) for b in self.blocks.values())
+        return sum(map(len, self.blocks.values()))
 
 
 class PathAlgebra:
@@ -110,13 +106,12 @@ class PathAlgebra:
         if n == 0:
             for v in dq.vertices:
                 p = trivial_path(v)
-                sl.blocks[(v, v)] = SliceBlock([p])
+                sl.blocks[(v, v)] = [p]
             return sl
         if n == 1:
             for a in sorted(dq.arrows, key=lambda a: a.name):
-                blk = sl.blocks.setdefault((a.src, a.dst), SliceBlock([]))
                 p = arrow_path(dq, a.name)
-                blk.paths.append(p)
+                sl.blocks.setdefault((a.src, a.dst), []).append(p)
                 sl.lmul[(a.name, trivial_path(a.src))] = {p: QQ.one}
             return sl
 
@@ -127,10 +122,10 @@ class PathAlgebra:
         by_block: dict[tuple[str, str], list[tuple[str, Path]]] = {}
         for a in dq.arrows:
             for (src, dst), blk in prev.blocks.items():
-                if dst != a.src or not blk.paths:
+                if dst != a.src or not blk:
                     continue
                 cell = by_block.setdefault((src, a.dst), [])
-                cell.extend((a.name, kappa) for kappa in blk.paths)
+                cell.extend((a.name, kappa) for kappa in blk)
         relation_terms = self._relation_terms()
         for key in sorted(by_block):
             pairs = by_block[key]
@@ -139,8 +134,7 @@ class PathAlgebra:
             pair_index = {bk: i for i, bk in enumerate(pairs)}
             rows: list[list] = []
             src, x = key
-            blk2 = prev2.block(src, x)
-            for kappa2 in blk2.paths:
+            for kappa2 in prev2.block(src, x):
                 row = [QQ.zero] * len(pairs)
                 for sign, b, c in relation_terms[x]:
                     vec = prev.lmul.get((c, kappa2))
@@ -159,7 +153,7 @@ class PathAlgebra:
                 Path((pairs[i][0],) + pairs[i][1].arrows, key[0], key[1])
                 for i in reps
             ]
-            sl.blocks[key] = SliceBlock(paths)
+            sl.blocks[key] = paths
             for i, (b, kappa) in enumerate(pairs):
                 vec = {
                     paths[j]: coeff

@@ -179,7 +179,7 @@ def test_count_worker_builds_its_hull_once(monkeypatch):
     from quivergrass import grassmann
     from quivergrass.quiver import quiver_from_json
 
-    grassmann._count_setup.cache_clear()
+    grassmann._hull.cache_clear()
     builds = []
     real = grassmann.injective_hull
     monkeypatch.setattr(grassmann, "injective_hull", lambda *a: builds.append(a) or real(*a))

@@ -20,6 +20,7 @@ from quivergrass import grassmann, linalg, weyl
 from quivergrass.grassmann import count_submodules, enumerate_submodules
 from quivergrass.hull import framed_point, injective_hull
 from quivergrass.linalg import subspace_contains
+from quivergrass.palg import vanishing_bound
 from quivergrass.quiver import build_quiver, kronecker_quiver, line_quiver, star_quiver
 from quivergrass.repmod import (
     is_nilpotent,
@@ -195,9 +196,12 @@ def test_nesting_rejects_incomparable_words():
 
 
 def test_nesting_across_equal_models():
+    # One key shares one hull, so the chains are built at two truncations
+    # that keep the whole A2 module: two models, compared map by map.
     c_one = demazure_module(A2, W11, ("1",))
-    c_full = demazure_module(A2, W11, ("1", "2", "1"))
+    c_full = demazure_module(A2, W11, ("1", "2", "1"), trunc=vanishing_bound(A2) + 1)
     assert c_one.model.rep is not c_full.model.rep
+    assert c_one.model.rep.dims == c_full.model.rep.dims
     assert check_nesting(c_one, c_full)
 
 

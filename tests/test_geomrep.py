@@ -283,12 +283,26 @@ def test_truncated_dynkin_hull_asks_for_a_longer_truncation():
         assert err.value.suggested == 4
 
 
-def test_finite_points_builds_each_primes_slots_once(monkeypatch):
+def _slot_builds(monkeypatch):
+    """The prime of every slot build of any walk set-up, in order, on an
+    emptied hull cache."""
     import quivergrass.grassmann as grassmann
 
+    grassmann._hull.cache_clear()
     built = []
-    slots = grassmann._slots
-    monkeypatch.setattr(grassmann, "_slots", lambda *a: built.append(a[0].p) or slots(*a))
+    slots = grassmann._CountSetup.slots
+
+    def recording(setup, p):
+        if p not in setup._by_prime:
+            built.append(p)
+        return slots(setup, p)
+
+    monkeypatch.setattr(grassmann._CountSetup, "slots", recording)
+    return built
+
+
+def test_finite_points_builds_each_primes_slots_once(monkeypatch):
+    built = _slot_builds(monkeypatch)
     real = finite_points(D4, {"0": 0, "1": 1, "2": 0, "3": 0}, primes=(2, 3, 5))
     assert len(real.statuses) == 8 and real.finite
     assert built == [2, 3, 5]
@@ -299,15 +313,11 @@ def test_finite_points_builds_each_primes_slots_once(monkeypatch):
 
 
 def test_restricted_compat_builds_the_stages_slots_once_per_prime(monkeypatch):
-    import quivergrass.grassmann as grassmann
-
-    built = []
-    slots = grassmann._slots
-    monkeypatch.setattr(grassmann, "_slots", lambda *a: built.append(a[0].p) or slots(*a))
+    built = _slot_builds(monkeypatch)
     w = {"1": 1, "2": 0, "3": 0}
     assert len(weight_census(A3, w)) == 4
     assert restricted_compat(A3, w, ("1", "2", "1"), primes=(2, 3, 5))
-    # finite_points walks its own model, then the stage's census walks the
+    # finite_points walks the shared hull, then the stage's census walks the
     # stage's set-up: once per prime each, not once per (weight, prime).
     assert built == [2, 3, 5, 2, 3, 5]
 
@@ -315,13 +325,13 @@ def test_restricted_compat_builds_the_stages_slots_once_per_prime(monkeypatch):
 def test_verify_sl2_counts_the_hulls_weights_once_per_prime(monkeypatch):
     import quivergrass.grassmann as grassmann
 
-    # Hulls built from here on: finite_points' own and the shared set-up's.
+    # Hulls built from here on: the one shared by finite_points and the
+    # count polynomials.
     hulls = []
-    for module in (grassmann, geomrep):
-        build = module.injective_hull
-        monkeypatch.setattr(module, "injective_hull",
-                            lambda *a, build=build: hulls.append(build(*a)) or hulls[-1])
-    grassmann._count_setup.cache_clear()
+    build = grassmann.injective_hull
+    monkeypatch.setattr(grassmann, "injective_hull",
+                        lambda *a: hulls.append(build(*a)) or hulls[-1])
+    grassmann._hull.cache_clear()
     counted = []
     count = grassmann._CountSetup.count
 
@@ -336,6 +346,23 @@ def test_verify_sl2_counts_the_hulls_weights_once_per_prime(monkeypatch):
     # fiber counts run on a quotient, not on a hull.
     census = sorted(weight_census(A2, W10))
     assert sorted(counted) == [(vt, p) for vt in census for p in (2, 3, 5)]
+    assert len(hulls) == 1
+
+
+def test_verify_sl2_extends_the_default_primes_to_each_weights_degree():
+    # On A1 at w = 4 the weights v = 1, 2, 3 have degrees 3, 4, 3: the three
+    # default primes fit none of them, so each count polynomial counts the
+    # least primes above them, while finite_points keeps the caller's.
+    w = {"1": 4}
+    assert [expected_dimension(A1, w, {"1": k}) for k in (1, 2, 3)] == [3, 4, 3]
+    report = verify_sl2(A1, w)
+    assert report.passed and not report.finite_regime
+    assert [item.name for item in report.items] == [
+        "leading count coefficients match the multiplicity recursion",
+        "raising after lowering scales the vacuum by the framing",
+    ]
+    real = finite_points(A1, w)
+    assert {tuple(p for p, _ in st.counts) for st in real.statuses.values()} == {(2, 3, 5)}
 
 
 def test_one_prime_realizes_no_weight_off_the_orbit():

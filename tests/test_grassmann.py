@@ -20,6 +20,7 @@ from quivergrass.errors import (
     ValidationError,
 )
 from quivergrass.fields import QQ, PrimeField
+from quivergrass.geomrep import finite_points
 from quivergrass.grassmann import (
     CountPoly,
     count_polynomial,
@@ -328,7 +329,7 @@ def test_branch_point_leaves_a_remainder_of_three_slots(d4_all_ones):
         lambda s, pairs: tuple(x for _, val in pairs for x in (f"branch {s}",) + val),
     )
     target = grassmann._check_dim_vector(rep2.quiver, v)
-    walk = grassmann._leaves(*grassmann._CountSetup(rep2).slots(2), target, 10**6, shape)
+    walk = grassmann._leaves(grassmann._CountSetup(rep2), 2, target, 10**6, shape)
     assert walk == ("branch 0", "placed", "free 1", "free 2", "free 3")
     n = count_submodules(rep2, v)
     assert n == len(enumerate_submodules(rep2, v)) == brute_submodule_count(rep2, v)
@@ -497,7 +498,7 @@ def test_count_polynomial_refuses_a_framing_at_an_unknown_vertex():
 def test_interpolation_inconsistency_detected(monkeypatch):
     # Degree-two counts against a degree-one bound must fail the extra-prime
     # certificate rather than be silently accepted.
-    monkeypatch.setattr(grassmann, "_leaves", lambda upper, *rest: upper["1"].field.p ** 2)
+    monkeypatch.setattr(grassmann, "_leaves", lambda setup, p, *rest: p ** 2)
     with pytest.raises(InterpolationInconsistentError) as exc:
         count_polynomial(A1, {"1": 2}, {"1": 1}, [2, 3, 5])
     assert exc.value.counts == [(2, 4), (3, 9), (5, 25)]
@@ -742,6 +743,20 @@ def _recorded(monkeypatch, name):
     return calls
 
 
+def _slot_builds(monkeypatch):
+    """The prime of every slot build of any walk set-up, in order."""
+    built = []
+    slots = grassmann._CountSetup.slots
+
+    def recording(setup, p):
+        if p not in setup._by_prime:
+            built.append(p)
+        return slots(setup, p)
+
+    monkeypatch.setattr(grassmann._CountSetup, "slots", recording)
+    return built
+
+
 def _a3_census_polys(w):
     return {vec: count_polynomial(A3, w, dict(zip(A3.vertices, vec)), [2, 3, 5, 7])
             for vec in sorted(weight_census(A3, w))}
@@ -749,16 +764,16 @@ def _a3_census_polys(w):
 
 def test_count_setup_builds_each_hull_and_its_slots_once(monkeypatch):
     w = {"1": 1, "2": 1, "3": 1}
-    grassmann._count_setup.cache_clear()
+    grassmann._hull.cache_clear()
     hulls = _recorded(monkeypatch, "injective_hull")
-    slots = _recorded(monkeypatch, "_slots")
+    slots = _slot_builds(monkeypatch)
     first = _a3_census_polys(w)
     assert len(first) == 38
     assert len(hulls) == 1
-    assert sorted(args[0].p for args in slots) == [2, 3, 5, 7]
+    assert sorted(slots) == [2, 3, 5, 7]
     assert _a3_census_polys(w) == first
     assert len(hulls) == 1 and len(slots) == 4
-    grassmann._count_setup.cache_clear()
+    grassmann._hull.cache_clear()
     assert _a3_census_polys(w) == first
     assert len(hulls) == 2
 
@@ -771,7 +786,7 @@ def test_count_setup_is_kept_per_truncation():
     w, v = {"1": 1, "2": 0}, {"1": 2, "2": 2}
     want = {3: (1, 1, 1), 4: (1, 2, 2)}
     for order in ((3, 4), (4, 3)):
-        grassmann._count_setup.cache_clear()
+        grassmann._hull.cache_clear()
         for trunc in order:
             assert count_polynomial(K, w, v, [2, 3, 5], trunc=trunc).coeffs == want[trunc]
 
@@ -785,7 +800,7 @@ def test_count_setup_ignores_later_edits_to_the_callers_framing():
     # I(2) has dims (1, 1): its one submodule of those dims is itself.
     assert edited.counts == ((2, 1), (3, 1), (5, 1))
     assert count_polynomial(A2, {"1": 1, "2": 1}, v, primes) == first
-    grassmann._count_setup.cache_clear()
+    grassmann._hull.cache_clear()
     assert count_polynomial(A2, {"1": 0, "2": 1}, v, primes) == edited
 
 
@@ -830,7 +845,7 @@ def test_count_setup_charges_the_same_cap():
 
     def passes(cap, cold):
         if cold:
-            grassmann._count_setup.cache_clear()
+            grassmann._hull.cache_clear()
         try:
             count_polynomial(A3, w, v, primes, cap=cap)
         except CapExceededError:
@@ -863,13 +878,14 @@ def _snapshot(slots):
 def test_a_walk_leaves_the_shared_slots_unchanged():
     w, v = {"1": 1, "2": 1, "3": 1}, {"1": 1, "2": 2, "3": 1}
     key = grassmann._hull_key(A3, w, None)
-    shared = grassmann._count_setup(*key).slots(3)
+    model, setup = grassmann._hull(*key)
+    shared = setup.slots(3)
     before = _snapshot(shared)
     assert [u.key() for u in shared[0].values()] == [cols for _, cols in before[0].values()]
     count_polynomial(A3, w, v, [2, 3, 5, 7])
-    assert len(grassmann._leaves(*shared, v, 10**6, grassmann._LIST)) == count_submodules(
-        reduce_mod(grassmann._count_setup(*key).rep, 3), v)
-    assert grassmann._count_setup(*key).slots(3) is shared
+    assert len(grassmann._leaves(setup, 3, v, 10**6, grassmann._LIST)) == count_submodules(
+        reduce_mod(model.rep, 3), v)
+    assert grassmann._hull(*key)[1].slots(3) is shared
     assert _snapshot(shared) == before
 
 
@@ -880,7 +896,7 @@ def test_known_counts_at_every_planned_prime_build_no_setup(monkeypatch):
     def refuse(*args):
         raise AssertionError("count_polynomial built a counting set-up")
 
-    monkeypatch.setattr(grassmann, "_count_setup", refuse)
+    monkeypatch.setattr(grassmann, "_hull", refuse)
     assert count_polynomial(A2, w, v, [2, 3, 5], known_counts=dict(want.counts)) == want
 
 
@@ -894,6 +910,20 @@ def test_hull_count_is_the_count_at_one_prime(monkeypatch):
         grassmann.hull_count(A3, w, v, 4)
     with pytest.raises(ValidationError):
         grassmann.hull_count(A3, w, {"9": 1}, 2)
+
+
+def test_one_key_builds_one_hull_across_every_entry(monkeypatch):
+    w = v = {"1": 1, "2": 1}
+    grassmann._hull.cache_clear()
+    hulls = _recorded(monkeypatch, "injective_hull")
+    poly = count_polynomial(A2, w, v, [2, 3, 5])
+    assert [(p, grassmann.hull_count(A2, w, v, p)) for p, _ in poly.counts] == list(poly.counts)
+    real = finite_points(A2, w)
+    chain = demazure_module(A2, w, ("1", "2", "1"))
+    assert stabilization_sigma(A2, w, v, [2, 3, 5]) == ("1", "2", "1")
+    assert len(hulls) == 1
+    model = grassmann._hull(*grassmann._hull_key(A2, w, None))[0]
+    assert real.model is chain.model is model
 
 
 # -- one walk set-up per representation -----------------------------------------
@@ -974,7 +1004,7 @@ def test_a_vanishing_denominator_fails_alike_on_both_routes():
 def test_the_setup_of_an_fp_rep_walks_only_at_its_own_prime():
     rep3 = reduce_mod(injective_hull(A2, {"1": 1, "2": 1}).rep, 3)
     setup = grassmann._CountSetup(rep3)
-    for walk in (setup.columns, setup.slots, lambda p: setup.count(p, {"1": 1, "2": 1})):
+    for walk in (setup.slots, lambda p: setup.count(p, {"1": 1, "2": 1})):
         for p in (2, 5):
             with pytest.raises(InternalCheckError):
                 walk(p)

@@ -93,6 +93,18 @@ def test_vertex_injective_a2_frozen_matrices():
     assert m2.rep.map("a1*") == mat([[0]], 1)
 
 
+def test_each_constructor_call_builds_a_model_of_its_own():
+    # The shared hull of a key lives behind `grassmann._hull`; the public
+    # constructors still hand every caller a model it owns.
+    for build in (lambda: injective_hull(A2, {"1": 1, "2": 1}),
+                  lambda: vertex_injective(A2, "1")):
+        first, second = build(), build()
+        assert first is not second and first.rep is not second.rep
+        assert first.rep.dims == second.rep.dims
+        assert all(first.rep.map(a.name) == second.rep.map(a.name)
+                   for a in first.quiver.arrows)
+
+
 def test_hull_frozen_q11():
     m = injective_hull(A2, {"1": 1, "2": 1})
     assert m.rep.dims == {"1": 2, "2": 2}

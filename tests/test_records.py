@@ -16,11 +16,11 @@ from quivergrass.geomrep import (
 )
 from quivergrass.grassmann import CountPoly, count_polynomial
 from quivergrass.hull import ExtensionResult, FramedPoint, Grading
-from quivergrass.palg import Path, SliceBlock, compose, trivial_path
+from quivergrass.palg import Path, compose, trivial_path
 from quivergrass.quiver import Arrow, CartanData, Classification, Quiver, line_quiver
 
 RECORDS = [
-    Arrow, Quiver, CartanData, Classification, Path, SliceBlock, ExtensionResult,
+    Arrow, Quiver, CartanData, Classification, Path, ExtensionResult,
     FramedPoint, Grading, CountPoly, DemazureChain, WeightStatus, FiniteRealization,
     VertexOperators, CheckItem, Sl2Report, ChevalleyReport, CheckResult,
 ]

@@ -1,8 +1,9 @@
 """A representation becomes an F_p walk in one place, `grassmann._CountSetup`.
 
 So only the modules whose answer is itself an F_p representation refer to
-`reduce_mod`, the arrow maps are split and packed by one call each, and
-every walk takes its slots from a set-up.
+`reduce_mod`, the arrow maps are split and packed in the set-up alone, and
+every walk takes a set-up.  A hull and its set-up come from one place,
+`grassmann._hull`.
 Enumeration turns its leaves into `Subrep`s in one place, `grassmann._subreps`."""
 
 import ast
@@ -51,26 +52,37 @@ def test_only_three_modules_refer_to_reduce_mod():
 
 def test_the_set_up_alone_splits_and_packs_arrow_maps():
     assert _call_sites("sparse_columns") == [("grassmann", "_CountSetup.__init__")]
-    assert _call_sites("_columns_mod") == [("grassmann", "_CountSetup.columns")]
+    # `linalg` lays out the lanes of its own `Subspace`s.
+    assert [site for site in _call_sites("_lanes") if site[0] != "linalg"] == [
+        ("grassmann", "_CountSetup.slots")]
 
 
 def test_every_walk_takes_its_slots_from_a_set_up():
-    # `_leaves(*setup.slots(p), target, cap, combine)`, the set-up being
-    # `self` inside `_CountSetup` or a `_CountSetup(...)` built at the call.
-    calls = [node for tree in TREES.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and _refers_to(node.func, "_leaves")]
-    assert len(calls) >= 3
-    for call in calls:
-        first = call.args[0]
-        assert isinstance(first, ast.Starred), ast.unparse(call)
-        slots = first.value
-        assert isinstance(slots, ast.Call) and isinstance(slots.func, ast.Attribute), \
-            ast.unparse(call)
-        setup = slots.func.value
-        assert slots.func.attr == "slots" and (
-            (isinstance(setup, ast.Name) and setup.id == "self")
-            or (isinstance(setup, ast.Call) and _refers_to(setup.func, "_CountSetup"))
-        ), ast.unparse(call)
+    # `_leaves(setup, p, target, cap, combine)` reads `setup.slots(p)` itself,
+    # and nothing else reads a set-up's slots.
+    (leaves,) = [node for node in ast.walk(TREES["grassmann"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "_leaves"]
+    assert [arg.arg for arg in leaves.args.args] == ["setup", "p", "target", "cap", "combine"]
+    assert _call_sites("slots") == [("grassmann", "_leaves")]
+    assert len(_call_sites("_leaves")) >= 3
+
+
+def test_a_hull_and_its_set_up_come_from_one_place():
+    # `grassmann._hull` builds a key's model and its set-up together.
+    assert [site for site in _call_sites("injective_hull") if site[0] == "grassmann"] == [
+        ("grassmann", "_hull")]
+    # Elsewhere a set-up walks a stage or a quotient, never a model's module,
+    # and a module that builds one builds no hull.
+    outside = [node for module, tree in TREES.items() if module != "grassmann"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _refers_to(node.func, "_CountSetup")]
+    assert outside
+    for call in outside:
+        (rep,) = call.args
+        assert not (isinstance(rep, ast.Attribute) and rep.attr == "rep"), ast.unparse(call)
+    for module in {m for m, _ in _call_sites("_CountSetup")} - {"grassmann"}:
+        assert not any(_refers_to(node, name) for node in ast.walk(TREES[module])
+                       for name in ("injective_hull", "vertex_injective")), module
 
 
 def test_enumeration_builds_its_subreps_in_one_place():
